@@ -16,8 +16,10 @@ support floor shows up directly: every PIT is pushed up by at least the
 leaked mass, so low-level frequencies are exactly zero, and the mean
 predictive CDF sits strictly above the empirical CDF at the floor.
 
-CRPS is computed by quadrature from the CDF alone, so mixtures and analytic
-families go through one code path; closed forms appear only in tests.
+CRPS uses the family's closed form where one exists (normal, Student t,
+truncated normal), which is exact to rounding and costs O(1) per score.
+Mixtures and any other continuous family fall back to adaptive quadrature
+over the CDF; discrete families are integrated exactly over the steps.
 """
 
 from __future__ import annotations
@@ -188,16 +190,20 @@ def _require_finite_mean(dist: PredictiveDistribution) -> None:
 def crps(dist: PredictiveDistribution, y: float) -> float:
     """Continuous ranked probability score: integral of (P(t) - 1{t >= y})^2.
 
-    Continuous families integrate the two squared tails by adaptive
-    quadrature (absolute tolerance 1e-8). Discrete families are integrated
-    exactly over the step function's breakpoints; atoms carrying less than
-    1e-13 total tail mass are dropped, which perturbs the integral by far
-    less than the quadrature tolerance.
+    A family that defines ``_crps`` (Normal, StudentT, TruncatedNormal) is
+    scored by its closed form. Other continuous families, mixtures among
+    them, integrate the two squared tails by adaptive quadrature (absolute
+    tolerance 1e-8). Discrete families are integrated exactly over the step
+    function's breakpoints; atoms carrying less than 1e-13 total tail mass
+    are dropped, which perturbs the integral by far less than that.
     """
     y = float(y)
     if not math.isfinite(y):
         raise ValueError("observation must be finite")
     _require_finite_mean(dist)
+    closed_form = getattr(dist, "_crps", None)
+    if closed_form is not None:
+        return float(closed_form(y))
     if dist.kind == "continuous":
         below, _ = integrate.quad(
             lambda t: float(dist.cdf(t)) ** 2, -np.inf, y, epsabs=_CRPS_EPSABS
@@ -265,7 +271,7 @@ class GridDensity:
 
 
 def _density_support(obj) -> tuple[float, float]:
-    if isinstance(obj, GridDensity):
+    if hasattr(obj, "support"):
         return obj.support()
     return -math.inf, math.inf
 

@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .leakage import Evidence
 from .predictive import PredictiveDistribution
 
@@ -111,5 +113,4 @@ def never_falsifiable(dist: PredictiveDistribution, e: Evidence) -> bool:
     """
     if dist.kind == "continuous":
         return False
-    values = e.possible_values()
-    return all(dist.has_atom(float(v)) for v in values)
+    return bool(np.all(dist.has_atom(e.possible_values())))

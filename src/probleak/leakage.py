@@ -319,14 +319,13 @@ def leakage(dist: PredictiveDistribution, e: Evidence, x_star=None) -> LeakageRe
     if e.values is not None:
         inside = float(np.sum(dist.density(np.asarray(e.values))))
     else:
-        lo, hi, step = e.lattice
-        if math.isinf(hi):
-            # enumerate up to the far tail of the predictive; anything beyond
-            # carries < 1e-12 mass and is counted as leakage
-            hi = max(lo, dist.quantile(1.0 - 1e-13))
-        count = int(math.floor((hi - lo) / step + _LATTICE_RTOL)) + 1
-        pts = lo + step * np.arange(max(count, 0))
-        inside = float(np.sum(dist.density(pts))) if pts.size else 0.0
+        # Float lattice points lo + k*step can miss atoms by an ulp, and a fine
+        # lattice has far more points than the predictive has atoms. So take
+        # the atoms up to the predictive's far tail (mass beyond counts as
+        # leakage, < 1e-12) and test them as mc_leakage does, with contains.
+        lo, hi, _ = e.lattice
+        atoms = dist.atoms_between(lo, min(hi, dist.quantile(1.0 - 1e-13)))
+        inside = float(np.sum(dist.density(atoms[e.contains(atoms)])))
     total = _clip_unit(1.0 - inside)
     return LeakageReport(
         leakage=total,

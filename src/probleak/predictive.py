@@ -94,8 +94,12 @@ class PredictiveDistribution:
 
     # -- structural support queries -------------------------------------
 
-    def has_atom(self, y: float) -> bool:
-        """True iff P(Y = y) > 0, decided from the family's exact support."""
+    def has_atom(self, y):
+        """True iff P(Y = y) > 0, decided from the family's exact support.
+
+        Discrete families answer elementwise for an array of points; a
+        scalar point gets a bool.
+        """
         if self.kind == "continuous":
             return False
         raise NotImplementedError
@@ -194,6 +198,17 @@ class Normal(PredictiveDistribution):
         out = special.ndtr((y - self.loc) / self.scale)
         return _scalar_or_array(out, y.ndim == 0)
 
+    def _crps(self, y):
+        """Closed-form CRPS (Gneiting, Raftery, Westveld & Goldman 2005, MWR 133):
+        scale * (z (2 Phi(z) - 1) + 2 phi(z) - 1/sqrt(pi)) at z = (y - loc) / scale.
+        """
+        z = (np.asarray(y, dtype=float) - self.loc) / self.scale
+        pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        out = self.scale * (
+            z * special.erf(z / math.sqrt(2.0)) + 2.0 * pdf - 1.0 / math.sqrt(math.pi)
+        )
+        return _scalar_or_array(out, z.ndim == 0)
+
     def density(self, y):
         y = np.asarray(y, dtype=float)
         z = (y - self.loc) / self.scale
@@ -235,14 +250,52 @@ class StudentT(PredictiveDistribution):
             raise ValueError("location must be finite")
 
     def cdf(self, y):
-        y = np.asarray(y, dtype=float)
-        t = (y - self.loc) / self.scale
-        with np.errstate(invalid="ignore"):
-            x = self.df / (self.df + t * t)
-            tail = 0.5 * special.betainc(0.5 * self.df, 0.5, x)
-        tail = np.where(np.isinf(t), 0.0, tail)
-        out = np.where(t <= 0.0, tail, 1.0 - tail)
-        return _scalar_or_array(out, y.ndim == 0)
+        # The tail P(T > |t|) is betainc(df/2, 1/2, df / (df + t^2)), but near
+        # the centre that argument rounds to 1; there the tail is taken as
+        # 1/2 - P(|T| < |t|)/2 instead. Either way one betainc call per point.
+        # Scalars take a plain-float path: numpy's per-call overhead on 0-d
+        # arrays costs several times the betainc evaluation itself.
+        df, half_df = self.df, 0.5 * self.df
+        if np.ndim(y) == 0:
+            t = (float(y) - self.loc) / self.scale
+            t2 = t * t
+            if t2 < df:
+                tail = 0.5 - 0.5 * float(special.betainc(0.5, half_df, t2 / (df + t2)))
+            else:
+                tail = 0.5 * float(special.betainc(half_df, 0.5, df / (df + t2)))
+            return tail if t <= 0.0 else 1.0 - tail
+        t = (np.asarray(y, dtype=float) - self.loc) / self.scale
+        t2 = t * t
+        near = t2 < df
+        ib = special.betainc(
+            np.where(near, 0.5, half_df),
+            np.where(near, half_df, 0.5),
+            np.where(near, t2, df) / (df + t2),
+        )
+        tail = np.where(near, 0.5 - 0.5 * ib, 0.5 * ib)
+        return np.where(t <= 0.0, tail, 1.0 - tail)
+
+    def _crps(self, y):
+        """Closed-form CRPS; df > 1, which ``calibration.crps`` checks first.
+
+        Jordan, Krueger & Lerch (2019, J. Stat. Softw. 90(12)), for the
+        standard t with df v scored at z = (y - loc) / scale:
+
+            z (2 F(z) - 1) + 2 f(z) (v + z^2) / (v - 1)
+                - 2 sqrt(v) B(1/2, v - 1/2) / ((v - 1) B(1/2, v/2)^2),
+
+        times scale. With f(z) = (1 + z^2/v)^(-(v+1)/2) / (sqrt(v) B(1/2, v/2))
+        the last two terms share the factor k = 2 sqrt(v) / ((v - 1) B(1/2, v/2)),
+        which is built from betaln so nothing overflows at large df.
+        """
+        v = self.df
+        z = (np.asarray(y, dtype=float) - self.loc) / self.scale
+        log_b = special.betaln(0.5, 0.5 * v)
+        k = math.exp(math.log(2.0) + 0.5 * math.log(v) - math.log(v - 1.0) - log_b)
+        ratio = math.exp(special.betaln(0.5, v - 0.5) - log_b)
+        decay = np.exp(-0.5 * (v - 1.0) * np.log1p(z * z / v))
+        out = self.scale * (z * (2.0 * self.cdf(y) - 1.0) + k * (decay - ratio))
+        return _scalar_or_array(out, z.ndim == 0)
 
     def density(self, y):
         y = np.asarray(y, dtype=float)
@@ -314,7 +367,9 @@ class Poisson(PredictiveDistribution):
         return _as_rng(rng).poisson(self.rate, size=int(n)).astype(float)
 
     def has_atom(self, y):
-        return bool(_is_integral(y)) and y >= 0.0
+        y = np.asarray(y, dtype=float)
+        out = _is_integral(y) & (y >= 0.0)
+        return bool(out) if out.ndim == 0 else out
 
     def has_mass(self, lo, hi):
         lo = max(lo, 0.0)
@@ -389,7 +444,8 @@ class Empirical(PredictiveDistribution):
     def has_atom(self, y):
         lo = np.searchsorted(self._obs, y, side="left")
         hi = np.searchsorted(self._obs, y, side="right")
-        return bool(hi > lo)
+        out = hi > lo
+        return bool(out) if np.ndim(out) == 0 else out
 
     def has_mass(self, lo, hi):
         i = np.searchsorted(self._obs, lo, side="left")
@@ -467,7 +523,11 @@ class Mixture(PredictiveDistribution):
         return out
 
     def has_atom(self, y):
-        return any(w > 0.0 and c.has_atom(y) for w, c in zip(self._w, self.components))
+        out = np.zeros(np.shape(y), dtype=bool)
+        for w, c in zip(self._w, self.components):
+            if w > 0.0:
+                out |= c.has_atom(y)
+        return bool(out) if out.ndim == 0 else out
 
     def has_mass(self, lo, hi):
         return any(w > 0.0 and c.has_mass(lo, hi) for w, c in zip(self._w, self.components))

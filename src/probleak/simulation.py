@@ -89,6 +89,33 @@ class TruncatedNormal(PredictiveDistribution):
         out = np.clip(np.where(y < self.lower, 0.0, raw), 0.0, 1.0)
         return float(out) if y.ndim == 0 else out
 
+    def _crps(self, y):
+        """Closed-form CRPS of the lower-truncated normal.
+
+        The form of Thorarinsdottir & Gneiting (2010, JRSS-A 173) and of
+        scoringRules' crps_tnorm (Jordan, Krueger & Lerch 2019), written
+        with upper tails Q = 1 - Phi so that deep truncation keeps its
+        precision. With a = (lower - loc) / scale, kept mass m = Q(a) and
+        z = (max(y, lower) - loc) / scale, the standardised score is
+
+            z + 2 (phi(z) - z Q(z)) / m - Q(sqrt(2) a) / (sqrt(pi) m^2);
+
+        it is scaled by scale, and an observation below lower adds the
+        exact (lower - y). lower = -inf gives the normal form.
+        """
+        y = np.asarray(y, dtype=float)
+        a = (self.lower - self.loc) / self.scale
+        m = special.ndtr(-a)
+        z = (np.maximum(y, self.lower) - self.loc) / self.scale
+        pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        std = (
+            z
+            + 2.0 * (pdf - z * special.ndtr(-z)) / m
+            - special.ndtr(-math.sqrt(2.0) * a) / (math.sqrt(math.pi) * m * m)
+        )
+        out = self.scale * std + np.maximum(self.lower - y, 0.0)
+        return float(out) if y.ndim == 0 else out
+
     def density(self, y):
         y = np.asarray(y, dtype=float)
         z = (y - self.loc) / self.scale
@@ -103,6 +130,10 @@ class TruncatedNormal(PredictiveDistribution):
 
     def has_mass(self, lo, hi):
         return lo < hi and hi > self.lower
+
+    def support(self) -> tuple[float, float]:
+        """Smallest closed interval containing all positive density."""
+        return float(self.lower), math.inf
 
     def _bracket_seed(self):
         lo = self.lower if math.isfinite(self.lower) else self.loc - self.scale

@@ -14,6 +14,7 @@ from probleak import (
     Normal,
     Poisson,
     StudentT,
+    TruncatedNormal,
     calibration_report,
     crps,
     exceedance_calibration,
@@ -244,6 +245,14 @@ def test_kl_distance_escaping_mass_is_infinite():
     assert kl_distance(wide, narrow) == math.inf
     # the other direction is finite: narrow lives inside wide
     assert math.isfinite(kl_distance(narrow, wide))
+
+
+def test_kl_distance_sees_truncated_support():
+    # the normal puts half its mass below the truncated model's floor
+    assert kl_distance(Normal(0.0, 1.0), TruncatedNormal(0.0, 1.0, lower=0.0)) == math.inf
+    # the reverse escapes nothing: on [0, inf) q = 2 p, so KL = log 2
+    back = kl_distance(TruncatedNormal(0.0, 1.0, lower=0.0), Normal(0.0, 1.0))
+    assert back == pytest.approx(math.log(2.0), abs=1e-8)
 
 
 def test_kl_distance_rejects_discrete_inputs():

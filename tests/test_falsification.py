@@ -100,6 +100,8 @@ def test_never_falsifiable_poisson_on_bounded_counts():
 def test_never_falsifiable_fails_on_uncovered_value():
     d = Poisson(rate=4.0)
     assert never_falsifiable(d, Evidence.finite_set([0.0, 1.0, 2.5])) is False
+    assert never_falsifiable(d, Evidence.finite_set([0.0, 2.0, 2.0000000001])) is False
+    assert never_falsifiable(d, Evidence.finite_set([-1.0, 0.0, 1.0])) is False
     emp = Empirical([1.0, 2.0])
     assert never_falsifiable(emp, Evidence.finite_set([1.0, 2.0])) is True
     assert never_falsifiable(emp, Evidence.finite_set([1.0, 2.0, 3.0])) is False

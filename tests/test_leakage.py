@@ -1,6 +1,7 @@
 """Evidence declarations and the leakage computations built on them."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,6 +173,33 @@ def test_discrete_model_against_discrete_evidence():
     tail = 1.0 - sum(math.exp(-3.0) * 3.0**k / math.factorial(k) for k in range(6))
     assert bounded.leakage == pytest.approx(tail, rel=1e-10)
     assert not bounded.complete
+
+
+def test_offset_lattice_counts_the_integers_on_it():
+    # lattice(0.3, 10.3, 0.1) holds the integers 1 ... 10 exactly; lo + k*step
+    # misses several of them by an ulp
+    d = Poisson(rate=3.0)
+    e = Evidence.lattice_support(0.3, 10.3, 0.1)
+    got = leakage(d, e).leakage
+    assert got == pytest.approx(0.0500794053185, abs=1e-12)
+    # oracle: P(X = 0) + P(X >= 11)
+    want = 1.0 - sum(math.exp(-3.0) * 3.0**k / math.factorial(k) for k in range(1, 11))
+    assert got == pytest.approx(want, abs=1e-12)
+    est = mc_leakage(d, e, n=200_000, seed=3)
+    assert abs(est.estimate - got) <= 5.0 * est.stderr
+
+
+def test_fine_unbounded_lattice_enumerates_atoms_not_points():
+    d = Poisson(rate=1000.0)
+    e = Evidence.lattice_support(0.0, math.inf, 1e-3)
+    tracemalloc.start()
+    try:
+        rep = leakage(d, e)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert rep.leakage == pytest.approx(0.0, abs=1e-12)
 
 
 def test_discrete_model_against_continuous_evidence():

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from probleak import Empirical, Mixture, Normal, Poisson, StudentT
 
@@ -54,6 +54,29 @@ def test_student_t_approaches_normal_for_large_df():
     n = Normal(loc=0.0, scale=1.0)
     ys = np.linspace(-4, 4, 17)
     assert np.max(np.abs(t.cdf(ys) - n.cdf(ys))) < 1e-6
+
+
+@pytest.mark.parametrize("df", [100.0, 1998.0, 19997.0])
+def test_student_t_cdf_near_the_centre(df):
+    # df / (df + t^2) rounds to 1 for |t| < sqrt(eps * df); the CDF must
+    # still move off 1/2 there
+    d = StudentT(df=df)
+    mags = np.logspace(-10, -2, 161)
+    ts = np.concatenate([-mags[::-1], mags])
+    want = stats.t.cdf(ts, df)
+    got = d.cdf(ts)
+    assert np.all(np.abs(got - want) <= 1e-15 + 1e-12 * np.abs(want))
+    scalar = np.array([d.cdf(float(t)) for t in ts])
+    np.testing.assert_array_equal(scalar, got)
+
+
+def test_student_t_cdf_scalar_and_array_paths_agree():
+    d = StudentT(df=2.5, loc=0.3, scale=1.7)
+    ys = np.array([-np.inf, -1e6, -40.0, -2.0, 0.3, 0.30001, 1.9, 2.4, 60.0, 1e9, np.inf])
+    scalar = [d.cdf(y) for y in ys]
+    assert all(isinstance(v, float) for v in scalar)
+    np.testing.assert_array_equal(scalar, d.cdf(ys))
+    assert d.cdf(-np.inf) == 0.0 and d.cdf(np.inf) == 1.0
 
 
 def test_student_t_density_closed_form():
@@ -163,6 +186,25 @@ def test_poisson_atoms():
     np.testing.assert_array_equal(d.atoms_between(1.2, 4.0), [2.0, 3.0, 4.0])
     assert d.has_mass(1.2, 4.0)
     assert not d.has_mass(1.2, 1.9)
+
+
+def test_has_atom_is_elementwise_on_arrays():
+    d = Poisson(rate=2.0)
+    got = d.has_atom(np.array([0.0, 2.0, 2.0000000001, -1.0, 1.5, 7.0]))
+    np.testing.assert_array_equal(got, [True, True, False, False, False, True])
+    assert d.has_atom(3.0) is True
+    assert d.has_atom(-1.0) is False
+
+    emp = Empirical([1.0, 2.0, 2.0])
+    np.testing.assert_array_equal(emp.has_atom(np.array([1.0, 1.5, 2.0])), [True, False, True])
+    assert emp.has_atom(2.0) is True
+
+    mix = Mixture([Poisson(rate=1.0), Empirical([0.5])], [0.5, 0.5])
+    np.testing.assert_array_equal(
+        mix.has_atom(np.array([0.5, 1.0, 1.5, -1.0])), [True, True, False, False]
+    )
+    assert mix.has_atom(0.5) is True
+    assert Mixture([Poisson(rate=1.0), Empirical([0.5])], [1.0, 0.0]).has_atom(0.5) is False
 
 
 def test_poisson_quantile_is_smallest_atom_reaching_p():

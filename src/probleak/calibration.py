@@ -203,7 +203,7 @@ def crps(dist: PredictiveDistribution, y: float) -> float:
     _require_finite_mean(dist)
     closed_form = getattr(dist, "_crps", None)
     if closed_form is not None:
-        return float(closed_form(y))
+        return closed_form(y)
     if dist.kind == "continuous":
         below, _ = integrate.quad(
             lambda t: float(dist.cdf(t)) ** 2, -np.inf, y, epsabs=_CRPS_EPSABS

@@ -198,16 +198,15 @@ class Normal(PredictiveDistribution):
         out = special.ndtr((y - self.loc) / self.scale)
         return _scalar_or_array(out, y.ndim == 0)
 
-    def _crps(self, y):
+    def _crps(self, y: float) -> float:
         """Closed-form CRPS (Gneiting, Raftery, Westveld & Goldman 2005, MWR 133):
         scale * (z (2 Phi(z) - 1) + 2 phi(z) - 1/sqrt(pi)) at z = (y - loc) / scale.
         """
-        z = (np.asarray(y, dtype=float) - self.loc) / self.scale
-        pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-        out = self.scale * (
-            z * special.erf(z / math.sqrt(2.0)) + 2.0 * pdf - 1.0 / math.sqrt(math.pi)
+        z = (y - self.loc) / self.scale
+        pdf = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        return self.scale * (
+            z * math.erf(z / math.sqrt(2.0)) + 2.0 * pdf - 1.0 / math.sqrt(math.pi)
         )
-        return _scalar_or_array(out, z.ndim == 0)
 
     def density(self, y):
         y = np.asarray(y, dtype=float)
@@ -251,22 +250,24 @@ class StudentT(PredictiveDistribution):
 
     def cdf(self, y):
         # The tail P(T > |t|) is betainc(df/2, 1/2, df / (df + t^2)), but near
-        # the centre that argument rounds to 1; there the tail is taken as
+        # the centre that argument rounds to 1. For t^2 < min(df, 1), where the
+        # tail is above 0.15 and nothing cancels, it is taken as
         # 1/2 - P(|T| < |t|)/2 instead. Either way one betainc call per point.
         # Scalars take a plain-float path: numpy's per-call overhead on 0-d
         # arrays costs several times the betainc evaluation itself.
         df, half_df = self.df, 0.5 * self.df
+        centre = min(df, 1.0)
         if np.ndim(y) == 0:
             t = (float(y) - self.loc) / self.scale
             t2 = t * t
-            if t2 < df:
+            if t2 < centre:
                 tail = 0.5 - 0.5 * float(special.betainc(0.5, half_df, t2 / (df + t2)))
             else:
                 tail = 0.5 * float(special.betainc(half_df, 0.5, df / (df + t2)))
             return tail if t <= 0.0 else 1.0 - tail
         t = (np.asarray(y, dtype=float) - self.loc) / self.scale
         t2 = t * t
-        near = t2 < df
+        near = t2 < centre
         ib = special.betainc(
             np.where(near, 0.5, half_df),
             np.where(near, half_df, 0.5),
@@ -275,7 +276,7 @@ class StudentT(PredictiveDistribution):
         tail = np.where(near, 0.5 - 0.5 * ib, 0.5 * ib)
         return np.where(t <= 0.0, tail, 1.0 - tail)
 
-    def _crps(self, y):
+    def _crps(self, y: float) -> float:
         """Closed-form CRPS; df > 1, which ``calibration.crps`` checks first.
 
         Jordan, Krueger & Lerch (2019, J. Stat. Softw. 90(12)), for the
@@ -289,13 +290,12 @@ class StudentT(PredictiveDistribution):
         which is built from betaln so nothing overflows at large df.
         """
         v = self.df
-        z = (np.asarray(y, dtype=float) - self.loc) / self.scale
-        log_b = special.betaln(0.5, 0.5 * v)
+        z = (y - self.loc) / self.scale
+        log_b = float(special.betaln(0.5, 0.5 * v))
         k = math.exp(math.log(2.0) + 0.5 * math.log(v) - math.log(v - 1.0) - log_b)
-        ratio = math.exp(special.betaln(0.5, v - 0.5) - log_b)
-        decay = np.exp(-0.5 * (v - 1.0) * np.log1p(z * z / v))
-        out = self.scale * (z * (2.0 * self.cdf(y) - 1.0) + k * (decay - ratio))
-        return _scalar_or_array(out, z.ndim == 0)
+        ratio = math.exp(float(special.betaln(0.5, v - 0.5)) - log_b)
+        decay = math.exp(-0.5 * (v - 1.0) * math.log1p(z * z / v))
+        return self.scale * (z * (2.0 * self.cdf(y) - 1.0) + k * (decay - ratio))
 
     def density(self, y):
         y = np.asarray(y, dtype=float)

@@ -89,7 +89,7 @@ class TruncatedNormal(PredictiveDistribution):
         out = np.clip(np.where(y < self.lower, 0.0, raw), 0.0, 1.0)
         return float(out) if y.ndim == 0 else out
 
-    def _crps(self, y):
+    def _crps(self, y: float) -> float:
         """Closed-form CRPS of the lower-truncated normal.
 
         The form of Thorarinsdottir & Gneiting (2010, JRSS-A 173) and of
@@ -103,18 +103,16 @@ class TruncatedNormal(PredictiveDistribution):
         it is scaled by scale, and an observation below lower adds the
         exact (lower - y). lower = -inf gives the normal form.
         """
-        y = np.asarray(y, dtype=float)
         a = (self.lower - self.loc) / self.scale
-        m = special.ndtr(-a)
-        z = (np.maximum(y, self.lower) - self.loc) / self.scale
-        pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        m = float(special.ndtr(-a))
+        z = (max(y, self.lower) - self.loc) / self.scale
+        pdf = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
         std = (
             z
-            + 2.0 * (pdf - z * special.ndtr(-z)) / m
-            - special.ndtr(-math.sqrt(2.0) * a) / (math.sqrt(math.pi) * m * m)
+            + 2.0 * (pdf - z * float(special.ndtr(-z))) / m
+            - float(special.ndtr(-math.sqrt(2.0) * a)) / (math.sqrt(math.pi) * m * m)
         )
-        out = self.scale * std + np.maximum(self.lower - y, 0.0)
-        return float(out) if y.ndim == 0 else out
+        return self.scale * std + max(self.lower - y, 0.0)
 
     def density(self, y):
         y = np.asarray(y, dtype=float)

@@ -70,6 +70,18 @@ def test_student_t_cdf_near_the_centre(df):
     np.testing.assert_array_equal(scalar, got)
 
 
+@pytest.mark.parametrize("df", [100.0, 1998.0, 19997.0])
+def test_student_t_cdf_keeps_relative_accuracy_in_the_tails(df):
+    # tails below 1e-16 must not be formed as 1/2 minus something near 1/2
+    d = StudentT(df=df)
+    ts = np.array([-30.0, -10.0, -5.0, -1.5, -1.0, -0.999])
+    want = stats.t.cdf(ts, df)
+    got = d.cdf(ts)
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+    np.testing.assert_allclose([d.cdf(float(t)) for t in ts], want, rtol=1e-10, atol=0.0)
+    np.testing.assert_allclose(1.0 - d.cdf(-ts), want, rtol=1e-10, atol=1e-16)
+
+
 def test_student_t_cdf_scalar_and_array_paths_agree():
     d = StudentT(df=2.5, loc=0.3, scale=1.7)
     ys = np.array([-np.inf, -1e6, -40.0, -2.0, 0.3, 0.30001, 1.9, 2.4, 60.0, 1e9, np.inf])

@@ -13,7 +13,7 @@ model family then passes every check. The failure is not sampling noise
 and not a bug in the fitting; it is the model family contradicting the
 evidence.
 
-Run:  python3 demos/impossible_calibration.py   (about 1.5 s on a 2-core Xeon)
+Run:  python3 demos/impossible_calibration.py   (about 1 s on a 2-core Xeon)
 """
 
 from probleak import (

@@ -31,6 +31,7 @@ from .falsification import (
 )
 from .leakage import (
     Evidence,
+    LeakageProfile,
     LeakageReport,
     MCLeakage,
     leakage,
@@ -59,6 +60,7 @@ from .regression import (
     load_dataset,
     load_dataset_text,
     predictive_at,
+    predictive_rows,
 )
 from .simulation import (
     DEFAULT_CONTROL_CONFIG,
@@ -100,8 +102,10 @@ __all__ = [
     "fit",
     "fit_model",
     "predictive_at",
+    "predictive_rows",
     # evidence and leakage
     "Evidence",
+    "LeakageProfile",
     "LeakageReport",
     "MCLeakage",
     "leakage",

@@ -16,10 +16,17 @@ support floor shows up directly: every PIT is pushed up by at least the
 leaked mass, so low-level frequencies are exactly zero, and the mean
 predictive CDF sits strictly above the empirical CDF at the floor.
 
+All three are averages over cases (Gneiting, Balabdaoui & Raftery 2007,
+JRSS-B 69) and are computed as such. A ``ForecastCase`` may hold a whole
+batch: a predictive with array parameters, as ``predictive_rows`` gives,
+and one outcome per row. The curves come from one (grid x cases) table of
+CDF values per call, and PIT and CRPS from one call per batch.
+
 CRPS uses the family's closed form where one exists (normal, Student t,
-truncated normal), which is exact to rounding and costs O(1) per score.
-Mixtures and any other continuous family fall back to adaptive quadrature
-over the CDF; discrete families are integrated exactly over the steps.
+truncated normal), which is exact to rounding, costs O(1) per score and
+scores a batch in one call. Mixtures and any other continuous family fall
+back to adaptive quadrature over the CDF; discrete families are integrated
+exactly over the steps.
 """
 
 from __future__ import annotations
@@ -52,24 +59,45 @@ __all__ = [
 
 _CRPS_EPSABS = 1e-10  # per-piece quadrature budget, well under the 1e-8 contract
 _DISCRETE_TAIL = 1e-13  # pmf mass beyond the enumerated atoms, ignored
+_TABLE_CELLS = 1 << 20  # CDF values held at once by the calibration curves
 
 
 @dataclass(frozen=True)
 class ForecastCase:
-    """One forecast instance: the predictive issued and the outcome observed."""
+    """One forecast instance: the predictive issued and the outcome observed.
+
+    A case may also be a batch of instances: a continuous predictive with
+    array parameters and an array of outcomes of the same shape, one per
+    row. Every function here treats it as that many cases, in row order.
+    """
 
     predictive: PredictiveDistribution
-    observed: float
+    observed: float | np.ndarray
 
     def __post_init__(self):
-        if not math.isfinite(self.observed):
+        if np.ndim(self.observed):
+            object.__setattr__(self, "observed", np.asarray(self.observed, dtype=float))
+        if not np.all(np.isfinite(self.observed)):
             raise ValueError(f"observed value must be finite, got {self.observed}")
+        shape = _batch_shape(self.predictive)
+        if np.shape(self.observed) != shape:
+            raise ValueError(
+                f"observed has shape {np.shape(self.observed)}, "
+                f"the predictive's batch has shape {shape}"
+            )
+
+
+def _batch_shape(dist: PredictiveDistribution) -> tuple:
+    """() for one predictive; the shape of ``loc``/``scale`` for a batch."""
+    if dist.kind != "continuous" or not hasattr(dist, "loc"):
+        return ()
+    return np.broadcast_shapes(np.shape(dist.loc), np.shape(dist.scale))
 
 
 def _pooled(cases: Sequence[ForecastCase]) -> np.ndarray:
     if not cases:
         raise ValueError("need at least one forecast case")
-    return np.sort(np.array([c.observed for c in cases], dtype=float))
+    return np.sort(np.concatenate([np.ravel(c.observed) for c in cases]).astype(float))
 
 
 def pit(cases: Sequence[ForecastCase], seed) -> np.ndarray:
@@ -83,15 +111,15 @@ def pit(cases: Sequence[ForecastCase], seed) -> np.ndarray:
     if not cases:
         raise ValueError("need at least one forecast case")
     rng = np.random.default_rng(seed)
-    out = np.empty(len(cases))
-    for i, case in enumerate(cases):
+    out = []
+    for case in cases:
         dist, y = case.predictive, case.observed
         if dist.kind == "continuous":
-            out[i] = dist.cdf(y)
+            out.append(np.ravel(dist.cdf(y)))
         else:
             left = float(dist.cdf_left(y))
-            out[i] = left + rng.uniform() * float(dist.density(y))
-    return np.clip(out, 0.0, 1.0)
+            out.append([left + rng.uniform() * float(dist.density(y))])
+    return np.clip(np.concatenate(out), 0.0, 1.0)
 
 
 class ProbabilityCalibration(NamedTuple):
@@ -112,10 +140,28 @@ def probability_calibration(pits, levels) -> ProbabilityCalibration:
     return ProbabilityCalibration(curve, float(np.max(np.abs(freqs - levels))))
 
 
-def _empirical_quantile(pool: np.ndarray, p: float) -> float:
-    """Order-statistic quantile of a sorted pool, total on p in [0, 1]."""
-    idx = int(math.ceil(p * pool.size - 1e-9)) - 1
-    return float(pool[min(max(idx, 0), pool.size - 1)])
+def _empirical_quantile(pool: np.ndarray, p) -> np.ndarray:
+    """Order-statistic quantiles of a sorted pool, total on p in [0, 1]."""
+    idx = np.ceil(np.asarray(p) * pool.size - 1e-9).astype(np.int64) - 1
+    return pool[np.clip(idx, 0, pool.size - 1)]
+
+
+def _mean_over_cases(cases: Sequence[ForecastCase], ys: np.ndarray, of=None) -> np.ndarray:
+    """Mean over cases of P_i(y), or of ``of(P_i(y))``, at each y.
+
+    The CDF values come as (y x case) tables, one per block of consecutive
+    ys, each sized to about 2**20 values however many cases there are.
+    """
+    n = sum(np.size(c.observed) for c in cases)
+    step = max(1, _TABLE_CELLS // n)
+    out = np.empty(ys.size)
+    for start in range(0, ys.size, step):
+        block = ys[start : start + step, None]
+        table = np.concatenate(
+            [np.reshape(c.predictive.cdf(block), (block.shape[0], -1)) for c in cases], axis=1
+        )
+        out[start : start + step] = np.mean(table if of is None else of(table), axis=1)
+    return out
 
 
 def exceedance_calibration(cases: Sequence[ForecastCase], levels) -> list:
@@ -126,17 +172,12 @@ def exceedance_calibration(cases: Sequence[ForecastCase], levels) -> list:
     """
     pool = _pooled(cases)
     levels = np.sort(np.asarray(levels, dtype=float))
-    curve = []
-    for y in levels:
-        ps = [float(c.predictive.cdf(y)) for c in cases]
-        vals = [_empirical_quantile(pool, p) for p in ps]
-        curve.append((float(y), float(np.mean(vals))))
-    return curve
+    means = _mean_over_cases(cases, levels, lambda p: _empirical_quantile(pool, p))
+    return list(zip(levels.tolist(), means.tolist()))
 
 
 def _default_marginal_grid(pool: np.ndarray) -> np.ndarray:
-    qs = [_empirical_quantile(pool, p) for p in np.linspace(0.0, 1.0, 101)]
-    return np.unique(qs)
+    return np.unique(_empirical_quantile(pool, np.linspace(0.0, 1.0, 101)))
 
 
 def marginal_calibration(cases: Sequence[ForecastCase], y_grid=None) -> list:
@@ -152,12 +193,8 @@ def marginal_calibration(cases: Sequence[ForecastCase], y_grid=None) -> list:
         grid = np.asarray(y_grid, dtype=float)
         if np.any(np.diff(grid) < 0):
             raise ValueError("y_grid must be sorted")
-    curve = []
-    for y in grid:
-        mean_cdf = float(np.mean([float(c.predictive.cdf(y)) for c in cases]))
-        emp = float(np.searchsorted(pool, y, side="right") / pool.size)
-        curve.append((float(y), mean_cdf, emp))
-    return curve
+    emp = np.searchsorted(pool, grid, side="right") / pool.size
+    return list(zip(grid.tolist(), _mean_over_cases(cases, grid).tolist(), emp.tolist()))
 
 
 def ks_uniform(values) -> float:
@@ -187,23 +224,25 @@ def _require_finite_mean(dist: PredictiveDistribution) -> None:
             _require_finite_mean(comp)
 
 
-def crps(dist: PredictiveDistribution, y: float) -> float:
+def crps(dist: PredictiveDistribution, y):
     """Continuous ranked probability score: integral of (P(t) - 1{t >= y})^2.
 
     A family that defines ``_crps`` (Normal, StudentT, TruncatedNormal) is
-    scored by its closed form. Other continuous families, mixtures among
-    them, integrate the two squared tails by adaptive quadrature (absolute
-    tolerance 1e-8). Discrete families are integrated exactly over the step
-    function's breakpoints; atoms carrying less than 1e-13 total tail mass
-    are dropped, which perturbs the integral by far less than that.
+    scored by its closed form, which broadcasts: a batch of predictives
+    with an array of outcomes gives an array of scores. Other continuous
+    families, mixtures among them, integrate the two squared tails by
+    adaptive quadrature (absolute tolerance 1e-8). Discrete families are
+    integrated exactly over the step function's breakpoints; atoms carrying
+    less than 1e-13 total tail mass are dropped, which perturbs the
+    integral by far less than that. These two score one outcome per call.
     """
-    y = float(y)
-    if not math.isfinite(y):
+    if not np.all(np.isfinite(y)):
         raise ValueError("observation must be finite")
     _require_finite_mean(dist)
     closed_form = getattr(dist, "_crps", None)
     if closed_form is not None:
         return closed_form(y)
+    y = float(y)
     if dist.kind == "continuous":
         below, _ = integrate.quad(
             lambda t: float(dist.cdf(t)) ** 2, -np.inf, y, epsabs=_CRPS_EPSABS
@@ -216,12 +255,8 @@ def crps(dist: PredictiveDistribution, y: float) -> float:
     lo = min(float(dist.quantile(_DISCRETE_TAIL)), y)
     hi = max(float(dist.quantile(1.0 - _DISCRETE_TAIL)), y)
     breaks = np.unique(np.concatenate([np.asarray(dist.atoms_between(lo, hi)), [y]]))
-    cdf_vals = np.atleast_1d(np.asarray(dist.cdf(breaks), dtype=float))
-    total = 0.0
-    for k in range(breaks.size - 1):
-        step_val = cdf_vals[k] - (1.0 if breaks[k] >= y else 0.0)
-        total += step_val * step_val * (breaks[k + 1] - breaks[k])
-    return float(total)
+    step = np.asarray(dist.cdf(breaks[:-1]), dtype=float) - (breaks[:-1] >= y)
+    return float(np.sum(step**2 * np.diff(breaks)))
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +473,8 @@ def calibration_report(
     marginal = marginal_calibration(cases, grid)
     mean_crps = None
     if include_crps:
-        mean_crps = float(np.mean([crps(c.predictive, c.observed) for c in cases]))
+        scores = [np.ravel(crps(c.predictive, c.observed)) for c in cases]
+        mean_crps = float(np.mean(np.concatenate(scores)))
     return CalibrationReport(
         pit_values=[float(v) for v in pits],
         probability_curve=prob.curve,

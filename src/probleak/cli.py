@@ -32,9 +32,17 @@ from .calibration import (
     probability_calibration,
 )
 from .exceptions import DataError, ModelError
-from .falsification import FalsificationVerdict, Observation, is_falsified
+from .falsification import Observation, is_falsified
 from .leakage import Evidence, leakage, leakage_profile, parse_support
-from .regression import Dataset, ModelSpec, fit_model, load_dataset, predictive_at
+from .regression import (
+    Dataset,
+    FitResult,
+    ModelSpec,
+    fit_model,
+    load_dataset,
+    predictive_at,
+    predictive_rows,
+)
 from .simulation import (
     DEFAULT_TRUNCATED_CONFIG,
     CallCenterConfig,
@@ -152,12 +160,9 @@ def _training_points(data: Dataset, spec: ModelSpec, how: str) -> list[dict]:
     return points
 
 
-def _row_point(data: Dataset, spec: ModelSpec, i: int) -> dict:
-    point = {}
-    for name in spec.covariates:
-        col = data.column(name)
-        point[name] = float(col[i]) if data.is_numeric(name) else str(col[i])
-    return point
+def _predictive_rows(result: FitResult, data: Dataset):
+    """The fit's predictives at every row of a table, as one batch."""
+    return predictive_rows(result, result.column_coding.encode_rows(data.columns))
 
 
 def _fit_summary(spec: ModelSpec, result) -> dict:
@@ -193,12 +198,11 @@ def _cmd_leak(args) -> int:
         points, label = _training_points(data, spec, at), at
     else:
         points, label = [at], "point"
-    reports = [leakage(predictive_at(result, pt), evidence, x_star=pt) for pt in points]
     doc = {
         "version": __version__,
         "at": label,
         "support": args.support,
-        "reports": [r.to_json() for r in reports],
+        "reports": leakage_profile(result, evidence, points).to_json(),
     }
     _emit_json(doc, args)
     return 0
@@ -232,24 +236,23 @@ def _cmd_leak_profile(args) -> int:
         if not isinstance(at, dict):
             raise _UsageError("probleak: error: leak-profile --at takes a JSON object")
         fixed = at
-    base = {}
+    columns = {name: grid}
     for other in spec.covariates:
         if other == name:
             continue
         if other in fixed:
-            base[other] = fixed[other]
+            value = fixed[other]
         elif data.is_numeric(other):
-            base[other] = float(np.median(data.column(other)))
+            value = float(np.median(data.column(other)))
         else:
             raise _UsageError(
                 f"probleak: error: categorical covariate {other!r} must be pinned "
                 f'via --at, e.g. --at \'{{"{other}": "<level>"}}\''
             )
-    points = [{**base, name: float(v)} for v in grid]
-    reports = leakage_profile(result, evidence, points)
+        columns[other] = np.full(grid.size, value)
+    profile = leakage_profile(result, evidence, columns)
     lines = [f"{name},leakage"]
-    for v, rep in zip(grid, reports):
-        lines.append(f"{float(v)!r},{float(rep.leakage)!r}")
+    lines.extend(f"{v!r},{leak!r}" for v, leak in zip(grid.tolist(), profile.leakage.tolist()))
     _emit_text("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -291,12 +294,8 @@ def _cmd_calibrate(args) -> int:
     hold = _subset(data, np.sort(perm[:n_hold]))
     train = _subset(data, np.sort(perm[n_hold:]))
     result = fit_model(train, spec)
-    y_hold = hold.column(spec.response)
-    cases = [
-        ForecastCase(predictive_at(result, _row_point(hold, spec, i)), float(y_hold[i]))
-        for i in range(hold.n)
-    ]
-    report = calibration_report(cases, seed=args.seed)
+    case = ForecastCase(_predictive_rows(result, hold), hold.column(spec.response))
+    report = calibration_report([case], seed=args.seed)
     doc = {
         "version": __version__,
         "holdout_fraction": frac,
@@ -420,43 +419,30 @@ def _cmd_report(args) -> int:
         ("at_medians", med_points),
         ("at_minima", _training_points(data, spec, "minima")),
     ):
-        leak_section[key] = [
-            leakage(predictive_at(result, pt), evidence, x_star=pt).to_json()
-            for pt in points
-        ]
+        leak_section[key] = leakage_profile(result, evidence, points).to_json()
     if args.at is not None:
         at = _parse_at(args.at)
         if not isinstance(at, dict):
             raise _UsageError("probleak: error: report --at takes a JSON object")
-        leak_section["at_point"] = [
-            leakage(predictive_at(result, at), evidence, x_star=at).to_json()
-        ]
+        leak_section["at_point"] = leakage_profile(result, evidence, [at]).to_json()
 
     # strict falsification of the fitted model against its own training rows:
     # exact observations falsify any continuous predictive, so pass
     # --resolution to ask the finite-precision (interval) question instead
     mode = "interval_event" if args.resolution is not None else "point_event"
     y_train = data.column(spec.response)
-    verdict = FalsificationVerdict(falsified=False, mode=mode)
-    for i in range(data.n):
-        obs = Observation(float(y_train[i]), args.resolution)
-        v = is_falsified(predictive_at(result, _row_point(data, spec, i)), [obs], mode=mode)
-        if v.falsified:
-            verdict = v
-            break
+    batch = _predictive_rows(result, data)
+    observations = [Observation(v, args.resolution) for v in y_train.tolist()]
+    verdict = is_falsified(batch, observations, mode=mode)
 
-    cases = [
-        ForecastCase(predictive_at(result, _row_point(data, spec, i)), float(y_train[i]))
-        for i in range(data.n)
-    ]
-    pits = pit(cases, args.seed)
+    pits = pit([ForecastCase(batch, y_train)], args.seed)
     prob = probability_calibration(pits, np.linspace(0.05, 0.95, 19))
     calibration = {
         "seed": args.seed,
-        "n_cases": len(cases),
+        "n_cases": data.n,
         "ks_stat": ks_uniform(pits),
         "max_probability_deviation": prob.max_deviation,
-        "mean_crps": float(np.mean([crps(c.predictive, c.observed) for c in cases])),
+        "mean_crps": float(np.mean(crps(batch, y_train))),
     }
 
     dists = [("null", null_dist)]

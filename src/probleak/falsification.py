@@ -83,7 +83,10 @@ def is_falsified(
     Observations may be Observation objects or bare numbers. The witness is
     the first probability-zero event in input order. point_event asks
     P(Y = value) = 0; interval_event asks P(value +- resolution/2) = 0 and
-    requires every observation to carry a resolution.
+    requires every observation to carry a resolution. ``dist`` may be a batch
+    of a continuous family (array parameters, one predictive per
+    observation): the support of those families, and so the verdict, does
+    not depend on the parameters.
     """
     observations = _as_observations(obs)
     if not observations:

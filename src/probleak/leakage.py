@@ -11,6 +11,11 @@ Kind mismatches follow one hard rule: a continuous predictive measured
 against discrete evidence leaks completely (leakage exactly 1), because a
 continuous law puts zero probability on every individual representable
 value. The report carries a ``complete`` flag for that case.
+
+A batch of continuous predictives (array ``loc``/``scale``, as
+``predictive_rows`` gives) is scored in one call: the masses of the report
+are then arrays. ``leakage_profile`` scores a fit along a list of covariate
+points or covariate columns that way.
 """
 
 from __future__ import annotations
@@ -19,16 +24,17 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .exceptions import ModelError
-from .predictive import PredictiveDistribution
-from .regression import FitResult, predictive_at
+from .predictive import PredictiveDistribution, _scalar_or_array
+from .regression import FitResult, predictive_rows
 
 __all__ = [
     "Evidence",
+    "LeakageProfile",
     "LeakageReport",
     "MCLeakage",
     "leakage",
@@ -179,8 +185,6 @@ class Evidence:
         def bound(v, sign):
             if v is None:
                 return sign * _INF
-            if isinstance(v, str):
-                return float(v)
             return float(v)
 
         kind = doc.get("kind")
@@ -238,7 +242,9 @@ class LeakageReport:
 
     ``below_mass``/``above_mass`` split the leakage for single-interval
     evidence; any other shape carries the total in ``outside_mass_other``.
-    The three parts sum to ``leakage`` exactly.
+    The three parts sum to ``leakage`` exactly. For a batch of predictives
+    the masses are arrays, or a float where they do not depend on the
+    predictive (an infinite interval end, the complete-leakage rule).
     """
 
     leakage: float
@@ -263,8 +269,8 @@ class LeakageReport:
         return doc
 
 
-def _clip_unit(x: float) -> float:
-    return min(max(x, 0.0), 1.0)
+def _clip_unit(x):
+    return _scalar_or_array(np.clip(x, 0.0, 1.0))
 
 
 def leakage(dist: PredictiveDistribution, e: Evidence, x_star=None) -> LeakageReport:
@@ -287,36 +293,27 @@ def leakage(dist: PredictiveDistribution, e: Evidence, x_star=None) -> LeakageRe
             complete=True,
         )
 
-    if e.kind == "continuous_support":
-        inside = 0.0
-        for a, b in e.intervals:
-            lo_mass = 0.0 if math.isinf(a) else float(dist.cdf_left(a))
-            hi_mass = 1.0 if math.isinf(b) else float(dist.cdf(b))
-            inside += max(hi_mass - lo_mass, 0.0)
-        if e.is_single_interval:
-            a, b = e.intervals[0]
-            below = 0.0 if math.isinf(a) else _clip_unit(float(dist.cdf_left(a)))
-            above = 0.0 if math.isinf(b) else _clip_unit(1.0 - float(dist.cdf(b)))
-            return LeakageReport(
-                leakage=_clip_unit(below + above),
-                below_mass=below,
-                above_mass=above,
-                outside_mass_other=0.0,
-                evidence=e,
-                x_star=x_star,
-            )
-        total = _clip_unit(1.0 - inside)
+    if e.is_single_interval:
+        a, b = e.intervals[0]
+        below = 0.0 if math.isinf(a) else _clip_unit(dist.cdf_left(a))
+        above = 0.0 if math.isinf(b) else _clip_unit(1.0 - dist.cdf(b))
         return LeakageReport(
-            leakage=total,
-            below_mass=0.0,
-            above_mass=0.0,
-            outside_mass_other=total,
+            leakage=_clip_unit(below + above),
+            below_mass=below,
+            above_mass=above,
+            outside_mass_other=0.0,
             evidence=e,
             x_star=x_star,
         )
 
+    if e.kind == "continuous_support":
+        inside = 0.0
+        for a, b in e.intervals:
+            lo_mass = 0.0 if math.isinf(a) else dist.cdf_left(a)
+            hi_mass = 1.0 if math.isinf(b) else dist.cdf(b)
+            inside = inside + np.maximum(hi_mass - lo_mass, 0.0)
     # discrete predictive vs discrete evidence
-    if e.values is not None:
+    elif e.values is not None:
         inside = float(np.sum(dist.density(np.asarray(e.values))))
     else:
         # Float lattice points lo + k*step can miss atoms by an ulp, and a fine
@@ -337,16 +334,81 @@ def leakage(dist: PredictiveDistribution, e: Evidence, x_star=None) -> LeakageRe
     )
 
 
-def leakage_profile(fit: FitResult, e: Evidence, x_grid: Sequence) -> list[LeakageReport]:
-    """Leakage of the fit's predictive at each grid point, in grid order."""
-    reports = []
+class LeakageProfile(Sequence):
+    """Leakage of one fit at a sequence of covariate points, held as arrays.
+
+    ``batch`` is the leakage report of the batch of predictives, its masses
+    arrays in point order; ``leakage`` is the array of totals. Indexing or
+    iterating gives one point's ``LeakageReport``, built when asked for.
+    """
+
+    def __init__(self, batch: LeakageReport, points, n: int):
+        self.batch = batch
+        self._points = points
+        self._n = n
+
+    @property
+    def leakage(self) -> np.ndarray:
+        return np.broadcast_to(self.batch.leakage, (self._n,))
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i: int) -> LeakageReport:
+        i = range(self._n)[i]  # bounds check and negative indices
+        if isinstance(self._points, Mapping):
+            point = {name: col[i] for name, col in self._points.items()}
+        else:
+            point = self._points[i]
+        masses = (
+            float(np.broadcast_to(getattr(self.batch, name), (self._n,))[i])
+            for name in ("leakage", "below_mass", "above_mass", "outside_mass_other")
+        )
+        return LeakageReport(
+            *masses, evidence=self.batch.evidence, x_star=point, complete=self.batch.complete
+        )
+
+    def to_json(self) -> list:
+        return [report.to_json() for report in self]
+
+
+def _profile_rows(fit: FitResult, x_grid) -> np.ndarray:
+    """Design rows for a profile's points; an error names the first bad point."""
+    coding = fit.column_coding
+    if isinstance(x_grid, Mapping):
+        if coding is None:
+            raise ModelError("fit carries no column coding; pass encoded rows")
+        return coding.encode_rows(x_grid, label="grid point")
+    rows = np.empty((len(x_grid), fit.p))
     for i, point in enumerate(x_grid):
         try:
-            dist = predictive_at(fit, point)
+            if isinstance(point, Mapping):
+                if coding is None:
+                    raise ModelError("fit carries no column coding; pass an encoded row")
+                rows[i] = coding.encode(point)
+            else:
+                row = np.asarray(point, dtype=float)
+                if row.shape != (fit.p,):
+                    raise ModelError(
+                        f"dimension mismatch: point has shape {row.shape}, fit has p={fit.p}"
+                    )
+                rows[i] = row
         except ModelError as err:
             raise ModelError(f"grid point {i}: {err}") from err
-        reports.append(leakage(dist, e, x_star=point))
-    return reports
+    return rows
+
+
+def leakage_profile(fit: FitResult, e: Evidence, x_grid) -> LeakageProfile:
+    """Leakage of the fit's predictive at each grid point, in grid order.
+
+    ``x_grid`` is a sequence of covariate points (mappings, or encoded
+    design rows) or a mapping of covariate columns. Every point is scored
+    in one batch; an error about one point names it as ``grid point i``.
+    """
+    if not isinstance(x_grid, Mapping):
+        x_grid = list(x_grid)
+    X = _profile_rows(fit, x_grid)
+    return LeakageProfile(leakage(predictive_rows(fit, X), e), x_grid, X.shape[0])
 
 
 class MCLeakage(NamedTuple):

@@ -13,9 +13,13 @@ surface, so downstream code never branches on family:
     sample(n, rng)  n seeded draws
 
 Student-t CDFs go through the regularized incomplete beta function so tail
-probabilities keep relative accuracy; quantiles of continuous families are
-found by bracketed bisection on the CDF refined with Newton steps, which is
-robust for every df including df <= 2 where moments do not exist.
+probabilities keep relative accuracy, and Student-t quantiles come from its
+inverse (``stdtrit``); quantiles of the other continuous families are found
+by bracketed bisection on the CDF refined with Newton steps.
+
+Normal and Student t also take array ``loc``/``scale``: such an object is a
+batch with one predictive per row, and ``cdf``, ``density``, ``quantile`` and
+the closed-form CRPS broadcast the argument against the parameters.
 
 All objects are immutable after construction and safe to share across
 threads. Sampling takes its generator (or an integer seed) explicitly; there
@@ -50,10 +54,9 @@ def _as_rng(rng) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
-def _scalar_or_array(values, scalar_input):
-    if scalar_input:
-        return float(values)
-    return values
+def _scalar_or_array(values):
+    """A 0-d result comes back as a Python float, anything else as an array."""
+    return float(values) if np.ndim(values) == 0 else values
 
 
 class PredictiveDistribution:
@@ -188,31 +191,26 @@ class Normal(PredictiveDistribution):
     family = "normal"
 
     def __post_init__(self):
-        if not (np.isfinite(self.loc) and np.isfinite(self.scale)):
+        if not (np.all(np.isfinite(self.loc)) and np.all(np.isfinite(self.scale))):
             raise ValueError("normal parameters must be finite")
-        if self.scale <= 0.0:
+        if np.any(np.asarray(self.scale) <= 0.0):
             raise ValueError(f"scale must be positive, got {self.scale}")
 
     def cdf(self, y):
-        y = np.asarray(y, dtype=float)
-        out = special.ndtr((y - self.loc) / self.scale)
-        return _scalar_or_array(out, y.ndim == 0)
+        return _scalar_or_array(special.ndtr((np.asarray(y, dtype=float) - self.loc) / self.scale))
 
-    def _crps(self, y: float) -> float:
+    def _crps(self, y):
         """Closed-form CRPS (Gneiting, Raftery, Westveld & Goldman 2005, MWR 133):
         scale * (z (2 Phi(z) - 1) + 2 phi(z) - 1/sqrt(pi)) at z = (y - loc) / scale.
         """
-        z = (y - self.loc) / self.scale
-        pdf = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-        return self.scale * (
-            z * math.erf(z / math.sqrt(2.0)) + 2.0 * pdf - 1.0 / math.sqrt(math.pi)
-        )
+        z = (np.asarray(y, dtype=float) - self.loc) / self.scale
+        pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        std = z * special.erf(z / math.sqrt(2.0)) + 2.0 * pdf - 1.0 / math.sqrt(math.pi)
+        return _scalar_or_array(self.scale * std)
 
     def density(self, y):
-        y = np.asarray(y, dtype=float)
-        z = (y - self.loc) / self.scale
-        out = np.exp(-0.5 * z * z) / (self.scale * math.sqrt(2.0 * math.pi))
-        return _scalar_or_array(out, y.ndim == 0)
+        z = (np.asarray(y, dtype=float) - self.loc) / self.scale
+        return _scalar_or_array(np.exp(-0.5 * z * z) / (self.scale * math.sqrt(2.0 * math.pi)))
 
     def sample(self, n, rng):
         return _as_rng(rng).normal(self.loc, self.scale, size=int(n))
@@ -243,9 +241,10 @@ class StudentT(PredictiveDistribution):
     def __post_init__(self):
         if not (self.df > 0.0 and np.isfinite(self.df)):
             raise ValueError(f"df must be positive, got {self.df}")
-        if not (self.scale > 0.0 and np.isfinite(self.scale)):
+        scale = np.asarray(self.scale)
+        if not np.all((scale > 0.0) & np.isfinite(scale)):
             raise ValueError(f"scale must be positive, got {self.scale}")
-        if not np.isfinite(self.loc):
+        if not np.all(np.isfinite(self.loc)):
             raise ValueError("location must be finite")
 
     def cdf(self, y):
@@ -253,30 +252,19 @@ class StudentT(PredictiveDistribution):
         # the centre that argument rounds to 1. For t^2 < min(df, 1), where the
         # tail is above 0.15 and nothing cancels, it is taken as
         # 1/2 - P(|T| < |t|)/2 instead. Either way one betainc call per point.
-        # Scalars take a plain-float path: numpy's per-call overhead on 0-d
-        # arrays costs several times the betainc evaluation itself.
         df, half_df = self.df, 0.5 * self.df
-        centre = min(df, 1.0)
-        if np.ndim(y) == 0:
-            t = (float(y) - self.loc) / self.scale
-            t2 = t * t
-            if t2 < centre:
-                tail = 0.5 - 0.5 * float(special.betainc(0.5, half_df, t2 / (df + t2)))
-            else:
-                tail = 0.5 * float(special.betainc(half_df, 0.5, df / (df + t2)))
-            return tail if t <= 0.0 else 1.0 - tail
         t = (np.asarray(y, dtype=float) - self.loc) / self.scale
         t2 = t * t
-        near = t2 < centre
+        near = t2 < min(df, 1.0)
         ib = special.betainc(
             np.where(near, 0.5, half_df),
             np.where(near, half_df, 0.5),
             np.where(near, t2, df) / (df + t2),
         )
         tail = np.where(near, 0.5 - 0.5 * ib, 0.5 * ib)
-        return np.where(t <= 0.0, tail, 1.0 - tail)
+        return _scalar_or_array(np.where(t <= 0.0, tail, 1.0 - tail))
 
-    def _crps(self, y: float) -> float:
+    def _crps(self, y):
         """Closed-form CRPS; df > 1, which ``calibration.crps`` checks first.
 
         Jordan, Krueger & Lerch (2019, J. Stat. Softw. 90(12)), for the
@@ -290,24 +278,23 @@ class StudentT(PredictiveDistribution):
         which is built from betaln so nothing overflows at large df.
         """
         v = self.df
+        y = np.asarray(y, dtype=float)
         z = (y - self.loc) / self.scale
         log_b = float(special.betaln(0.5, 0.5 * v))
         k = math.exp(math.log(2.0) + 0.5 * math.log(v) - math.log(v - 1.0) - log_b)
         ratio = math.exp(float(special.betaln(0.5, v - 0.5)) - log_b)
-        decay = math.exp(-0.5 * (v - 1.0) * math.log1p(z * z / v))
-        return self.scale * (z * (2.0 * self.cdf(y) - 1.0) + k * (decay - ratio))
+        decay = np.exp(-0.5 * (v - 1.0) * np.log1p(z * z / v))
+        return _scalar_or_array(self.scale * (z * (2.0 * self.cdf(y) - 1.0) + k * (decay - ratio)))
 
     def density(self, y):
-        y = np.asarray(y, dtype=float)
-        t = (y - self.loc) / self.scale
+        t = (np.asarray(y, dtype=float) - self.loc) / self.scale
         lognorm = (
             special.gammaln(0.5 * (self.df + 1.0))
             - special.gammaln(0.5 * self.df)
             - 0.5 * math.log(self.df * math.pi)
-            - math.log(self.scale)
+            - np.log(self.scale)
         )
-        out = np.exp(lognorm - 0.5 * (self.df + 1.0) * np.log1p(t * t / self.df))
-        return _scalar_or_array(out, y.ndim == 0)
+        return _scalar_or_array(np.exp(lognorm - 0.5 * (self.df + 1.0) * np.log1p(t * t / self.df)))
 
     def sample(self, n, rng):
         draws = _as_rng(rng).standard_t(self.df, size=int(n))
@@ -318,6 +305,9 @@ class StudentT(PredictiveDistribution):
 
     def _bracket_seed(self):
         return self.loc - self.scale, self.loc + self.scale
+
+    def _quantile_continuous(self, p):
+        return _scalar_or_array(self.loc + self.scale * special.stdtrit(self.df, p))
 
 
 # ---------------------------------------------------------------------------
@@ -347,13 +337,13 @@ class Poisson(PredictiveDistribution):
         with np.errstate(invalid="ignore"):
             out = np.where(k < 0.0, 0.0, special.pdtr(np.maximum(k, 0.0), self.rate))
         out = np.where(np.isposinf(y), 1.0, out)
-        return _scalar_or_array(out, y.ndim == 0)
+        return _scalar_or_array(out)
 
     def cdf_left(self, y):
         y = np.asarray(y, dtype=float)
         at_atom = _is_integral(y) & (y >= 0.0)
         out = self.cdf(np.where(at_atom, y - 1.0, y))
-        return _scalar_or_array(np.asarray(out), y.ndim == 0)
+        return _scalar_or_array(np.asarray(out))
 
     def density(self, y):
         y = np.asarray(y, dtype=float)
@@ -361,7 +351,7 @@ class Poisson(PredictiveDistribution):
         k = np.where(ok, y, 0.0)
         logpmf = k * math.log(self.rate) - self.rate - special.gammaln(k + 1.0)
         out = np.where(ok, np.exp(logpmf), 0.0)
-        return _scalar_or_array(out, y.ndim == 0)
+        return _scalar_or_array(out)
 
     def sample(self, n, rng):
         return _as_rng(rng).poisson(self.rate, size=int(n)).astype(float)
@@ -384,18 +374,27 @@ class Poisson(PredictiveDistribution):
         return np.arange(lo, hi + 1, dtype=float)
 
     def _quantile_discrete(self, p):
-        hi = max(1.0, self.rate)
-        for _ in range(200):
-            if float(self.cdf(hi)) >= p:
-                break
-            hi = 2.0 * hi + 1.0
-        else:
-            raise RuntimeError("failed to bracket Poisson quantile")
-        lo = -1.0  # cdf(-1) = 0 < p
-        hi = math.floor(hi)
-        while hi - lo > 1.0:
-            mid = math.floor(0.5 * (lo + hi))
-            if float(self.cdf(mid)) >= p:
+        # pdtrik inverts the CDF continued in k (the regularized upper gamma
+        # function), so its ceiling is the answer or next to it: two cdf
+        # calls confirm it. Where it is off (pdtrik gives up from rates near
+        # 1e11, and the CDF gets coarse there), a galloping search brackets
+        # cdf(lo) < p <= cdf(hi) and bisection finishes, so the result is
+        # always the smallest k with cdf(k) >= p.
+        seed = special.pdtrik(p, self.rate)
+        if not math.isfinite(seed):
+            seed = self.rate + math.sqrt(self.rate) * special.ndtri(p)
+        hi = max(math.ceil(seed), 0)
+        lo, step = hi - 1, 1
+        while lo >= 0 and self.cdf(lo) >= p:
+            hi, lo = lo, lo - step
+            step *= 2
+        lo = max(lo, -1)  # cdf(-1) = 0 < p
+        while self.cdf(hi) < p:
+            lo, hi = hi, hi + step
+            step *= 2
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if self.cdf(mid) >= p:
                 hi = mid
             else:
                 lo = mid
@@ -423,19 +422,19 @@ class Empirical(PredictiveDistribution):
     def cdf(self, y):
         y = np.asarray(y, dtype=float)
         out = np.searchsorted(self._obs, y, side="right") / self._obs.size
-        return _scalar_or_array(out.astype(float), y.ndim == 0)
+        return _scalar_or_array(out.astype(float))
 
     def cdf_left(self, y):
         y = np.asarray(y, dtype=float)
         out = np.searchsorted(self._obs, y, side="left") / self._obs.size
-        return _scalar_or_array(out.astype(float), y.ndim == 0)
+        return _scalar_or_array(out.astype(float))
 
     def density(self, y):
         y = np.asarray(y, dtype=float)
         hi = np.searchsorted(self._obs, y, side="right")
         lo = np.searchsorted(self._obs, y, side="left")
         out = (hi - lo) / self._obs.size
-        return _scalar_or_array(out.astype(float), y.ndim == 0)
+        return _scalar_or_array(out.astype(float))
 
     def sample(self, n, rng):
         idx = _as_rng(rng).integers(0, self._obs.size, size=int(n))
@@ -498,17 +497,17 @@ class Mixture(PredictiveDistribution):
     def cdf(self, y):
         y = np.asarray(y, dtype=float)
         out = sum(w * np.asarray(c.cdf(y)) for w, c in zip(self._w, self.components))
-        return _scalar_or_array(np.asarray(out), y.ndim == 0)
+        return _scalar_or_array(np.asarray(out))
 
     def cdf_left(self, y):
         y = np.asarray(y, dtype=float)
         out = sum(w * np.asarray(c.cdf_left(y)) for w, c in zip(self._w, self.components))
-        return _scalar_or_array(np.asarray(out), y.ndim == 0)
+        return _scalar_or_array(np.asarray(out))
 
     def density(self, y):
         y = np.asarray(y, dtype=float)
         out = sum(w * np.asarray(c.density(y)) for w, c in zip(self._w, self.components))
-        return _scalar_or_array(np.asarray(out), y.ndim == 0)
+        return _scalar_or_array(np.asarray(out))
 
     def sample(self, n, rng):
         rng = _as_rng(rng)

@@ -9,6 +9,11 @@ new covariate point is Student t with
     loc   = x* . beta_hat
     scale = sqrt(s2 * (1 + x* (X'X)^-1 x*'))
 
+Predictives are built in batches: ``ColumnCoding.encode_rows`` turns named
+covariate columns into design rows, and ``predictive_rows`` gives one
+``StudentT`` whose ``loc``/``scale`` are arrays with one entry per row, ready
+for the broadcasting scores downstream. ``predictive_at`` is the one-row case.
+
 Fitting goes through a pivoted QR factorization so rank deficiency is
 detected rather than silently absorbed, and categorical covariates are
 expanded to indicator columns against a deterministic baseline (the
@@ -41,6 +46,7 @@ __all__ = [
     "fit",
     "fit_model",
     "predictive_at",
+    "predictive_rows",
 ]
 
 
@@ -103,10 +109,21 @@ class Dataset:
 
 def _parse_cell(text: str) -> float | None:
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         return None
-    return value
+
+
+_FIRST_ROW = 2  # data rows are numbered from 1 at the header
+
+
+def _check_finite(values: np.ndarray, name: str) -> None:
+    """Raise for the first NaN or infinite value of a parsed column, if any."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = int(bad[0])
+        what = "missing" if math.isnan(values[i]) else "non-finite"
+        raise DataError(f"{what} value at row {i + _FIRST_ROW}, column {name!r}")
 
 
 def load_dataset(source) -> Dataset:
@@ -115,7 +132,9 @@ def load_dataset(source) -> Dataset:
     A column is numeric when every cell parses as a finite float; otherwise
     it is categorical. Empty cells, NaN/inf cells, and ragged rows are
     rejected with the offending row and column named (rows are numbered from
-    1 at the header).
+    1 at the header). A ragged row or an empty cell is reported first in row
+    order; a NaN or inf cell only counts when it comes before the column's
+    first non-numeric cell.
     """
     own = isinstance(source, (str, Path))
     handle = open(source, "r", newline="") if own else source
@@ -132,42 +151,41 @@ def load_dataset(source) -> Dataset:
             raise DataError("header contains an empty column name")
         if len(set(header)) != len(header):
             raise DataError("header contains duplicate column names")
-        raw = {name: [] for name in header}
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataError(
-                    f"row {line_no}: expected {len(header)} fields, got {len(row)}"
-                )
-            for name, cell in zip(header, row):
-                cell = cell.strip()
-                if not cell:
-                    raise DataError(f"missing value at row {line_no}, column {name!r}")
-                raw[name].append((line_no, cell))
+        rows = list(reader)
     finally:
         if own:
             handle.close()
 
-    if not raw or not next(iter(raw.values())):
+    # the rows before the first ragged one are parsed column by column; the
+    # first empty cell among them, in row order, comes before that row
+    ragged = next((i for i, row in enumerate(rows) if len(row) != len(header)), len(rows))
+    cells = [list(map(str.strip, col)) for col in zip(*rows[:ragged])]
+    empty = min(
+        ((col.index(""), j) for j, col in enumerate(cells) if "" in col), default=None
+    )
+    if empty is not None:
+        i, j = empty
+        raise DataError(f"missing value at row {i + _FIRST_ROW}, column {header[j]!r}")
+    if ragged < len(rows):
+        raise DataError(
+            f"row {ragged + _FIRST_ROW}: expected {len(header)} fields, got {len(rows[ragged])}"
+        )
+    if not header or not rows:
         raise DataError("dataset has no rows")
 
     columns = {}
-    for name, cells in raw.items():
-        values = np.empty(len(cells))
-        numeric = True
-        for i, (line_no, cell) in enumerate(cells):
-            v = _parse_cell(cell)
-            if v is None:
-                numeric = False
-                break
-            if math.isnan(v):
-                raise DataError(f"missing value at row {line_no}, column {name!r}")
-            if math.isinf(v):
-                raise DataError(f"non-finite value at row {line_no}, column {name!r}")
-            values[i] = v
-        if numeric:
-            columns[name] = values
+    for name, col in zip(header, cells):
+        try:
+            values = np.fromiter(map(float, col), dtype=float, count=len(col))
+        except ValueError:
+            # categorical; only the cells before its first non-numeric one
+            # were ever read as numbers
+            stop = next(i for i, cell in enumerate(col) if _parse_cell(cell) is None)
+            _check_finite(np.fromiter(map(float, col[:stop]), dtype=float, count=stop), name)
+            columns[name] = np.array(col, dtype=str)
         else:
-            columns[name] = np.array([cell for _, cell in cells], dtype=str)
+            _check_finite(values, name)
+            columns[name] = values
     return Dataset(columns)
 
 
@@ -239,6 +257,44 @@ class ColumnCoding:
                     )
                 row[j] = 1.0 if level == term[2] else 0.0
         return row
+
+    def encode_rows(self, columns: Mapping, label: str = "row") -> np.ndarray:
+        """Encode named covariate columns into a design matrix, one row per entry.
+
+        The test-time twin of ``build_design``: columns the coding does not
+        use are ignored (a ``Dataset``'s ``columns`` can be passed as is), and
+        an unknown categorical level raises ModelError naming the first row
+        that has it (as ``label`` i). A coding without covariates reads the
+        row count off the other columns.
+        """
+        missing = [name for name in self.covariates if name not in columns]
+        if missing:
+            raise ModelError(f"columns are missing covariate {missing[0]!r}")
+        cols = {name: np.asarray(columns[name]) for name in self.covariates}
+        sizes = {len(col) for col in cols.values()} or {len(col) for col in columns.values()}
+        if len(sizes) != 1:
+            raise ModelError(f"cannot tell the row count from column lengths {sorted(sizes)}")
+        n = sizes.pop()
+        X = np.empty((n, self.p))
+        for j, term in enumerate(self.terms):
+            if term[0] == "intercept":
+                X[:, j] = 1.0
+            elif term[0] == "numeric":
+                X[:, j] = cols[term[1]]
+            else:  # indicator
+                X[:, j] = self._levels_of(term[1], cols[term[1]], label) == term[2]
+        return X
+
+    def _levels_of(self, name: str, col: np.ndarray, label: str) -> np.ndarray:
+        col = col.astype(str)
+        unknown = np.flatnonzero(~np.isin(col, self.levels[name]))
+        if unknown.size:
+            i = int(unknown[0])
+            raise ModelError(
+                f"{label} {i}: unknown level {str(col[i])!r} for {name!r}; "
+                f"saw {self.levels[name]}"
+            )
+        return col
 
 
 def build_design(data: Dataset, spec: ModelSpec):
@@ -376,6 +432,27 @@ def fit_model(data: Dataset, spec: ModelSpec) -> FitResult:
     return fit(X, y, coding)
 
 
+def predictive_rows(fit_result: FitResult, X) -> StudentT:
+    """Exact posterior predictives at every row of an encoded design matrix.
+
+    Returns one ``StudentT`` whose ``loc`` and ``scale`` are arrays, entry i
+    belonging to row i of ``X`` (shape (rows, p)).
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != fit_result.p:
+        raise ModelError(
+            f"dimension mismatch: rows have shape {X.shape}, fit has p={fit_result.p}"
+        )
+    if fit_result.s2 == 0.0:
+        raise ModelError("degenerate predictive: s2 = 0 (residuals vanish)")
+    # einsum rather than BLAS: a row's sums then run in the same order
+    # whatever the number of rows, so predictive_at agrees bit for bit
+    loc = np.einsum("ij,j->i", X, fit_result.beta_hat)
+    leverage = (np.einsum("ij,jk->ik", X, fit_result.xtx_inverse) * X).sum(axis=1)
+    scale = np.sqrt(fit_result.s2 * (1.0 + np.maximum(leverage, 0.0)))
+    return StudentT(df=float(fit_result.df), loc=loc, scale=scale)
+
+
 def predictive_at(fit_result: FitResult, x_star) -> StudentT:
     """Exact posterior predictive at a covariate point.
 
@@ -392,10 +469,5 @@ def predictive_at(fit_result: FitResult, x_star) -> StudentT:
             raise ModelError(
                 f"dimension mismatch: point has shape {row.shape}, fit has p={fit_result.p}"
             )
-    if fit_result.s2 == 0.0:
-        raise ModelError("degenerate predictive: s2 = 0 (residuals vanish)")
-    loc = float(row @ fit_result.beta_hat)
-    leverage = float(row @ fit_result.xtx_inverse @ row)
-    leverage = max(leverage, 0.0)
-    scale = math.sqrt(fit_result.s2 * (1.0 + leverage))
-    return StudentT(df=float(fit_result.df), loc=loc, scale=scale)
+    batch = predictive_rows(fit_result, row[None, :])
+    return StudentT(df=batch.df, loc=float(batch.loc[0]), scale=float(batch.scale[0]))

@@ -30,8 +30,8 @@ from .calibration import (
 )
 from .exceptions import DataError
 from .leakage import Evidence, leakage
-from .predictive import PredictiveDistribution
-from .regression import Dataset, FitResult, ModelSpec, fit_model, predictive_at
+from .predictive import PredictiveDistribution, _scalar_or_array
+from .regression import Dataset, FitResult, ModelSpec, fit_model, predictive_rows
 
 __all__ = [
     "CallCenterConfig",
@@ -53,7 +53,8 @@ class TruncatedNormal(PredictiveDistribution):
     """Normal(loc, scale) conditioned on Y >= lower.
 
     Serves as the support-respecting oracle in experiments; lower = -inf
-    gives back the plain normal.
+    gives back the plain normal. ``loc`` may be an array, one oracle per row;
+    the CDF, density and closed-form CRPS then broadcast.
     """
 
     loc: float
@@ -66,30 +67,31 @@ class TruncatedNormal(PredictiveDistribution):
     def __post_init__(self):
         if not (self.scale > 0.0 and np.isfinite(self.scale)):
             raise ValueError(f"scale must be positive, got {self.scale}")
-        if not np.isfinite(self.loc):
+        if not np.all(np.isfinite(self.loc)):
             raise ValueError("location must be finite")
-        if self._tail_mass() < _MIN_FEASIBLE_MASS:
+        if np.any(self._tail_mass() < _MIN_FEASIBLE_MASS):
             raise DataError(
                 f"truncation region has mass < {_MIN_FEASIBLE_MASS} "
                 f"(loc={self.loc}, scale={self.scale}, lower={self.lower})"
             )
 
-    def _lower_cdf(self) -> float:
-        if math.isinf(self.lower):
-            return 0.0
-        return float(special.ndtr((self.lower - self.loc) / self.scale))
+    def _standard_lower(self):
+        return (self.lower - self.loc) / self.scale
 
-    def _tail_mass(self) -> float:
-        return 1.0 - self._lower_cdf()
+    def _tail_mass(self):
+        """Kept mass Q(a) = Phi(-a), which keeps its relative accuracy however deep."""
+        return special.ndtr(-self._standard_lower())
 
     def cdf(self, y):
+        # (Phi(z) - Phi(a)) / Q(a) cancels to nothing when both are near 1,
+        # so a truncation point above the mean takes (Q(a) - Q(z)) / Q(a)
         y = np.asarray(y, dtype=float)
-        fa = self._lower_cdf()
-        raw = (special.ndtr((y - self.loc) / self.scale) - fa) / (1.0 - fa)
-        out = np.clip(np.where(y < self.lower, 0.0, raw), 0.0, 1.0)
-        return float(out) if y.ndim == 0 else out
+        a, z = self._standard_lower(), (y - self.loc) / self.scale
+        m = special.ndtr(-a)
+        kept = np.where(a < 0.0, special.ndtr(z) - special.ndtr(a), m - special.ndtr(-z))
+        return _scalar_or_array(np.clip(np.where(y < self.lower, 0.0, kept / m), 0.0, 1.0))
 
-    def _crps(self, y: float) -> float:
+    def _crps(self, y):
         """Closed-form CRPS of the lower-truncated normal.
 
         The form of Thorarinsdottir & Gneiting (2010, JRSS-A 173) and of
@@ -103,23 +105,23 @@ class TruncatedNormal(PredictiveDistribution):
         it is scaled by scale, and an observation below lower adds the
         exact (lower - y). lower = -inf gives the normal form.
         """
-        a = (self.lower - self.loc) / self.scale
-        m = float(special.ndtr(-a))
-        z = (max(y, self.lower) - self.loc) / self.scale
-        pdf = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        y = np.asarray(y, dtype=float)
+        a = self._standard_lower()
+        m = special.ndtr(-a)
+        z = (np.maximum(y, self.lower) - self.loc) / self.scale
+        pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
         std = (
             z
-            + 2.0 * (pdf - z * float(special.ndtr(-z))) / m
-            - float(special.ndtr(-math.sqrt(2.0) * a)) / (math.sqrt(math.pi) * m * m)
+            + 2.0 * (pdf - z * special.ndtr(-z)) / m
+            - special.ndtr(-math.sqrt(2.0) * a) / (math.sqrt(math.pi) * m * m)
         )
-        return self.scale * std + max(self.lower - y, 0.0)
+        return _scalar_or_array(self.scale * std + np.maximum(self.lower - y, 0.0))
 
     def density(self, y):
         y = np.asarray(y, dtype=float)
         z = (y - self.loc) / self.scale
         base = np.exp(-0.5 * z * z) / (self.scale * math.sqrt(2.0 * math.pi))
-        out = np.where(y < self.lower, 0.0, base / self._tail_mass())
-        return float(out) if y.ndim == 0 else out
+        return _scalar_or_array(np.where(y < self.lower, 0.0, base / self._tail_mass()))
 
     def sample(self, n, rng):
         rng = np.random.default_rng(rng)
@@ -189,8 +191,10 @@ class SimConfig:
     def covariate_names(self) -> tuple:
         return tuple(f"x{i + 1}" for i in range(len(self.covariate_ranges)))
 
-    def mean_at(self, x_row: np.ndarray) -> float:
-        return float(self.coefficients[0] + np.dot(self.coefficients[1:], x_row))
+    def mean_at(self, x):
+        """True mean at a covariate row, or at each row of a matrix."""
+        slopes = np.asarray(self.coefficients[1:])
+        return _scalar_or_array(self.coefficients[0] + np.asarray(x) @ slopes)
 
 
 def gen_truncated_regression(cfg: SimConfig) -> Dataset:
@@ -406,17 +410,11 @@ def impossibility_experiment(
     holdout = gen_truncated_regression(holdout_cfg)
 
     evidence = Evidence.interval(cfg.support_lower, math.inf)
-    cases = []
-    leakages = np.empty(holdout_n)
-    x_rows = np.column_stack([holdout.column(nm) for nm in cfg.covariate_names])
+    dist = predictive_rows(fit, fit.column_coding.encode_rows(holdout.columns))
     y_hold = holdout.column("y")
-    for i in range(holdout_n):
-        point = dict(zip(cfg.covariate_names, x_rows[i]))
-        dist = predictive_at(fit, point)
-        cases.append(ForecastCase(dist, float(y_hold[i])))
-        leakages[i] = leakage(dist, evidence).leakage
+    leakages = np.broadcast_to(leakage(dist, evidence).leakage, y_hold.shape)
 
-    pits = pit(cases, seed=cfg.seed + 2)
+    pits = pit([ForecastCase(dist, y_hold)], seed=cfg.seed + 2)
     ks = ks_uniform(pits)
     ks_crit = 1.36 / math.sqrt(holdout_n)
     if levels is None:
@@ -433,24 +431,18 @@ def impossibility_experiment(
         freq_star = float(np.mean(pits <= p_star))
         dev_star = abs(freq_star - p_star)
     if truncated:
-        mean_cdf_at_bound = float(
-            np.mean([float(c.predictive.cdf_left(cfg.support_lower)) for c in cases])
-        )
+        mean_cdf_at_bound = float(np.mean(dist.cdf_left(cfg.support_lower)))
         emp_below = float(np.mean(y_hold < cfg.support_lower))
         gap = mean_cdf_at_bound - emp_below
 
     crps_model = crps_oracle = None
     if compute_crps:
-        crps_model = float(np.mean([crps(c.predictive, c.observed) for c in cases]))
-        oracle_scores = []
-        for i in range(holdout_n):
-            oracle = TruncatedNormal(
-                loc=cfg.mean_at(x_rows[i]),
-                scale=cfg.noise_sd,
-                lower=cfg.support_lower,
-            )
-            oracle_scores.append(crps(oracle, float(y_hold[i])))
-        crps_oracle = float(np.mean(oracle_scores))
+        crps_model = float(np.mean(crps(dist, y_hold)))
+        x_rows = np.column_stack([holdout.column(nm) for nm in cfg.covariate_names])
+        oracle = TruncatedNormal(
+            loc=cfg.mean_at(x_rows), scale=cfg.noise_sd, lower=cfg.support_lower
+        )
+        crps_oracle = float(np.mean(crps(oracle, y_hold)))
 
     return ImpossibilityReport(
         truncated=truncated,

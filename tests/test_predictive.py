@@ -227,6 +227,66 @@ def test_poisson_quantile_is_smallest_atom_reaching_p():
     assert d.quantile(1e-12) == 0.0
 
 
+def _bisection_quantile(d, p):
+    """The smallest k with cdf(k) >= p by doubling and bisection: the oracle."""
+    hi = max(1.0, d.rate)
+    while float(d.cdf(hi)) < p:
+        hi = 2.0 * hi + 1.0
+    lo, hi = -1.0, math.floor(hi)  # cdf(-1) = 0 < p
+    while hi - lo > 1.0:
+        mid = math.floor(0.5 * (lo + hi))
+        if float(d.cdf(mid)) >= p:
+            hi = mid
+        else:
+            lo = mid
+    return float(hi)
+
+
+def test_poisson_quantile_matches_bisection_over_rates_and_levels():
+    tails = np.array([1e-13, 1e-10, 1e-6, 1e-3])
+    ps = np.concatenate([tails, np.linspace(0.01, 0.99, 25), 1.0 - tails])
+    for rate in np.logspace(-2, 5, 29):
+        d = Poisson(rate=float(rate))
+        for p in ps:
+            assert d.quantile(float(p)) == _bisection_quantile(d, float(p)), (rate, p)
+
+
+def test_poisson_quantile_stays_exact_where_its_seed_gives_up():
+    # the seed fails from rates near 1e11; the search still returns the
+    # smallest k whose computed cdf reaches p
+    for rate in (1e11, 1e12, 1e15):
+        d = Poisson(rate=rate)
+        for p in (1e-13, 0.5, 1.0 - 1e-13):
+            k = d.quantile(p)
+            assert d.cdf(k) >= p > d.cdf(k - 1.0)
+
+
+def test_student_t_quantile_is_the_closed_form_inverse():
+    for df in (1.0, 1.5, 2.0, 3.0, 10.0, 100.0, 1998.0, 19997.0):
+        d = StudentT(df=df, loc=0.7, scale=2.5)
+        tails = np.logspace(-13, -1, 13)
+        for p in np.concatenate([tails, [0.3, 0.5, 0.8], 1.0 - tails]):
+            q = d.quantile(float(p))
+            assert isinstance(q, float)
+            assert q == pytest.approx(0.7 + 2.5 * stats.t.ppf(p, df), rel=1e-9, abs=1e-12)
+            assert abs(d.cdf(q) - p) <= 1e-11 * min(p, 1.0 - p)
+
+
+def test_batched_student_t_broadcasts_and_scalars_stay_floats():
+    d = StudentT(df=5.0, loc=np.array([0.0, 1.0, -2.0]), scale=np.array([1.0, 0.5, 3.0]))
+    singles = [StudentT(5.0, 0.0, 1.0), StudentT(5.0, 1.0, 0.5), StudentT(5.0, -2.0, 3.0)]
+    np.testing.assert_array_equal(d.cdf(0.3), [s.cdf(0.3) for s in singles])
+    np.testing.assert_array_equal(d.density(0.3), [s.density(0.3) for s in singles])
+    np.testing.assert_array_equal(d.quantile(0.2), [s.quantile(0.2) for s in singles])
+    assert d.cdf(np.zeros((4, 1))).shape == (4, 3)
+    assert isinstance(singles[0].cdf(np.float64(0.3)), float)
+    assert isinstance(singles[0].cdf(np.array(0.3)), float)
+    with pytest.raises(ValueError, match="scale"):
+        StudentT(df=5.0, loc=np.zeros(2), scale=np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="location"):
+        StudentT(df=5.0, loc=np.array([0.0, np.nan]), scale=1.0)
+
+
 def test_poisson_sampling_matches_mean():
     d = Poisson(rate=6.0)
     draws = d.sample(20_000, 11)

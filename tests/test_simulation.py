@@ -45,6 +45,35 @@ def test_truncated_normal_cdf_and_density():
     )
 
 
+def test_truncated_normal_keeps_precision_under_deep_truncation():
+    from scipy import stats
+
+    # oracle: scipy's truncnorm; 1 - Phi(6) would keep only ~7 digits of the
+    # kept mass Phi(-6) ~ 1e-9
+    t = TruncatedNormal(loc=0.0, scale=1.0, lower=6.0)
+    assert t.cdf(6.1) == pytest.approx(stats.truncnorm.cdf(6.1, 6.0, np.inf), rel=1e-12)
+    assert t.density(6.01) == pytest.approx(stats.truncnorm.pdf(6.01, 6.0, np.inf), rel=1e-12)
+    ys = np.array([6.0, 6.001, 6.5, 7.0, 9.0])
+    want = stats.truncnorm.cdf(ys, 6.0, np.inf)
+    np.testing.assert_allclose(t.cdf(ys), want, rtol=1e-12, atol=0.0)
+    # a bound below the mean keeps the lower tail's relative accuracy
+    low = TruncatedNormal(loc=0.0, scale=1.0, lower=-3.0)
+    ys = np.array([-2.999, -2.5, 0.0, 3.0])
+    want = stats.truncnorm.cdf(ys, -3.0, np.inf)
+    np.testing.assert_allclose(low.cdf(ys), want, rtol=1e-12, atol=0.0)
+
+
+def test_truncated_normal_batch_broadcasts():
+    locs = np.array([-1.0, 0.0, 2.0])
+    batch = TruncatedNormal(loc=locs, scale=1.5, lower=0.0)
+    for i, loc in enumerate(locs):
+        one = TruncatedNormal(loc=float(loc), scale=1.5, lower=0.0)
+        assert batch.cdf(0.7)[i] == one.cdf(0.7)
+        assert batch.density(0.7)[i] == one.density(0.7)
+    with pytest.raises(DataError, match="mass"):
+        TruncatedNormal(loc=np.array([0.0, -30.0]), scale=1.0, lower=0.0)
+
+
 def test_truncated_normal_samples_respect_bound():
     t = TruncatedNormal(loc=-1.0, scale=1.0, lower=0.0)
     draws = t.sample(50_000, 13)

@@ -44,10 +44,8 @@ from .predictive import (
     Mixture,
     Normal,
     Poisson,
-    PosteriorEnsemble,
     PredictiveDistribution,
     StudentT,
-    mixture_predictive,
 )
 from .regression import (
     ColumnCoding,
@@ -89,8 +87,6 @@ __all__ = [
     "Poisson",
     "Mixture",
     "Empirical",
-    "PosteriorEnsemble",
-    "mixture_predictive",
     # regression
     "Dataset",
     "ModelSpec",

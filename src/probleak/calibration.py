@@ -24,9 +24,14 @@ CDF values per call, and PIT and CRPS from one call per batch.
 
 CRPS uses the family's closed form where one exists (normal, Student t,
 truncated normal), which is exact to rounding, costs O(1) per score and
-scores a batch in one call. Mixtures and any other continuous family fall
-back to adaptive quadrature over the CDF; discrete families are integrated
+scores a batch in one call. Mixtures fall back to adaptive quadrature over
+the CDF, the one use of quadrature here; discrete families are integrated
 exactly over the steps.
+
+KL distance has one path for every pair of densities, analytic or gridded:
+fixed-order Gauss-Legendre over q (log q - log p) on segments cut at grid
+knots and at each density's own scale, in log densities so that neither
+tail underflows.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from .exceptions import ModelError
 from .falsification import FalsificationVerdict
@@ -295,6 +300,10 @@ class GridDensity:
         out = np.interp(y, self.grid, self.values, left=0.0, right=0.0)
         return float(out) if y.ndim == 0 else out
 
+    def _logdensity(self, y):
+        with np.errstate(divide="ignore"):
+            return np.log(np.interp(y, self.grid, self.values, left=0.0, right=0.0))
+
     def support(self) -> tuple[float, float]:
         """Smallest closed interval containing all positive density."""
         pos = np.nonzero(self.values > 0.0)[0]
@@ -336,8 +345,8 @@ def kl_distance(elicited, dist) -> float:
 
     Both arguments may be analytic families or GridDensity objects. Returns
     the +inf sentinel when the elicited density puts mass where dist has
-    none (support mismatch), which is the verdict "no amount of data could
-    reconcile them".
+    none: mass escaping dist's support, or q > 0 where p = 0 inside it.
+    That is the verdict "no amount of data could reconcile them".
     """
     _check_continuous(elicited, "elicited")
     _check_continuous(dist, "dist")
@@ -354,50 +363,48 @@ def kl_distance(elicited, dist) -> float:
         escaped = 1.0 - _mass_in(elicited, lo, hi)
         if escaped > 1e-12:
             return math.inf
-
-    if isinstance(elicited, GridDensity) or isinstance(dist, GridDensity):
-        return _kl_over_grid(elicited, dist, lo, hi)
-
-    def integrand(t):
-        q = float(np.asarray(elicited.density(t)))
-        if q <= 0.0:
-            return 0.0
-        p = float(np.asarray(dist.density(t)))
-        if p <= 0.0:
-            # measure-zero touch points inside the common support; the
-            # support check above already ruled out sets of positive mass
-            return 0.0
-        return q * math.log(q / p)
-
-    center = float(elicited.quantile(0.5)) if hasattr(elicited, "quantile") else 0.0
-    total = 0.0
-    for a, b in ((lo, center), (center, hi)):
-        val, _ = integrate.quad(integrand, a, b, epsabs=1e-10, limit=200)
-        total += val
-    return max(float(total), 0.0)
+    return _kl_over_grid(elicited, dist, lo, hi)
 
 
 def _kl_over_grid(elicited, dist, lo: float, hi: float) -> float:
-    """q log(q/p) integrated segment-by-segment between density grid knots.
+    """q (log q - log p) integrated by 20-point Gauss-Legendre per segment.
 
-    Both densities are smooth inside each segment (linear or analytic), so
-    fixed-order Gauss-Legendre per segment converges to machine precision;
-    adaptive quadrature would stall on the thousands of interpolation kinks.
+    The segment edges on [lo, hi] are the finite hull ends and every grid
+    knot; for an analytic density, or each component of a mixture, its
+    quartiles and from them edges stepping outward by widths that double
+    every second step, so every bulk and tail is cut at its own scale.
+    Edges past the last point where the elicited density is positive are
+    dropped. Both densities are smooth inside each segment (linear or
+    analytic), so fixed-order Gauss-Legendre converges to machine
+    precision, and log densities keep p's far tail from underflowing. A
+    node with q > 0 and p = 0 makes the distance infinite.
     """
-    knots = [np.array([lo, hi])]
+    pieces = [[lo, hi]]
+    growth = np.exp2(np.arange(0.0, 1024.0, 0.5)) - 1.0  # offsets, in quartile spans
     for obj in (elicited, dist):
         if isinstance(obj, GridDensity):
-            knots.append(obj.grid[(obj.grid > lo) & (obj.grid < hi)])
-    edges = np.unique(np.concatenate(knots))
-    nodes, weights = np.polynomial.legendre.leggauss(20)
-    a = edges[:-1][:, None]
+            pieces.append(obj.grid)
+            continue
+        for part in getattr(obj, "components", (obj,)):
+            q1, q2, q3 = (part.quantile(p) for p in (0.25, 0.5, 0.75))
+            with np.errstate(over="ignore"):
+                steps = (q3 - q1) * growth
+            pieces += [[q2], q1 - steps, q3 + steps]
+    edges = np.unique(np.concatenate(pieces))
+    edges = edges[np.isfinite(edges) & (edges >= lo) & (edges <= hi)]
+    with np.errstate(over="ignore"):
+        positive = np.flatnonzero(np.exp(elicited._logdensity(edges)) > 0.0)
+    if positive.size:
+        edges = edges[max(positive[0] - 1, 0) : positive[-1] + 2]
+
+    nodes, weights = special.roots_legendre(20)
     half = 0.5 * np.diff(edges)[:, None]
-    t = a + half * (nodes[None, :] + 1.0)
-    q = np.asarray(elicited.density(t.ravel())).reshape(t.shape)
-    p = np.asarray(dist.density(t.ravel())).reshape(t.shape)
-    ok = (q > 0.0) & (p > 0.0)
-    vals = np.zeros_like(t)
-    vals[ok] = q[ok] * np.log(q[ok] / p[ok])
+    t = edges[:-1][:, None] + half * (nodes[None, :] + 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_q = elicited._logdensity(t)
+        log_p = dist._logdensity(t)
+        q = np.exp(log_q)
+        vals = np.where(q > 0.0, q * (log_q - log_p), 0.0)
     total = float(np.sum(half * vals * weights[None, :]))
     return max(total, 0.0)
 

@@ -14,6 +14,7 @@ stdout when --json-errors is set).
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -492,6 +493,7 @@ def _add_model_args(p) -> None:
     )
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="probleak", description=__doc__.splitlines()[0])
     parser.add_argument(

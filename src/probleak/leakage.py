@@ -30,7 +30,7 @@ import numpy as np
 
 from .exceptions import ModelError
 from .predictive import PredictiveDistribution, _scalar_or_array
-from .regression import FitResult, predictive_rows
+from .regression import FitResult, _design_row, predictive_rows
 
 __all__ = [
     "Evidence",
@@ -382,17 +382,7 @@ def _profile_rows(fit: FitResult, x_grid) -> np.ndarray:
     rows = np.empty((len(x_grid), fit.p))
     for i, point in enumerate(x_grid):
         try:
-            if isinstance(point, Mapping):
-                if coding is None:
-                    raise ModelError("fit carries no column coding; pass an encoded row")
-                rows[i] = coding.encode(point)
-            else:
-                row = np.asarray(point, dtype=float)
-                if row.shape != (fit.p,):
-                    raise ModelError(
-                        f"dimension mismatch: point has shape {row.shape}, fit has p={fit.p}"
-                    )
-                rows[i] = row
+            rows[i] = _design_row(fit, point)
         except ModelError as err:
             raise ModelError(f"grid point {i}: {err}") from err
     return rows

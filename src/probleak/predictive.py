@@ -13,9 +13,10 @@ surface, so downstream code never branches on family:
     sample(n, rng)  n seeded draws
 
 Student-t CDFs go through the regularized incomplete beta function so tail
-probabilities keep relative accuracy, and Student-t quantiles come from its
-inverse (``stdtrit``); quantiles of the other continuous families are found
-by bracketed bisection on the CDF refined with Newton steps.
+probabilities keep relative accuracy. Normal and Student-t quantiles are
+closed forms (``ndtri``, ``stdtrit``); quantiles of the other continuous
+families are found by bracketed bisection on the CDF refined with Newton
+steps.
 
 Normal and Student t also take array ``loc``/``scale``: such an object is a
 batch with one predictive per row, and ``cdf``, ``density``, ``quantile`` and
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import special
@@ -42,8 +43,6 @@ __all__ = [
     "Poisson",
     "Mixture",
     "Empirical",
-    "PosteriorEnsemble",
-    "mixture_predictive",
 ]
 
 _QUANTILE_PROB_TOL = 1e-12  # stop Newton polish below this CDF error
@@ -199,6 +198,10 @@ class Normal(PredictiveDistribution):
     def cdf(self, y):
         return _scalar_or_array(special.ndtr((np.asarray(y, dtype=float) - self.loc) / self.scale))
 
+    def _logdensity(self, y):
+        z = (np.asarray(y, dtype=float) - self.loc) / self.scale
+        return -0.5 * z * z - np.log(self.scale * math.sqrt(2.0 * math.pi))
+
     def _crps(self, y):
         """Closed-form CRPS (Gneiting, Raftery, Westveld & Goldman 2005, MWR 133):
         scale * (z (2 Phi(z) - 1) + 2 phi(z) - 1/sqrt(pi)) at z = (y - loc) / scale.
@@ -209,8 +212,7 @@ class Normal(PredictiveDistribution):
         return _scalar_or_array(self.scale * std)
 
     def density(self, y):
-        z = (np.asarray(y, dtype=float) - self.loc) / self.scale
-        return _scalar_or_array(np.exp(-0.5 * z * z) / (self.scale * math.sqrt(2.0 * math.pi)))
+        return _scalar_or_array(np.exp(self._logdensity(y)))
 
     def sample(self, n, rng):
         return _as_rng(rng).normal(self.loc, self.scale, size=int(n))
@@ -218,8 +220,8 @@ class Normal(PredictiveDistribution):
     def has_mass(self, lo, hi):
         return lo < hi
 
-    def _bracket_seed(self):
-        return self.loc - self.scale, self.loc + self.scale
+    def _quantile_continuous(self, p):
+        return _scalar_or_array(self.loc + self.scale * special.ndtri(p))
 
 
 @dataclass(frozen=True)
@@ -286,7 +288,7 @@ class StudentT(PredictiveDistribution):
         decay = np.exp(-0.5 * (v - 1.0) * np.log1p(z * z / v))
         return _scalar_or_array(self.scale * (z * (2.0 * self.cdf(y) - 1.0) + k * (decay - ratio)))
 
-    def density(self, y):
+    def _logdensity(self, y):
         t = (np.asarray(y, dtype=float) - self.loc) / self.scale
         lognorm = (
             special.gammaln(0.5 * (self.df + 1.0))
@@ -294,7 +296,10 @@ class StudentT(PredictiveDistribution):
             - 0.5 * math.log(self.df * math.pi)
             - np.log(self.scale)
         )
-        return _scalar_or_array(np.exp(lognorm - 0.5 * (self.df + 1.0) * np.log1p(t * t / self.df)))
+        return lognorm - 0.5 * (self.df + 1.0) * np.log1p(t * t / self.df)
+
+    def density(self, y):
+        return _scalar_or_array(np.exp(self._logdensity(y)))
 
     def sample(self, n, rng):
         draws = _as_rng(rng).standard_t(self.df, size=int(n))
@@ -302,9 +307,6 @@ class StudentT(PredictiveDistribution):
 
     def has_mass(self, lo, hi):
         return lo < hi
-
-    def _bracket_seed(self):
-        return self.loc - self.scale, self.loc + self.scale
 
     def _quantile_continuous(self, p):
         return _scalar_or_array(self.loc + self.scale * special.stdtrit(self.df, p))
@@ -462,7 +464,7 @@ class Empirical(PredictiveDistribution):
 
 
 # ---------------------------------------------------------------------------
-# mixtures (the generic posterior-ensemble path)
+# mixtures
 # ---------------------------------------------------------------------------
 
 
@@ -509,6 +511,12 @@ class Mixture(PredictiveDistribution):
         out = sum(w * np.asarray(c.density(y)) for w, c in zip(self._w, self.components))
         return _scalar_or_array(np.asarray(out))
 
+    def _logdensity(self, y):
+        with np.errstate(divide="ignore"):
+            log_w = np.log(self._w)
+        terms = [lw + np.asarray(c._logdensity(y)) for lw, c in zip(log_w, self.components)]
+        return np.logaddexp.reduce(terms, axis=0)
+
     def sample(self, n, rng):
         rng = _as_rng(rng)
         n = int(n)
@@ -535,13 +543,16 @@ class Mixture(PredictiveDistribution):
         pieces = [c.atoms_between(lo, hi) for c in self.components]
         return np.unique(np.concatenate(pieces)) if pieces else np.empty(0)
 
-    def _bracket_seed(self):
-        seeds = [c._bracket_seed() for c in self.components]
-        return min(s[0] for s in seeds), max(s[1] for s in seeds)
+    # The mixture p-quantile lies between the smallest and largest
+    # component p-quantiles: a bracket for bisection, a window of candidate
+    # atoms for a discrete mixture.
+
+    def _quantile_continuous(self, p):
+        qs = [c.quantile(p) for c in self.components]
+        lo, hi = _expand_bracket(self.cdf, p, min(qs), max(qs))
+        return _invert_cdf(self.cdf, self.density, p, lo, hi)
 
     def _quantile_discrete(self, p):
-        # The mixture p-quantile lies between the smallest and largest
-        # component p-quantiles; scan the candidate atoms in that window.
         qs = [c.quantile(p) for c in self.components]
         atoms = self.atoms_between(min(qs), max(qs))
         cdf_vals = np.asarray(self.cdf(atoms))
@@ -549,43 +560,3 @@ class Mixture(PredictiveDistribution):
         if hit.size == 0:  # numerical guard; the bound argument makes this unreachable
             return float(max(qs))
         return float(atoms[hit[0]])
-
-
-@dataclass(frozen=True)
-class PosteriorEnsemble:
-    """Weighted parameter draws standing in for the posterior over parameters."""
-
-    points: tuple[tuple[Any, float], ...]
-
-    def __init__(self, points: Sequence[tuple[Any, float]]):
-        pts = tuple((theta, float(w)) for theta, w in points)
-        if not pts:
-            raise ValueError("ensemble must be nonempty")
-        w = np.array([p[1] for p in pts])
-        if np.any(w < 0.0):
-            raise ValueError("ensemble weights must be nonnegative")
-        if abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError(f"ensemble weights must sum to 1, got {w.sum()!r}")
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def thetas(self):
-        return tuple(p[0] for p in self.points)
-
-    @property
-    def weight_array(self) -> np.ndarray:
-        return np.array([p[1] for p in self.points])
-
-
-def mixture_predictive(
-    ensemble: PosteriorEnsemble,
-    kernel: Callable[[Any], PredictiveDistribution],
-) -> Mixture:
-    """Average the observation kernel over weighted posterior parameter points.
-
-    ``kernel`` maps a parameter point to the conditional predictive for that
-    parameter; the result is the finite-ensemble posterior predictive. All
-    kernel outputs must share one kind (all continuous or all discrete).
-    """
-    comps = [kernel(theta) for theta in ensemble.thetas]
-    return Mixture(comps, ensemble.weight_array)

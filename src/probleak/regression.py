@@ -238,25 +238,10 @@ class ColumnCoding:
         unknown = set(point) - set(self.covariates)
         if unknown:
             raise ModelError(f"unknown covariate(s) in point: {sorted(unknown)}")
-        row = np.empty(self.p)
-        for j, term in enumerate(self.terms):
-            if term[0] == "intercept":
-                row[j] = 1.0
-                continue
-            name = term[1]
-            if name not in point:
-                raise ModelError(f"point is missing covariate {name!r}")
-            value = point[name]
-            if term[0] == "numeric":
-                row[j] = float(value)
-            else:  # indicator
-                level = str(value)
-                if level not in self.levels[name]:
-                    raise ModelError(
-                        f"unknown level {level!r} for {name!r}; saw {self.levels[name]}"
-                    )
-                row[j] = 1.0 if level == term[2] else 0.0
-        return row
+        missing = [name for name in self.covariates if name not in point]
+        if missing:
+            raise ModelError(f"point is missing covariate {missing[0]!r}")
+        return self._design({name: np.asarray([point[name]]) for name in self.covariates}, 1)[0]
 
     def encode_rows(self, columns: Mapping, label: str = "row") -> np.ndarray:
         """Encode named covariate columns into a design matrix, one row per entry.
@@ -274,7 +259,13 @@ class ColumnCoding:
         sizes = {len(col) for col in cols.values()} or {len(col) for col in columns.values()}
         if len(sizes) != 1:
             raise ModelError(f"cannot tell the row count from column lengths {sorted(sizes)}")
-        n = sizes.pop()
+        return self._design(cols, sizes.pop(), label)
+
+    def _design(self, cols: Mapping, n: int, label: str | None = None) -> np.ndarray:
+        """The (n, p) design of covariate columns already checked for presence.
+
+        An unknown level is reported at ``label`` i, or bare without a label.
+        """
         X = np.empty((n, self.p))
         for j, term in enumerate(self.terms):
             if term[0] == "intercept":
@@ -282,19 +273,17 @@ class ColumnCoding:
             elif term[0] == "numeric":
                 X[:, j] = cols[term[1]]
             else:  # indicator
-                X[:, j] = self._levels_of(term[1], cols[term[1]], label) == term[2]
+                name, col = term[1], cols[term[1]].astype(str)
+                unknown = np.flatnonzero(~np.isin(col, self.levels[name]))
+                if unknown.size:
+                    i = int(unknown[0])
+                    where = "" if label is None else f"{label} {i}: "
+                    raise ModelError(
+                        f"{where}unknown level {str(col[i])!r} for {name!r}; "
+                        f"saw {self.levels[name]}"
+                    )
+                X[:, j] = col == term[2]
         return X
-
-    def _levels_of(self, name: str, col: np.ndarray, label: str) -> np.ndarray:
-        col = col.astype(str)
-        unknown = np.flatnonzero(~np.isin(col, self.levels[name]))
-        if unknown.size:
-            i = int(unknown[0])
-            raise ModelError(
-                f"{label} {i}: unknown level {str(col[i])!r} for {name!r}; "
-                f"saw {self.levels[name]}"
-            )
-        return col
 
 
 def build_design(data: Dataset, spec: ModelSpec):
@@ -453,21 +442,27 @@ def predictive_rows(fit_result: FitResult, X) -> StudentT:
     return StudentT(df=float(fit_result.df), loc=loc, scale=scale)
 
 
+def _design_row(fit_result: FitResult, x_star) -> np.ndarray:
+    """The design row of a covariate mapping (through the fit's column coding)
+    or of an already-encoded row of length p."""
+    if isinstance(x_star, Mapping):
+        if fit_result.column_coding is None:
+            raise ModelError("fit carries no column coding; pass an encoded row")
+        return fit_result.column_coding.encode(x_star)
+    row = np.asarray(x_star, dtype=float)
+    if row.shape != (fit_result.p,):
+        raise ModelError(
+            f"dimension mismatch: point has shape {row.shape}, fit has p={fit_result.p}"
+        )
+    return row
+
+
 def predictive_at(fit_result: FitResult, x_star) -> StudentT:
     """Exact posterior predictive at a covariate point.
 
     ``x_star`` is either a mapping of covariate names to values (encoded with
     the fit's column coding) or an already-encoded design row of length p.
     """
-    if isinstance(x_star, Mapping):
-        if fit_result.column_coding is None:
-            raise ModelError("fit carries no column coding; pass an encoded row")
-        row = fit_result.column_coding.encode(x_star)
-    else:
-        row = np.asarray(x_star, dtype=float)
-        if row.shape != (fit_result.p,):
-            raise ModelError(
-                f"dimension mismatch: point has shape {row.shape}, fit has p={fit_result.p}"
-            )
+    row = _design_row(fit_result, x_star)
     batch = predictive_rows(fit_result, row[None, :])
     return StudentT(df=batch.df, loc=float(batch.loc[0]), scale=float(batch.scale[0]))

@@ -117,11 +117,14 @@ class TruncatedNormal(PredictiveDistribution):
         )
         return _scalar_or_array(self.scale * std + np.maximum(self.lower - y, 0.0))
 
-    def density(self, y):
+    def _logdensity(self, y):
         y = np.asarray(y, dtype=float)
         z = (y - self.loc) / self.scale
-        base = np.exp(-0.5 * z * z) / (self.scale * math.sqrt(2.0 * math.pi))
-        return _scalar_or_array(np.where(y < self.lower, 0.0, base / self._tail_mass()))
+        log_base = -0.5 * z * z - np.log(self.scale * math.sqrt(2.0 * math.pi) * self._tail_mass())
+        return np.where(y < self.lower, -np.inf, log_base)
+
+    def density(self, y):
+        return _scalar_or_array(np.exp(self._logdensity(y)))
 
     def sample(self, n, rng):
         rng = np.random.default_rng(rng)

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import integrate, special, stats
 
 from probleak import (
     CalibrationReport,
@@ -260,6 +263,161 @@ def test_kl_distance_rejects_discrete_inputs():
         kl_distance(Poisson(rate=2.0), Normal(0.0, 1.0))
     with pytest.raises(ModelError):
         kl_distance(Normal(0.0, 1.0), Poisson(rate=2.0))
+
+
+def test_kl_distance_keeps_a_model_tail_that_underflows():
+    # the normal's density underflows where t(5) still has mass; the log
+    # densities do not. Oracle: quad over scipy.stats logpdfs, split at 0.
+    q, p = stats.t(5), stats.norm()
+    want = sum(
+        integrate.quad(lambda t: q.pdf(t) * (q.logpdf(t) - p.logpdf(t)), a, b, epsabs=1e-14)[0]
+        for a, b in ((-np.inf, 0.0), (0.0, np.inf))
+    )
+    assert want == pytest.approx(0.12476919412, abs=1e-11)
+    assert kl_distance(StudentT(5.0), Normal(0.0, 1.0)) == pytest.approx(want, rel=1e-12)
+
+
+def test_kl_distance_is_finite_where_the_model_density_underflows():
+    # uniform on [30, 40] against N(0, 1): KL = E[t^2]/2 + log(2 pi)/2 + log(0.1)
+    # with E[t^2] = (40^3 - 30^3) / 30 = 3700/3
+    want = 0.5 * 3700.0 / 3.0 + 0.5 * math.log(2.0 * math.pi) + math.log(0.1)
+    assert want == 615.2830201068773
+    got = kl_distance(GridDensity([30.0, 40.0], [0.1, 0.1]), Normal(0.0, 1.0))
+    assert got == pytest.approx(want, rel=1e-14)
+
+
+def test_kl_distance_is_infinite_where_the_model_density_vanishes_inside_its_hull():
+    # the model's support hull is [0, 3], but its density is 0 on [1, 2]
+    uniform = GridDensity([0.0, 3.0], [1.0 / 3.0, 1.0 / 3.0])
+    gapped = GridDensity([0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 0.0, 1.0])
+    assert kl_distance(uniform, gapped) == math.inf
+
+
+# -- property: kl_distance against closed forms and a quadrature oracle ------
+
+_locs = st.floats(-3.0, 3.0)
+_log_scales = st.floats(-1.0, 1.5)
+_dfs = st.floats(3.0, 30.0)  # below ~3 the oracle's quad loses the t^2 tail
+
+
+@st.composite
+def _analytic(draw, lower=None):
+    """Normal, Student t, truncated normal or a two-part mixture; with
+    ``lower``, a truncated normal whose floor is at or above ``lower``."""
+    loc, scale = draw(_locs), math.exp(draw(_log_scales))
+    kind = "truncated" if lower is not None else draw(
+        st.sampled_from(["normal", "t", "truncated", "mixture"])
+    )
+    if kind == "normal":
+        return Normal(loc, scale)
+    if kind == "t":
+        return StudentT(draw(_dfs), loc, scale)
+    if kind == "truncated":
+        floor = loc + scale * draw(st.floats(-2.0, 1.0))
+        if lower is not None and floor < lower:  # shift the law up onto the floor
+            loc, floor = loc + (lower - floor), lower
+        return TruncatedNormal(loc, scale, lower=floor)
+    other = StudentT(draw(_dfs), draw(_locs), math.exp(draw(_log_scales)))
+    w = draw(st.floats(0.1, 0.9))
+    return Mixture([Normal(loc, scale), other], [w, 1.0 - w])
+
+
+def _frozen_parts(d):
+    """(weight, scipy.stats frozen law) for each part of a density."""
+    if isinstance(d, Mixture):
+        return [(w, law) for c, w in zip(d.components, d.weights) for _, law in _frozen_parts(c)]
+    if isinstance(d, Normal):
+        return [(1.0, stats.norm(d.loc, d.scale))]
+    if isinstance(d, StudentT):
+        return [(1.0, stats.t(d.df, d.loc, d.scale))]
+    a = (d.lower - d.loc) / d.scale
+    return [(1.0, stats.truncnorm(a, np.inf, d.loc, d.scale))]
+
+
+def _quad_oracle(elicited, dist):
+    """Integral of q (log q - log p) by adaptive quadrature over scipy.stats
+    logpdfs, split at quantiles of every part of both densities."""
+    q_parts, p_parts = _frozen_parts(elicited), _frozen_parts(dist)
+
+    def logpdf(parts, t):
+        if len(parts) == 1:
+            return parts[0][1].logpdf(t)
+        return special.logsumexp([law.logpdf(t) for _, law in parts], b=[w for w, _ in parts])
+
+    def integrand(t):
+        log_q = logpdf(q_parts, t)
+        return 0.0 if log_q == -np.inf else math.exp(log_q) * (log_q - logpdf(p_parts, t))
+
+    levels = [1e-9, 1e-4, 0.1, 0.5, 0.9, 1.0 - 1e-4, 1.0 - 1e-9]
+    cuts = np.concatenate([law.ppf(levels) for _, law in q_parts + p_parts])
+    lo = getattr(elicited, "lower", -np.inf)
+    edges = np.unique(np.concatenate([[lo, np.inf], cuts[cuts > lo]]))
+    return sum(
+        integrate.quad(integrand, a, b, epsabs=1e-14, epsrel=1e-13, limit=500)[0]
+        for a, b in zip(edges[:-1], edges[1:])
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_locs, _log_scales, _locs, _log_scales)
+def test_kl_distance_matches_the_normal_closed_form(m1, ls1, m2, ls2):
+    s1, s2 = math.exp(ls1), math.exp(ls2)
+    want = math.log(s2 / s1) + (s1 * s1 + (m1 - m2) ** 2) / (2.0 * s2 * s2) - 0.5
+    assert kl_distance(Normal(m1, s1), Normal(m2, s2)) == pytest.approx(want, rel=1e-10, abs=1e-14)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_kl_distance_matches_quadrature_over_logpdfs(data):
+    dist = data.draw(_analytic())
+    lower = dist.lower if isinstance(dist, TruncatedNormal) else None
+    elicited = data.draw(_analytic(lower))
+    want = _quad_oracle(elicited, dist)
+    assert kl_distance(elicited, dist) == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "elicited, model",
+    [
+        # narrow model components inside one quartile span of the mixture:
+        # edges cut only at the mixture's own quartiles were 1.1e-9 off
+        (Normal(0.8, 2.0), Mixture([Normal(0.5, 0.28), StudentT(3.1, 2.1, 0.16)], [0.4, 0.6])),
+        # where one component's tail overtakes the other's, log p bends
+        # sharply: edges whose widths double at every step were 1.3e-9 off
+        (StudentT(20.0, -3.0, 2.4), Mixture([Normal(2.5, 0.5), StudentT(15.0, 0.9, 0.2)], [0.4, 0.6])),
+    ],
+)
+def test_kl_distance_resolves_mixture_models(elicited, model):
+    assert kl_distance(elicited, model) == pytest.approx(_quad_oracle(elicited, model), rel=1e-11)
+
+
+@st.composite
+def _grid_density(draw):
+    """A piecewise-linear density on 2-6 knots, some values possibly 0.
+
+    The knots lie on a lattice of step 1/4, so a stretch between knots holds
+    either no mass or far more than the 1e-12 of escaped mass that
+    ``kl_distance`` leaves to rounding.
+    """
+    n = draw(st.integers(2, 6))
+    steps = draw(st.lists(st.integers(1, 8), min_size=n - 1, max_size=n - 1))
+    grid = 0.25 * (draw(st.integers(-12, 12)) + np.concatenate([[0], np.cumsum(steps)]))
+    values = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=n, max_size=n)))
+    if np.trapezoid(values, grid) == 0.0:
+        values[0] = 1.0
+    return GridDensity(grid, values / np.trapezoid(values, grid))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_grid_density(), _grid_density())
+def test_kl_distance_is_infinite_iff_elicited_mass_escapes(elicited, model):
+    # elicited mass escapes exactly when some stretch between knots has
+    # q > 0 while p = 0; both being piecewise linear, the midpoints of the
+    # pieces between all knots show it
+    knots = np.union1d(elicited.grid, model.grid)
+    mid = 0.5 * (knots[:-1] + knots[1:])
+    escapes = bool(np.any((elicited.density(mid) > 0.0) & (model.density(mid) == 0.0)))
+    assert (kl_distance(elicited, model) == math.inf) == escapes
 
 
 # ---------------------------------------------------------------------------

@@ -272,6 +272,21 @@ def test_student_t_quantile_is_the_closed_form_inverse():
             assert abs(d.cdf(q) - p) <= 1e-11 * min(p, 1.0 - p)
 
 
+def test_normal_quantile_is_the_closed_form_inverse():
+    # the former bisection stopped 1.5e-9 relative short at p = 1 - 1e-9
+    want = 0.3 + 2.0 * stats.norm.ppf(1.0 - 1e-9)
+    assert Normal(0.3, 2.0).quantile(1.0 - 1e-9) == pytest.approx(want, rel=1e-14)
+    assert want == pytest.approx(12.295614039, rel=1e-10)
+    tails = np.logspace(-300, -1, 300)
+    levels = np.concatenate([tails, [0.3, 0.5, 0.8], 1.0 - np.logspace(-12, -1, 12)])
+    for loc, scale in ((0.0, 1.0), (0.3, 2.0), (-40.0, 1e-3), (1e6, 7.5)):
+        d = Normal(loc, scale)
+        for p in levels:
+            q = d.quantile(float(p))
+            assert isinstance(q, float)
+            assert q == pytest.approx(stats.norm.ppf(p, loc, scale), rel=1e-14)
+
+
 def test_batched_student_t_broadcasts_and_scalars_stay_floats():
     d = StudentT(df=5.0, loc=np.array([0.0, 1.0, -2.0]), scale=np.array([1.0, 0.5, 3.0]))
     singles = [StudentT(5.0, 0.0, 1.0), StudentT(5.0, 1.0, 0.5), StudentT(5.0, -2.0, 3.0)]

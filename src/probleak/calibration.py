@@ -36,12 +36,13 @@ tail underflows.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .exceptions import ModelError
 from .falsification import FalsificationVerdict
@@ -65,6 +66,16 @@ __all__ = [
 _CRPS_EPSABS = 1e-10  # per-piece quadrature budget, well under the 1e-8 contract
 _DISCRETE_TAIL = 1e-13  # pmf mass beyond the enumerated atoms, ignored
 _TABLE_CELLS = 1 << 20  # CDF values held at once by the calibration curves
+
+
+def __getattr__(name):
+    # scipy.integrate (which brings scipy.optimize) loads on first use: only
+    # mixture CRPS needs it, and ``calibration.integrate`` still resolves
+    if name == "integrate":
+        from scipy import integrate
+
+        return integrate
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -111,19 +122,22 @@ def pit(cases: Sequence[ForecastCase], seed) -> np.ndarray:
     Continuous predictives give P_i(y_i). Discrete predictives get the
     randomized transform P_i(y_i-) + V_i * pmf_i(y_i) with V_i uniform from
     the seeded generator, which restores exact uniformity under the true
-    model. One V_i is consumed per discrete case, in order.
+    model. One V_i is consumed per discrete case, in order. Consecutive
+    discrete cases that share one predictive object are scored in one call.
     """
     if not cases:
         raise ValueError("need at least one forecast case")
     rng = np.random.default_rng(seed)
     out = []
-    for case in cases:
-        dist, y = case.predictive, case.observed
+    for _, run in itertools.groupby(cases, key=lambda case: id(case.predictive)):
+        run = list(run)
+        dist = run[0].predictive
         if dist.kind == "continuous":
-            out.append(np.ravel(dist.cdf(y)))
+            out.extend(np.ravel(dist.cdf(case.observed)) for case in run)
         else:
-            left = float(dist.cdf_left(y))
-            out.append([left + rng.uniform() * float(dist.density(y))])
+            y = np.array([case.observed for case in run], dtype=float)
+            left = np.asarray(dist.cdf_left(y), dtype=float)
+            out.append(left + rng.uniform(size=y.size) * np.asarray(dist.density(y), dtype=float))
     return np.clip(np.concatenate(out), 0.0, 1.0)
 
 
@@ -249,6 +263,8 @@ def crps(dist: PredictiveDistribution, y):
         return closed_form(y)
     y = float(y)
     if dist.kind == "continuous":
+        from scipy import integrate
+
         below, _ = integrate.quad(
             lambda t: float(dist.cdf(t)) ** 2, -np.inf, y, epsabs=_CRPS_EPSABS
         )

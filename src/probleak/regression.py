@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -126,6 +127,44 @@ def _check_finite(values: np.ndarray, name: str) -> None:
         raise DataError(f"{what} value at row {i + _FIRST_ROW}, column {name!r}")
 
 
+def _plain_lines(lines):
+    """Pass lines through, raising ValueError at a blank or quoted one.
+
+    ``np.loadtxt`` skips blank lines, which csv reads as ragged rows, does
+    not unquote cells, and has no field size limit.
+    """
+    limit = csv.field_size_limit()
+    for line in lines:
+        if '"' in line or line.isspace() or len(line) > limit:
+            raise ValueError("blank, quoted or long line")
+        yield line
+
+
+def _numeric_table(handle, width: int) -> np.ndarray | None:
+    """The data lines parsed in C, one contiguous row per column, or None.
+
+    None (with the handle back at the start of the data) leaves the table to
+    the per-cell parser: a blank or quoted line, a cell that is not a number
+    to C, a row of another width, a NaN or inf, or no rows at all.
+    """
+    start = handle.tell()
+    lines = iter(handle.readline, "")
+    first = next(lines, None)  # loadtxt warns on empty input
+    table = None
+    if first is not None:
+        try:
+            table = np.loadtxt(
+                _plain_lines(itertools.chain((first,), lines)),
+                delimiter=",", comments=None, ndmin=2, dtype=float,
+            )
+        except ValueError:
+            pass
+    if table is None or not len(table) or table.shape[1] != width or not np.isfinite(table).all():
+        handle.seek(start)
+        return None
+    return np.ascontiguousarray(table.T)
+
+
 def load_dataset(source) -> Dataset:
     """Parse CSV with a header row into typed columns.
 
@@ -135,13 +174,20 @@ def load_dataset(source) -> Dataset:
     1 at the header). A ragged row or an empty cell is reported first in row
     order; a NaN or inf cell only counts when it comes before the column's
     first non-numeric cell.
+
+    A seekable source (a path always is) whose data lines are all plain
+    finite numbers is parsed in C by ``np.loadtxt``. Anything else, and any
+    unseekable source, goes through the per-cell parser, which alone decides
+    categorical columns and reports errors; both give the same columns.
     """
     own = isinstance(source, (str, Path))
     handle = open(source, "r", newline="") if own else source
     try:
         if isinstance(handle, (bytes, str)):
             raise TypeError("pass a path or a file object, not raw text")
-        reader = csv.reader(handle)
+        # readline, not iteration, so that a text file can still tell()
+        seekable = callable(getattr(handle, "seekable", None)) and handle.seekable()
+        reader = csv.reader(iter(handle.readline, "") if seekable else handle)
         try:
             header = next(reader)
         except StopIteration:
@@ -151,6 +197,9 @@ def load_dataset(source) -> Dataset:
             raise DataError("header contains an empty column name")
         if len(set(header)) != len(header):
             raise DataError("header contains duplicate column names")
+        table = _numeric_table(handle, len(header)) if seekable else None
+        if table is not None:
+            return Dataset(dict(zip(header, table)))
         rows = list(reader)
     finally:
         if own:

@@ -10,6 +10,7 @@ from scipy import integrate, special, stats
 
 from probleak import (
     CalibrationReport,
+    Empirical,
     ForecastCase,
     GridDensity,
     Mixture,
@@ -62,6 +63,53 @@ def test_pit_is_seed_deterministic():
     cases = [ForecastCase(d, float(k)) for k in (0, 1, 2, 3)]
     np.testing.assert_array_equal(pit(cases, seed=8), pit(cases, seed=8))
     assert not np.array_equal(pit(cases, seed=8), pit(cases, seed=9))
+
+
+def _pit_case_by_case(cases, seed):
+    """The per-case loop that the grouped ``pit`` replaced, kept as its oracle."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for case in cases:
+        dist, y = case.predictive, case.observed
+        if dist.kind == "continuous":
+            out.append(np.ravel(dist.cdf(y)))
+        else:
+            left = float(dist.cdf_left(y))
+            out.append([left + rng.uniform() * float(dist.density(y))])
+    return np.clip(np.concatenate(out), 0.0, 1.0)
+
+
+@st.composite
+def _mixed_case_lists(draw):
+    """Cases over a small pool of predictives, so runs share one object."""
+    pool = [
+        Poisson(draw(st.floats(0.05, 200.0))),
+        Poisson(3.0),
+        Poisson(3.0),  # equal to the one before, but another object
+        Empirical(draw(st.lists(st.integers(-3, 6).map(float), min_size=1, max_size=8))),
+        Mixture([Poisson(1.5), Poisson(draw(st.floats(0.5, 40.0)))], [0.4, 0.6]),
+        Normal(draw(st.floats(-5.0, 5.0)), draw(st.floats(0.1, 5.0))),
+        StudentT(4.0, np.array([0.0, 1.0, 2.0]), 1.5),
+    ]
+    cases = []
+    for i in draw(st.lists(st.sampled_from(range(len(pool))), min_size=1, max_size=40)):
+        dist = pool[i]
+        if i == len(pool) - 1:
+            y = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3)))
+        elif dist.kind == "continuous":
+            y = draw(st.floats(-10.0, 10.0))
+        else:
+            y = draw(st.one_of(st.integers(-2, 300).map(float), st.floats(-2.0, 300.0)))
+        cases.append(ForecastCase(dist, y))
+    return cases
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mixed_case_lists(), st.integers(0, 2**32 - 1))
+def test_grouped_pit_equals_the_case_by_case_loop(cases, seed):
+    want = _pit_case_by_case(cases, seed)
+    got = pit(cases, seed)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_forecast_case_requires_finite_outcome():

@@ -446,3 +446,14 @@ def test_console_script_smoke():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("probleak ")
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # only mixture CRPS uses scipy.integrate, and it imports it on first use
+    code = (
+        "import sys, probleak.cli, probleak.calibration as c; "
+        "print('scipy.integrate' in sys.modules, c.integrate.__name__)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "scipy.integrate"]

@@ -3,18 +3,20 @@
 import csv
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from probleak import DataError, load_dataset_text
+from probleak import DataError, load_dataset, load_dataset_text
+from probleak import regression
 
 
-def _reference_load(text: str) -> dict:
+def _reference_load(text: str, newline: str = "\n") -> dict:
     """Cell by cell, in row order: the loader's contract spelled out."""
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text, newline=newline))
     header = next(reader, None)
     if header is None:
         _raise("missing header row")
@@ -119,3 +121,138 @@ def test_loader_keeps_cells_after_the_first_non_numeric_one():
     data = load_dataset_text("a,b\nabc,1\nnan,2\ninf,3\n")
     assert data.column("a").tolist() == ["abc", "nan", "inf"]
     np.testing.assert_array_equal(data.column("b"), [1.0, 2.0, 3.0])
+
+
+# cells on which C's float parser and the csv + float() reference could part
+_TRICKY_CELLS = st.sampled_from(
+    ['"1"', '"a,b"', "#1", "0x10", "1e400", "-1e400", "１", "1_000", "", " ", "nan", "abc"]
+)
+_LONG_DECIMALS = st.builds(
+    "{}.{}{}".format,
+    st.integers(-(10**25), 10**25),
+    st.integers(0, 10**40),
+    st.sampled_from(["", "e-300", "e-17", "e5", "e290"]),
+)
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+    _LONG_DECIMALS,
+)
+
+
+@st.composite
+def _mostly_numeric_text(draw):
+    """Tables that are all numbers more often than not, in any line layout."""
+    k = draw(st.integers(1, 4))
+    lines = [",".join(["a", "b", "c", "d"][:k])]
+    tricky = draw(st.booleans()) and draw(st.booleans())
+    cell = st.one_of(_NUMBERS, _TRICKY_CELLS) if tricky else _NUMBERS
+    for _ in range(draw(st.integers(0, 12))):
+        lines.append(",".join(draw(cell) for _ in range(k)))
+    if draw(st.integers(0, 5)) == 0 and len(lines) > 1:
+        lines[-1] = lines[-1].rpartition(",")[0] + ("," if k > 1 else "") + "abc"
+    for _ in range(draw(st.integers(0, 2)) if draw(st.booleans()) else 0):
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["", " "])))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
+def _assert_same(want, got):
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert not isinstance(got, str), got
+    assert got.names == tuple(want)
+    for name, col in want.items():
+        if isinstance(col, np.ndarray):
+            assert got.is_numeric(name)
+            np.testing.assert_array_equal(got.column(name), col)
+            assert got.column(name).tobytes() == col.tobytes()
+        else:
+            assert not got.is_numeric(name)
+            assert got.column(name).tolist() == col
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mostly_numeric_text())
+def test_numeric_fast_path_matches_the_per_cell_reference(text):
+    # newline="" splits lines as a file opened by path does, at \r too
+    want = _outcome(lambda t: _reference_load(t, newline=""), text)
+    got = _outcome(lambda t: load_dataset(io.StringIO(t, newline="")), text)
+    _assert_same(want, got)
+
+
+def _spy_on_fast_path(monkeypatch):
+    parsed = []
+    real = regression._numeric_table
+
+    def spy(handle, width):
+        table = real(handle, width)
+        parsed.append(table is not None)
+        return table
+
+    monkeypatch.setattr(regression, "_numeric_table", spy)
+    return parsed
+
+
+def test_fast_path_columns_are_contiguous_float64(monkeypatch, tmp_path):
+    parsed = _spy_on_fast_path(monkeypatch)
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"y,x\r\n1.5,2\r\n-3,4e-3\r\n0.1,7")
+    data = load_dataset(path)
+    assert parsed == [True]
+    for name, want in [("y", [1.5, -3.0, 0.1]), ("x", [2.0, 4e-3, 7.0])]:
+        col = data.column(name)
+        assert col.dtype == np.float64 and col.flags.c_contiguous
+        assert col.tolist() == want
+
+
+def test_categorical_and_blank_lines_fall_back_to_the_per_cell_parser(monkeypatch):
+    parsed = _spy_on_fast_path(monkeypatch)
+    data = load_dataset_text("y,site\n1,a\n2,b\n")
+    assert data.column("site").tolist() == ["a", "b"]
+    with pytest.raises(DataError, match=r"^row 3: expected 1 fields, got 0$"):
+        load_dataset_text("y\n1\n\n2\n")
+    assert parsed == [False, False]
+
+
+class _Unseekable(io.StringIO):
+    """A pipe's view of a text stream: no tell, no seek."""
+
+    def seekable(self):
+        return False
+
+    def tell(self):
+        raise io.UnsupportedOperation("tell")
+
+    def seek(self, *args):
+        raise io.UnsupportedOperation("seek")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["y,x\n1,2\n3,4.25\n", "y,site\n1,a\n2,b\n", "y\n1\n\n", "a,b\n1,nan\n", "y,x\n"],
+)
+def test_an_unseekable_file_loads_as_a_seekable_one(text):
+    want = _outcome(_reference_load, text)
+    _assert_same(want, _outcome(load_dataset_text, text))
+    _assert_same(want, _outcome(load_dataset, _Unseekable(text)))
+
+
+def test_a_header_only_file_has_no_rows_and_no_loadtxt_warning(tmp_path):
+    path = tmp_path / "header.csv"
+    for body in ["a,b\n", "a,b"]:
+        path.write_text(body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for load, source in [(load_dataset, path), (load_dataset_text, body)]:
+                with pytest.raises(DataError, match="^dataset has no rows$"):
+                    load(source)
+
+
+def test_a_cell_past_the_csv_field_limit_is_refused_as_csv_refuses_it():
+    text = "a\n0." + "0" * csv.field_size_limit() + "1\n"
+    with pytest.raises(csv.Error, match="field larger than field limit"):
+        _reference_load(text)
+    with pytest.raises(csv.Error, match="field larger than field limit"):
+        load_dataset_text(text)

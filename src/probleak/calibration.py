@@ -23,10 +23,11 @@ and one outcome per row. The curves come from one (grid x cases) table of
 CDF values per call, and PIT and CRPS from one call per batch.
 
 CRPS uses the family's closed form where one exists (normal, Student t,
-truncated normal), which is exact to rounding, costs O(1) per score and
-scores a batch in one call. Mixtures fall back to adaptive quadrature over
-the CDF, the one use of quadrature here; discrete families are integrated
-exactly over the steps.
+truncated normal, Poisson), which is exact to rounding, costs O(1) per
+score and scores a batch, or a Poisson against an array of outcomes, in one
+call. Continuous mixtures fall back to adaptive quadrature over the CDF, the
+one use of quadrature here; empirical distributions and discrete mixtures
+are integrated exactly over the steps.
 
 KL distance has one path for every pair of densities, analytic or gridded:
 fixed-order Gauss-Legendre over q (log q - log p) on segments cut at grid
@@ -246,14 +247,16 @@ def _require_finite_mean(dist: PredictiveDistribution) -> None:
 def crps(dist: PredictiveDistribution, y):
     """Continuous ranked probability score: integral of (P(t) - 1{t >= y})^2.
 
-    A family that defines ``_crps`` (Normal, StudentT, TruncatedNormal) is
-    scored by its closed form, which broadcasts: a batch of predictives
-    with an array of outcomes gives an array of scores. Other continuous
-    families, mixtures among them, integrate the two squared tails by
-    adaptive quadrature (absolute tolerance 1e-8). Discrete families are
-    integrated exactly over the step function's breakpoints; atoms carrying
-    less than 1e-13 total tail mass are dropped, which perturbs the
-    integral by far less than that. These two score one outcome per call.
+    A family that defines ``_crps`` (Normal, StudentT, TruncatedNormal,
+    Poisson) is scored by its closed form, which broadcasts: a batch of
+    predictives with an array of outcomes, or a Poisson with an array of
+    outcomes, gives an array of scores. Other continuous families, mixtures
+    among them, integrate the two squared tails by adaptive quadrature
+    (absolute tolerance 1e-8). The step sum serves only Empirical and
+    discrete Mixture: it integrates exactly over the step function's
+    breakpoints, dropping atoms that carry less than 1e-13 total tail mass,
+    which perturbs the integral by far less than that. These two score one
+    outcome per call.
     """
     if not np.all(np.isfinite(y)):
         raise ValueError("observation must be finite")

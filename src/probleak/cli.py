@@ -14,6 +14,7 @@ stdout when --json-errors is set).
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import itertools
 import json
@@ -33,7 +34,7 @@ from .calibration import (
     probability_calibration,
 )
 from .exceptions import DataError, ModelError
-from .falsification import Observation, is_falsified
+from .falsification import is_falsified
 from .leakage import Evidence, leakage, leakage_profile, parse_support
 from .regression import (
     Dataset,
@@ -101,6 +102,8 @@ def _load_data(path: str) -> Dataset:
         return load_dataset(path)
     except OSError as err:
         raise DataError(f"cannot read {path}: {err}") from None
+    except csv.Error as err:  # e.g. a cell past csv's field size limit
+        raise DataError(f"cannot parse {path}: {err}") from None
 
 
 def _load_and_spec(args):
@@ -271,7 +274,7 @@ def _cmd_falsify(args) -> int:
     if mode == "interval_event" and args.resolution is None:
         raise _UsageError("probleak: error: --mode interval requires --resolution")
     dist = predictive_at(result, points[0])
-    verdict = is_falsified(dist, [Observation(args.value, args.resolution)], mode=mode)
+    verdict = is_falsified(dist, [args.value], mode=mode, resolution=args.resolution)
     doc = {"version": __version__, **verdict.to_json()}
     _emit_json(doc, args)
     return 0
@@ -433,8 +436,7 @@ def _cmd_report(args) -> int:
     mode = "interval_event" if args.resolution is not None else "point_event"
     y_train = data.column(spec.response)
     batch = _predictive_rows(result, data)
-    observations = [Observation(v, args.resolution) for v in y_train.tolist()]
-    verdict = is_falsified(batch, observations, mode=mode)
+    verdict = is_falsified(batch, y_train, mode=mode, resolution=args.resolution)
 
     pits = pit([ForecastCase(batch, y_train)], args.seed)
     prob = probability_calibration(pits, np.linspace(0.05, 0.95, 19))

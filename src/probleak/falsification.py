@@ -63,47 +63,68 @@ class FalsificationVerdict:
         return doc
 
 
-def _as_observations(obs) -> list[Observation]:
-    out = []
-    for o in obs:
-        if isinstance(o, Observation):
-            out.append(o)
-        else:
-            out.append(Observation(float(o)))
-    return out
+def _as_arrays(obs, resolution):
+    """Values and resolutions (NaN for none) as float arrays, plus the input items
+    when some of them are Observations (None otherwise).
+
+    Bare numbers, a whole float array among them, take ``resolution``; an
+    Observation keeps its own. Only a sequence holding Observation objects is
+    walked item by item, and then only to read their two fields.
+    """
+    items = obs if isinstance(obs, np.ndarray) else list(obs)
+    try:
+        values = np.asarray(items, dtype=float).ravel()
+    except TypeError:  # Observation objects among the items
+        pairs = [(o.value, o.resolution) if isinstance(o, Observation) else (o, resolution) for o in items]
+        values, resolutions = np.array(pairs, dtype=float).T
+        return values, resolutions, items
+    return values, np.full(values.size, resolution, dtype=float), None
 
 
 def is_falsified(
     dist: PredictiveDistribution,
     obs: Sequence,
     mode: str = "point_event",
+    resolution: float | None = None,
 ) -> FalsificationVerdict:
     """Verdict on whether any observation is a probability-zero event for dist.
 
-    Observations may be Observation objects or bare numbers. The witness is
-    the first probability-zero event in input order. point_event asks
-    P(Y = value) = 0; interval_event asks P(value +- resolution/2) = 0 and
-    requires every observation to carry a resolution. ``dist`` may be a batch
-    of a continuous family (array parameters, one predictive per
+    Observations may be Observation objects, bare numbers, or one array of
+    values; bare numbers take ``resolution``. The witness is the first
+    probability-zero event in input order. point_event asks P(Y = value) = 0;
+    interval_event asks P(value +- resolution/2) = 0 and requires every
+    observation up to the witness to carry a resolution. ``dist`` may be a
+    batch of a continuous family (array parameters, one predictive per
     observation): the support of those families, and so the verdict, does
     not depend on the parameters.
+
+    All observations are judged in one elementwise ``has_atom`` (point) or
+    ``has_mass`` (interval) call; an Observation is built only for the
+    witness, and an input Observation is returned as the witness itself.
     """
-    observations = _as_observations(obs)
-    if not observations:
+    if resolution is not None and not resolution > 0.0:
+        raise ValueError(f"resolution must be positive, got {resolution}")
+    values, resolutions, items = _as_arrays(obs, resolution)
+    if not values.size:
         raise ValueError("need at least one observation")
     if mode == "point_event":
-        for o in observations:
-            zero = dist.kind == "continuous" or not dist.has_atom(o.value)
-            if zero:
-                return FalsificationVerdict(falsified=True, mode=mode, witness=o)
+        held = dist.kind != "continuous" and dist.has_atom(values)
+    elif mode == "interval_event":
+        half = 0.5 * resolutions
+        held = dist.has_mass(values - half, values + half) & ~np.isnan(resolutions)
+    else:
+        raise ValueError(f"unknown mode {mode!r}; expected point_event or interval_event")
+    zero = ~np.broadcast_to(held, values.shape)
+    i = int(np.argmax(zero))
+    if not zero[i]:
         return FalsificationVerdict(falsified=False, mode=mode)
-    if mode == "interval_event":
-        for o in observations:
-            lo, hi = o.window()
-            if not dist.has_mass(lo, hi):
-                return FalsificationVerdict(falsified=True, mode=mode, witness=o)
-        return FalsificationVerdict(falsified=False, mode=mode)
-    raise ValueError(f"unknown mode {mode!r}; expected point_event or interval_event")
+    if np.isnan(resolutions[i]) and mode == "interval_event":
+        raise ValueError("interval_event mode requires observations with a resolution")
+    if items is not None and isinstance(items[i], Observation):
+        witness = items[i]
+    else:
+        witness = Observation(float(values[i]), resolution)
+    return FalsificationVerdict(falsified=True, mode=mode, witness=witness)
 
 
 def never_falsifiable(dist: PredictiveDistribution, e: Evidence) -> bool:

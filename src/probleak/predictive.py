@@ -14,9 +14,8 @@ surface, so downstream code never branches on family:
 
 Student-t CDFs go through the regularized incomplete beta function so tail
 probabilities keep relative accuracy. Normal and Student-t quantiles are
-closed forms (``ndtri``, ``stdtrit``); quantiles of the other continuous
-families are found by bracketed bisection on the CDF refined with Newton
-steps.
+closed forms (``ndtri``, ``stdtrit``); quantiles of a continuous mixture are
+found by bracketed bisection on the CDF refined with Newton steps.
 
 Normal and Student t also take array ``loc``/``scale``: such an object is a
 batch with one predictive per row, and ``cdf``, ``density``, ``quantile`` and
@@ -56,6 +55,11 @@ def _as_rng(rng) -> np.random.Generator:
 def _scalar_or_array(values):
     """A 0-d result comes back as a Python float, anything else as an array."""
     return float(values) if np.ndim(values) == 0 else values
+
+
+def _bool_or_array(values):
+    """A 0-d answer comes back as a bool, anything else as an array."""
+    return bool(values) if np.ndim(values) == 0 else values
 
 
 class PredictiveDistribution:
@@ -106,20 +110,18 @@ class PredictiveDistribution:
             return False
         raise NotImplementedError
 
-    def has_mass(self, lo: float, hi: float) -> bool:
-        """True iff P(lo <= Y <= hi) > 0, decided structurally."""
+    def has_mass(self, lo, hi):
+        """True iff P(lo <= Y <= hi) > 0, decided structurally.
+
+        Every family answers elementwise for arrays of bounds; scalar bounds
+        get a bool.
+        """
         raise NotImplementedError
 
     # -- quantile machinery ----------------------------------------------
 
-    def _bracket_seed(self) -> tuple[float, float]:
-        """Initial (lo, hi) guess bracketing the bulk of the distribution."""
-        raise NotImplementedError
-
     def _quantile_continuous(self, p: float) -> float:
-        lo, hi = self._bracket_seed()
-        lo, hi = _expand_bracket(self.cdf, p, lo, hi)
-        return _invert_cdf(self.cdf, self.density, p, lo, hi)
+        raise NotImplementedError
 
     def _quantile_discrete(self, p: float) -> float:
         raise NotImplementedError
@@ -218,7 +220,7 @@ class Normal(PredictiveDistribution):
         return _as_rng(rng).normal(self.loc, self.scale, size=int(n))
 
     def has_mass(self, lo, hi):
-        return lo < hi
+        return _bool_or_array(np.less(lo, hi))
 
     def _quantile_continuous(self, p):
         return _scalar_or_array(self.loc + self.scale * special.ndtri(p))
@@ -306,7 +308,7 @@ class StudentT(PredictiveDistribution):
         return self.loc + self.scale * draws
 
     def has_mass(self, lo, hi):
-        return lo < hi
+        return _bool_or_array(np.less(lo, hi))
 
     def _quantile_continuous(self, p):
         return _scalar_or_array(self.loc + self.scale * special.stdtrit(self.df, p))
@@ -355,17 +357,34 @@ class Poisson(PredictiveDistribution):
         out = np.where(ok, np.exp(logpmf), 0.0)
         return _scalar_or_array(out)
 
+    def _crps(self, y):
+        """Closed-form CRPS, E|X - y| - E|X - X'| / 2 (Wei & Held 2014, TEST 23).
+
+        Written without the pmf, at k = floor(y):
+
+            rate - y + 2 (y F(k) - rate F(k - 1)) - rate (i0e(2 rate) + i1e(2 rate)),
+
+        where i0e, i1e are the exponentially scaled Bessel functions, so
+        nothing overflows at large rates. F(k) = 0 for k < 0 makes the form
+        exact for any real y: negative, between atoms or past the tail.
+        """
+        y = np.asarray(y, dtype=float)
+        rate = self.rate
+        k = np.floor(y)
+        at = np.where(k >= 0.0, special.pdtr(np.maximum(k, 0.0), rate), 0.0)
+        below = np.where(k >= 1.0, special.pdtr(np.maximum(k - 1.0, 0.0), rate), 0.0)
+        spread = rate * (special.i0e(2.0 * rate) + special.i1e(2.0 * rate))
+        return _scalar_or_array(rate - y + 2.0 * (y * at - rate * below) - spread)
+
     def sample(self, n, rng):
         return _as_rng(rng).poisson(self.rate, size=int(n)).astype(float)
 
     def has_atom(self, y):
         y = np.asarray(y, dtype=float)
-        out = _is_integral(y) & (y >= 0.0)
-        return bool(out) if out.ndim == 0 else out
+        return _bool_or_array(_is_integral(y) & (y >= 0.0))
 
     def has_mass(self, lo, hi):
-        lo = max(lo, 0.0)
-        return math.ceil(lo) <= math.floor(hi)
+        return _bool_or_array(np.ceil(np.maximum(lo, 0.0)) <= np.floor(hi))
 
     def atoms_between(self, lo: float, hi: float) -> np.ndarray:
         """Integer support points in [lo, hi]; both bounds must be finite."""
@@ -445,13 +464,12 @@ class Empirical(PredictiveDistribution):
     def has_atom(self, y):
         lo = np.searchsorted(self._obs, y, side="left")
         hi = np.searchsorted(self._obs, y, side="right")
-        out = hi > lo
-        return bool(out) if np.ndim(out) == 0 else out
+        return _bool_or_array(hi > lo)
 
     def has_mass(self, lo, hi):
         i = np.searchsorted(self._obs, lo, side="left")
         j = np.searchsorted(self._obs, hi, side="right")
-        return bool(j > i)
+        return _bool_or_array(j > i)
 
     def atoms_between(self, lo, hi):
         uniq = np.unique(self._obs)
@@ -534,10 +552,14 @@ class Mixture(PredictiveDistribution):
         for w, c in zip(self._w, self.components):
             if w > 0.0:
                 out |= c.has_atom(y)
-        return bool(out) if out.ndim == 0 else out
+        return _bool_or_array(out)
 
     def has_mass(self, lo, hi):
-        return any(w > 0.0 and c.has_mass(lo, hi) for w, c in zip(self._w, self.components))
+        out = np.zeros(np.broadcast_shapes(np.shape(lo), np.shape(hi)), dtype=bool)
+        for w, c in zip(self._w, self.components):
+            if w > 0.0:
+                out |= c.has_mass(lo, hi)
+        return _bool_or_array(out)
 
     def atoms_between(self, lo, hi):
         pieces = [c.atoms_between(lo, hi) for c in self.components]

@@ -239,8 +239,12 @@ def load_dataset(source) -> Dataset:
 
 
 def load_dataset_text(text: str) -> Dataset:
-    """Convenience wrapper for CSV already held in a string."""
-    return load_dataset(io.StringIO(text))
+    """Convenience wrapper for CSV already held in a string.
+
+    Lines split as in a file opened by path (``newline=""``), so text
+    with bare carriage-return line endings loads too.
+    """
+    return load_dataset(io.StringIO(text, newline=""))
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from .calibration import (
 )
 from .exceptions import DataError
 from .leakage import Evidence, leakage
-from .predictive import PredictiveDistribution, _scalar_or_array
+from .predictive import PredictiveDistribution, _bool_or_array, _scalar_or_array
 from .regression import Dataset, FitResult, ModelSpec, fit_model, predictive_rows
 
 __all__ = [
@@ -132,15 +132,21 @@ class TruncatedNormal(PredictiveDistribution):
         return _truncnorm_inverse(u, self.loc, self.scale, self.lower)
 
     def has_mass(self, lo, hi):
-        return lo < hi and hi > self.lower
+        return _bool_or_array(np.less(lo, hi) & np.greater(hi, self.lower))
 
     def support(self) -> tuple[float, float]:
         """Smallest closed interval containing all positive density."""
         return float(self.lower), math.inf
 
-    def _bracket_seed(self):
-        lo = self.lower if math.isfinite(self.lower) else self.loc - self.scale
-        return lo, max(self.loc + self.scale, lo + self.scale)
+    def _quantile_continuous(self, p):
+        # Phi(z) = Phi(a) + p Q(a) when the quantile lies below the centre,
+        # Q(z) = (1 - p) Q(a) above it: each form keeps the relative accuracy
+        # of its own tail, the second however deep the truncation
+        a = self._standard_lower()
+        kept = special.ndtr(-a)
+        below = special.ndtr(a) + p * kept
+        z = np.where(below < 0.5, special.ndtri(below), -special.ndtri((1.0 - p) * kept))
+        return _scalar_or_array(np.maximum(self.loc + self.scale * z, self.lower))
 
 
 def _truncnorm_inverse(u, loc, scale, lower):

@@ -95,6 +95,17 @@ def test_json_errors_flag_moves_error_to_stdout(capsys):
     check("error", out)
 
 
+def test_a_cell_past_the_csv_field_limit_is_a_data_error(capsys, tmp_path):
+    path = tmp_path / "wide.csv"
+    path.write_text("y,x1\n1.0,0." + "0" * csv.field_size_limit() + "1\n2.0,3.0\n")
+    code, out, err = run(capsys, ["fit", "--data", str(path), "--response", "y"])
+    assert (code, out) == (2, "")
+    assert err.startswith("probleak: error: ") and "field larger than field limit" in err
+    code, out, err = run(capsys, ["fit", "--data", str(path), "--response", "y", "--json-errors"])
+    assert (code, err) == (2, "")
+    assert "field larger than field limit" in check("error", out)["error"]
+
+
 def test_model_error_exits_two(capsys, tmp_path):
     # n = p: no residual degrees of freedom
     path = tmp_path / "tiny.csv"

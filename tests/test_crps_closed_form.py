@@ -1,20 +1,26 @@
-"""Closed-form CRPS for the normal, Student t and truncated normal.
+"""Closed-form CRPS for the normal, Student t, truncated normal and Poisson.
 
-The oracle is this file's own adaptive quadrature of the CRPS integral over
-``scipy.stats`` CDFs, split at the observation and at the truncation bound.
-It integrates the standardised family once per (shape, z) and scales the
-result, by the exact identity CRPS(loc + scale X, loc + scale z) =
-scale * CRPS(X, z); the program is still called at every location and scale.
+The oracle for the continuous families is this file's own adaptive
+quadrature of the CRPS integral over ``scipy.stats`` CDFs, split at the
+observation and at the truncation bound. It integrates the standardised
+family once per (shape, z) and scales the result, by the exact identity
+CRPS(loc + scale X, loc + scale z) = scale * CRPS(X, z); the program is
+still called at every location and scale. The Poisson closed form is held
+to the exact step sum over its atoms, which ``crps`` used before it, and to
+40-digit mpmath.
 """
 
 import math
+import tracemalloc
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from probleak import Mixture, Normal, StudentT, TruncatedNormal, crps
+from probleak import Empirical, Mixture, Normal, Poisson, StudentT, TruncatedNormal, crps
 from probleak import calibration
 
 DFS = (1.5, 2.0, 3.0, 5.0, 30.0, 100.0, 1998.0, 19997.0)
@@ -131,3 +137,85 @@ def test_crps_closed_forms_are_finite_nonnegative_and_scale_equivariant(make, lo
     assert math.isfinite(got) and got >= 0.0
     z_back = (y - loc) / scale
     assert got == pytest.approx(scale * crps(std, z_back), rel=1e-9, abs=1e-12 * scale)
+
+
+# ---------------------------------------------------------------------------
+# Poisson: closed form against the step sum and mpmath
+# ---------------------------------------------------------------------------
+
+
+def _step_sum_crps(dist, y):
+    """Integral of (F(t) - 1{t >= y})^2 over the step function's breakpoints,
+    dropping atoms past the 1e-13 and 1 - 1e-13 quantiles."""
+    lo = min(float(dist.quantile(1e-13)), y)
+    hi = max(float(dist.quantile(1.0 - 1e-13)), y)
+    breaks = np.unique(np.concatenate([np.asarray(dist.atoms_between(lo, hi)), [y]]))
+    step = np.asarray(dist.cdf(breaks[:-1]), dtype=float) - (breaks[:-1] >= y)
+    return float(np.sum(step**2 * np.diff(breaks)))
+
+
+def _mpmath_poisson_crps(rate, y):
+    """E|X - y| - E|X - X'| / 2 in 40 digits, from the gamma function and
+    Bessel functions, with the pmf term written out."""
+    with mpmath.workdps(40):
+        rate, y = mpmath.mpf(rate), mpmath.mpf(y)
+        k = int(mpmath.floor(y))
+        cdf = mpmath.gammainc(k + 1, rate, mpmath.inf, regularized=True) if k >= 0 else 0
+        pmf = mpmath.exp(k * mpmath.log(rate) - rate - mpmath.loggamma(k + 1)) if k >= 0 else 0
+        spread = rate * mpmath.exp(-2 * rate) * (mpmath.besseli(0, 2 * rate) + mpmath.besseli(1, 2 * rate))
+        return (y - rate) * (2 * cdf - 1) + 2 * rate * pmf - spread
+
+
+@st.composite
+def _rate_and_outcome(draw):
+    rate = 10.0 ** draw(st.floats(-3.0, 4.0))
+    reach = 12.0 * math.sqrt(rate) + 20.0
+    y = draw(st.floats(-reach, rate + reach))  # negative, between atoms, past the tail
+    if draw(st.booleans()):
+        y = float(math.floor(y))  # on an atom, or a negative integer
+    return rate, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rate_and_outcome())
+def test_poisson_closed_form_matches_the_step_sum(case):
+    rate, y = case
+    dist = Poisson(rate)
+    assert crps(dist, y) == pytest.approx(_step_sum_crps(dist, y), rel=1e-12, abs=0.0), case
+
+
+@pytest.mark.parametrize("rate", [1e-3, 0.37, 3.0, 47.5, 1e3, 1e5, 1e6])
+def test_poisson_closed_form_matches_mpmath(rate):
+    sd = math.sqrt(rate)
+    for y in (-2.5, 0.0, 0.5, math.floor(rate), rate + 0.25, math.floor(rate - 3.0 * sd),
+              math.floor(rate + 4.0 * sd), 3.0 * rate + 40.0):
+        want = float(_mpmath_poisson_crps(rate, y))
+        assert crps(Poisson(rate), y) == pytest.approx(want, rel=1e-12, abs=0.0), (rate, y)
+
+
+def test_poisson_closed_form_broadcasts_over_outcomes():
+    dist = Poisson(6.5)
+    ys = np.array([-1.0, 0.0, 2.5, 6.0, 7.0, 30.0])
+    got = crps(dist, ys)
+    assert got.shape == ys.shape
+    np.testing.assert_array_equal(got, [crps(dist, float(y)) for y in ys])
+
+
+def test_poisson_crps_enumerates_no_atoms():
+    crps(Poisson(1e12), 1e12)  # first call outside the trace
+    tracemalloc.start()
+    try:
+        score = crps(Poisson(1e12), 1e12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # about sd * (2 phi(0) - 1/sqrt(pi)), the normal limit, at sd = 1e6
+    assert score == pytest.approx(1e6 * (math.sqrt(2.0 / math.pi) - 1.0 / math.sqrt(math.pi)), rel=1e-5)
+
+
+def test_empirical_and_discrete_mixture_stay_on_the_step_sum():
+    for dist in (Empirical([0.0, 2.0, 2.0, 7.5]), Mixture([Poisson(2.0), Poisson(9.0)], [0.25, 0.75])):
+        assert not hasattr(dist, "_crps")
+        for y in (-1.0, 0.0, 4.5, 9.0, 40.0):
+            assert crps(dist, y) == pytest.approx(_step_sum_crps(dist, y), rel=1e-15)

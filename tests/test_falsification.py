@@ -2,16 +2,21 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from probleak import (
     Empirical,
     Evidence,
     FalsificationVerdict,
+    Mixture,
     Normal,
     Observation,
     Poisson,
     StudentT,
+    TruncatedNormal,
     is_falsified,
     never_falsifiable,
 )
@@ -117,3 +122,106 @@ def test_never_falsifiable_needs_enumerable_evidence():
     d = Poisson(rate=4.0)
     with pytest.raises(ValueError, match="finite supports"):
         never_falsifiable(d, Evidence.lattice_support(0.0, math.inf, 1.0))
+
+
+# ---------------------------------------------------------------------------
+# the array verdict against the per-observation loop
+# ---------------------------------------------------------------------------
+
+
+def _loop_verdict(dist, obs, mode, resolution=None):
+    """One Observation and one scalar support query per value, in input order:
+    the loop is_falsified ran before it judged all values in one call."""
+    observations = [o if isinstance(o, Observation) else Observation(float(o), resolution) for o in obs]
+    if not observations:
+        raise ValueError("need at least one observation")
+    if mode == "point_event":
+        for o in observations:
+            if dist.kind == "continuous" or not dist.has_atom(o.value):
+                return FalsificationVerdict(falsified=True, mode=mode, witness=o)
+        return FalsificationVerdict(falsified=False, mode=mode)
+    for o in observations:
+        lo, hi = o.window()
+        if not dist.has_mass(lo, hi):
+            return FalsificationVerdict(falsified=True, mode=mode, witness=o)
+    return FalsificationVerdict(falsified=False, mode=mode)
+
+
+def _outcome(judge, *args):
+    try:
+        return judge(*args)
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+_VALUES = st.sampled_from([-1.0, 0.0, 0.3, 1.0, 2.0, 2.5, 3.0, 4.0, 7.0, 11.0, 50.0])
+_RESOLUTIONS = st.sampled_from([None, 0.1, 0.5, 1.0, 3.0])
+_DISTS = st.sampled_from([
+    Poisson(2.0),
+    Empirical([0.0, 1.0, 1.0, 4.0, 7.0]),
+    Mixture([Poisson(1.0), Empirical([2.5, 50.0])], [0.5, 0.5]),
+    Normal(0.0, 1.0),
+    TruncatedNormal(1.0, 2.0, lower=0.5),
+    StudentT(4.0, np.linspace(-1.0, 1.0, 6), np.full(6, 2.0)),  # a batch
+])
+
+
+@st.composite
+def _observations(draw):
+    items = draw(st.lists(st.one_of(_VALUES, st.builds(Observation, _VALUES, _RESOLUTIONS)), min_size=1, max_size=6))
+    if all(isinstance(o, float) for o in items) and draw(st.booleans()):
+        return np.array(items)
+    return items
+
+
+@settings(max_examples=400, deadline=None)
+@given(_DISTS, _observations(), st.sampled_from(["point_event", "interval_event"]), _RESOLUTIONS)
+def test_array_verdict_matches_the_per_observation_loop(dist, obs, mode, resolution):
+    want = _outcome(_loop_verdict, dist, obs, mode, resolution)
+    got = _outcome(is_falsified, dist, obs, mode, resolution)
+    assert got == want
+    if isinstance(want, FalsificationVerdict) and want.falsified and isinstance(obs, list):
+        # an input Observation comes back as the witness itself, as in the loop
+        assert any(o is got.witness for o in obs) == any(o is want.witness for o in obs)
+
+
+def test_array_verdict_builds_one_observation_at_most(monkeypatch):
+    import probleak.falsification as falsification
+
+    built = []
+
+    class Counting(Observation):
+        def __post_init__(self):
+            built.append(self.value)
+            super().__post_init__()
+
+    monkeypatch.setattr(falsification, "Observation", Counting)
+    counts = np.arange(1000.0)
+    assert not is_falsified(Poisson(3.0), counts).falsified
+    assert not is_falsified(Poisson(3.0), counts, mode="interval_event", resolution=0.5).falsified
+    assert built == []
+    verdict = is_falsified(Poisson(3.0), np.append(counts, [2.5, 3.5]))
+    assert built == [2.5] and verdict.witness.value == 2.5
+
+
+def test_resolution_must_be_positive():
+    with pytest.raises(ValueError, match="resolution must be positive"):
+        is_falsified(Poisson(3.0), [1.0], mode="interval_event", resolution=0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@example(Poisson(2.0), [(-3.0, 2.0), (-0.5, 0.5), (2.2, 0.5), (-1.0, 0.0)])
+@given(
+    _DISTS,
+    st.lists(st.tuples(st.floats(-5.0, 60.0), st.floats(0.0, 6.0)), min_size=1, max_size=8),
+)
+def test_has_mass_answers_elementwise_as_it_answers_each_window(dist, windows):
+    lo = np.array([a for a, _ in windows])
+    hi = lo + np.array([w for _, w in windows])
+    got = dist.has_mass(lo, hi)
+    assert isinstance(got, np.ndarray) and got.dtype == bool and got.shape == lo.shape
+    each = [dist.has_mass(float(a), float(b)) for a, b in zip(lo, hi)]
+    assert all(type(v) is bool for v in each)
+    assert got.tolist() == each
+    if isinstance(dist, Poisson):  # the integer-count rule, written out
+        assert each == [math.ceil(max(a, 0.0)) <= math.floor(b) for a, b in zip(lo, hi)]

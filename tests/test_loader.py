@@ -256,3 +256,15 @@ def test_a_cell_past_the_csv_field_limit_is_refused_as_csv_refuses_it():
         _reference_load(text)
     with pytest.raises(csv.Error, match="field larger than field limit"):
         load_dataset_text(text)
+
+
+def test_bare_carriage_returns_load_from_text_as_from_a_path(tmp_path):
+    text = "y,x\r1,2\r2,3\r3,5\r"
+    path = tmp_path / "cr.csv"
+    path.write_bytes(text.encode())
+    want = load_dataset(path)
+    got = load_dataset_text(text)
+    assert got.names == want.names == ("y", "x")
+    for name in want.names:
+        assert got.column(name).tobytes() == want.column(name).tobytes()
+    np.testing.assert_array_equal(got.column("x"), [2.0, 3.0, 5.0])

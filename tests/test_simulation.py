@@ -2,8 +2,12 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from probleak import (
     DEFAULT_CONTROL_CONFIG,
@@ -17,6 +21,7 @@ from probleak import (
     gen_truncated_regression,
     impossibility_experiment,
 )
+from probleak import predictive
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +112,53 @@ def test_truncated_normal_quantile_roundtrip():
     t = TruncatedNormal(loc=0.2, scale=1.3, lower=0.0)
     for p in (0.01, 0.5, 0.99):
         assert t.cdf(t.quantile(p)) == pytest.approx(p, abs=1e-10)
+
+
+def _mpmath_standard_quantile(a, p):
+    """z with P(Z <= z | Z >= a) = p in 60 digits, by Newton from scipy's answer,
+    on whichever tail of the standard normal holds z."""
+    start = stats.truncnorm.ppf(p, a, math.inf)
+    with mpmath.workdps(60):
+        a, p, z = mpmath.mpf(a), mpmath.mpf(p), mpmath.mpf(start)
+        below = mpmath.ncdf(a) + p * mpmath.ncdf(-a)
+        for _ in range(100):
+            if below < 0.5:
+                step = (mpmath.ncdf(z) - below) / mpmath.npdf(z)
+            else:
+                step = ((1 - p) * mpmath.ncdf(-a) - mpmath.ncdf(-z)) / mpmath.npdf(z)
+            z -= step
+            if abs(step) < mpmath.mpf(10) ** -40 * max(1, abs(z)):
+                return float(z)
+    raise AssertionError("Newton did not converge")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(-10.0, 30.0),
+    st.floats(-10.0, 7.0),  # standardised bound; Q(7) is near the 1e-12 feasibility floor
+    st.floats(0.05, 20.0),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+def test_truncated_normal_quantile_matches_mpmath(lower, a, scale, p):
+    loc = lower - a * scale
+    dist = TruncatedNormal(loc, scale, lower)
+    a = (lower - loc) / scale  # the bound the object sees
+    z = _mpmath_standard_quantile(a, p)
+    got = dist.quantile(p)
+    assert got >= lower
+    assert got == pytest.approx(loc + scale * z, rel=0.0, abs=1e-12 * (abs(loc) + scale * max(1.0, abs(z))))
+
+
+def test_truncated_normal_quantile_is_closed_form(monkeypatch):
+    def no_bisection(*args):
+        raise AssertionError("bisection called")
+
+    monkeypatch.setattr(predictive, "_invert_cdf", no_bisection)
+    for lower in (-math.inf, -1.0, 0.0, 5.0):
+        t = TruncatedNormal(loc=0.2, scale=1.3, lower=lower)
+        assert t.cdf(t.quantile(0.3)) == pytest.approx(0.3, abs=1e-12)
+    batch = TruncatedNormal(loc=np.array([0.0, 1.0, 9.0]), scale=1.0, lower=2.0)
+    np.testing.assert_allclose(batch.cdf(batch.quantile(0.7)), 0.7, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,6 @@ import numpy as np
 from scipy import special
 
 from .exceptions import ModelError
-from .falsification import FalsificationVerdict
 from .predictive import Mixture, PredictiveDistribution, StudentT
 
 __all__ = [
@@ -67,6 +66,7 @@ __all__ = [
 _CRPS_EPSABS = 1e-10  # per-piece quadrature budget, well under the 1e-8 contract
 _DISCRETE_TAIL = 1e-13  # pmf mass beyond the enumerated atoms, ignored
 _TABLE_CELLS = 1 << 20  # CDF values held at once by the calibration curves
+_LEVELS = np.linspace(0.05, 0.95, 19)  # probability-curve levels of every report
 
 
 def __getattr__(name):
@@ -339,21 +339,6 @@ def _density_support(obj) -> tuple[float, float]:
     return -math.inf, math.inf
 
 
-def _mass_in(obj, a: float, b: float) -> float:
-    """Mass the density places on [a, b]; exact for both argument shapes."""
-    if b <= a:
-        return 0.0
-    if isinstance(obj, GridDensity):
-        lo = max(a, float(obj.grid[0]))
-        hi = min(b, float(obj.grid[-1]))
-        if hi <= lo:
-            return 0.0
-        inner = obj.grid[(obj.grid > lo) & (obj.grid < hi)]
-        pts = np.concatenate([[lo], inner, [hi]])
-        return float(np.trapezoid(obj.density(pts), pts))
-    return float(np.asarray(obj.cdf(b))) - float(np.asarray(obj.cdf(a)))
-
-
 def _check_continuous(obj, name: str) -> None:
     if getattr(obj, "kind", None) != "continuous":
         raise ModelError(f"kl_distance needs continuous densities; {name} is not")
@@ -362,43 +347,24 @@ def _check_continuous(obj, name: str) -> None:
 def kl_distance(elicited, dist) -> float:
     """KL distance of dist from the elicited density: integral of q log(q/p).
 
-    Both arguments may be analytic families or GridDensity objects. Returns
-    the +inf sentinel when the elicited density puts mass where dist has
-    none: mass escaping dist's support, or q > 0 where p = 0 inside it.
-    That is the verdict "no amount of data could reconcile them".
+    Both arguments may be analytic families or GridDensity objects. The
+    integral runs over the elicited density's hull by 20-point
+    Gauss-Legendre per segment. The segment edges are the finite hull ends
+    of both densities and every grid knot; for an analytic density, or each
+    component of a mixture, its quartiles and from them edges stepping
+    outward by widths that double every second step, so every bulk and tail
+    is cut at its own scale. Edges past the last point where the elicited
+    density is positive are dropped. Both densities are smooth inside each
+    segment (linear or analytic), so fixed-order Gauss-Legendre converges to
+    machine precision, and log densities keep p's far tail from
+    underflowing. A node with q > 0 and p = 0, outside dist's hull or inside
+    it, makes the distance the +inf sentinel: the verdict "no amount of data
+    could reconcile them".
     """
     _check_continuous(elicited, "elicited")
     _check_continuous(dist, "dist")
-
-    q_lo, q_hi = _density_support(elicited)
-    p_lo, p_hi = _density_support(dist)
-    lo = max(q_lo, p_lo)
-    hi = min(q_hi, p_hi)
-    if hi <= lo:
-        return math.inf
-    if q_lo < p_lo or q_hi > p_hi:
-        # part of the q-positive region escapes p's support; infinite
-        # distance whenever the escaped part carries mass
-        escaped = 1.0 - _mass_in(elicited, lo, hi)
-        if escaped > 1e-12:
-            return math.inf
-    return _kl_over_grid(elicited, dist, lo, hi)
-
-
-def _kl_over_grid(elicited, dist, lo: float, hi: float) -> float:
-    """q (log q - log p) integrated by 20-point Gauss-Legendre per segment.
-
-    The segment edges on [lo, hi] are the finite hull ends and every grid
-    knot; for an analytic density, or each component of a mixture, its
-    quartiles and from them edges stepping outward by widths that double
-    every second step, so every bulk and tail is cut at its own scale.
-    Edges past the last point where the elicited density is positive are
-    dropped. Both densities are smooth inside each segment (linear or
-    analytic), so fixed-order Gauss-Legendre converges to machine
-    precision, and log densities keep p's far tail from underflowing. A
-    node with q > 0 and p = 0 makes the distance infinite.
-    """
-    pieces = [[lo, hi]]
+    lo, hi = _density_support(elicited)
+    pieces = [[lo, hi], _density_support(dist)]
     growth = np.exp2(np.arange(0.0, 1024.0, 0.5)) - 1.0  # offsets, in quartile spans
     for obj in (elicited, dist):
         if isinstance(obj, GridDensity):
@@ -443,7 +409,6 @@ class CalibrationReport:
     marginal_curve: list  # (y, mean predictive CDF, pooled empirical CDF)
     max_probability_deviation: float
     mean_crps: float | None
-    falsification: FalsificationVerdict | None = None
     seed: int | None = None
 
     def to_json(self) -> dict:
@@ -454,7 +419,7 @@ class CalibrationReport:
             "marginal_curve": [[y, m, e] for y, m, e in self.marginal_curve],
             "max_probability_deviation": self.max_probability_deviation,
             "mean_crps": self.mean_crps,
-            "falsification": None if self.falsification is None else self.falsification.to_json(),
+            "falsification": None,
             "seed": self.seed,
         }
         return doc
@@ -476,25 +441,18 @@ class CalibrationReport:
 
 
 def calibration_report(
-    cases: Sequence[ForecastCase],
-    seed,
-    levels=None,
-    y_grid=None,
-    include_crps: bool = True,
-    falsification: FalsificationVerdict | None = None,
+    cases: Sequence[ForecastCase], seed, include_crps: bool = True
 ) -> CalibrationReport:
     """Assemble every diagnostic into one report.
 
-    ``levels`` default to the 19 deciles-and-between p = 0.05 ... 0.95;
-    ``y_grid`` defaults to pooled-outcome quantiles. CRPS averaging can be
-    switched off for families where the score is undefined.
+    The probability curve is read at the 19 levels p = 0.05, 0.10, ..., 0.95,
+    the exceedance and marginal curves at 101 quantiles of the pooled
+    outcomes. CRPS averaging can be switched off for families where the
+    score is undefined.
     """
     pits = pit(cases, seed)
-    if levels is None:
-        levels = np.linspace(0.05, 0.95, 19)
-    prob = probability_calibration(pits, levels)
-    pool = _pooled(cases)
-    grid = _default_marginal_grid(pool) if y_grid is None else np.asarray(y_grid, dtype=float)
+    prob = probability_calibration(pits, _LEVELS)
+    grid = _default_marginal_grid(_pooled(cases))
     exceed = exceedance_calibration(cases, grid)
     marginal = marginal_calibration(cases, grid)
     mean_crps = None
@@ -508,6 +466,5 @@ def calibration_report(
         marginal_curve=marginal,
         max_probability_deviation=prob.max_deviation,
         mean_crps=mean_crps,
-        falsification=falsification,
         seed=seed if isinstance(seed, int) else None,
     )

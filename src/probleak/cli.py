@@ -26,6 +26,7 @@ import numpy as np
 
 from . import __version__
 from .calibration import (
+    _LEVELS,
     ForecastCase,
     calibration_report,
     crps,
@@ -123,6 +124,11 @@ def _parse_support_arg(text: str) -> Evidence:
         return parse_support(text)
     except ValueError as err:
         raise _UsageError(f"probleak: error: {err}") from None
+
+
+def _check_resolution(resolution) -> None:
+    if resolution is not None and not resolution > 0.0:
+        raise _UsageError(f"probleak: error: --resolution must be positive, got {resolution}")
 
 
 def _parse_at(text: str):
@@ -262,6 +268,7 @@ def _cmd_leak_profile(args) -> int:
 
 
 def _cmd_falsify(args) -> int:
+    _check_resolution(args.resolution)
     data, spec, result = _load_and_fit(args)
     at = _parse_at(args.at)
     points = _training_points(data, spec, at) if isinstance(at, str) else [at]
@@ -412,6 +419,11 @@ def _density_curves(dists: list, evidence: Evidence, grid_points: int) -> str:
 
 
 def _cmd_report(args) -> int:
+    _check_resolution(args.resolution)
+    if args.grid_points < 2:
+        raise _UsageError(
+            f"probleak: error: --grid-points needs at least 2 points, got {args.grid_points}"
+        )
     data, spec, result = _load_and_fit(args)
     evidence = _parse_support_arg(args.support)
     null_fit = fit_model(data, ModelSpec(spec.response, ()))
@@ -439,7 +451,7 @@ def _cmd_report(args) -> int:
     verdict = is_falsified(batch, y_train, mode=mode, resolution=args.resolution)
 
     pits = pit([ForecastCase(batch, y_train)], args.seed)
-    prob = probability_calibration(pits, np.linspace(0.05, 0.95, 19))
+    prob = probability_calibration(pits, _LEVELS)
     calibration = {
         "seed": args.seed,
         "n_cases": data.n,

@@ -45,6 +45,7 @@ __all__ = [
 
 _INF = float("inf")
 _LATTICE_RTOL = 1e-9  # membership slack for float lattice arithmetic
+_ENUMERATE_LIMIT = 10_000_000  # most lattice points possible_values will list
 
 
 @dataclass(frozen=True)
@@ -143,9 +144,9 @@ class Evidence:
             return bool(mask)
         return mask
 
-    def possible_values(self, limit: int = 10_000_000) -> np.ndarray:
-        """Enumerate a finite discrete support; raises for continuous evidence
-        or an unbounded lattice."""
+    def possible_values(self) -> np.ndarray:
+        """Enumerate a finite discrete support; raises for continuous evidence,
+        an unbounded lattice or one of more than 1e7 points."""
         if self.kind != "discrete_support":
             raise ValueError("enumerate only finite supports (evidence is continuous)")
         if self.values is not None:
@@ -154,8 +155,8 @@ class Evidence:
         if math.isinf(hi):
             raise ValueError("enumerate only finite supports (lattice is unbounded)")
         count = int(math.floor((hi - lo) / step + _LATTICE_RTOL)) + 1
-        if count > limit:
-            raise ValueError(f"lattice has {count} points, above the {limit} limit")
+        if count > _ENUMERATE_LIMIT:
+            raise ValueError(f"lattice has {count} points, above the {_ENUMERATE_LIMIT} limit")
         return lo + step * np.arange(count)
 
     # -- serialization ----------------------------------------------------
@@ -240,11 +241,13 @@ def parse_support(text: str) -> Evidence:
 class LeakageReport:
     """Leakage of one predictive against one evidence declaration.
 
-    ``below_mass``/``above_mass`` split the leakage for single-interval
-    evidence; any other shape carries the total in ``outside_mass_other``.
-    The three parts sum to ``leakage`` exactly. For a batch of predictives
-    the masses are arrays, or a float where they do not depend on the
-    predictive (an infinite interval end, the complete-leakage rule).
+    For single-interval evidence ``below_mass``/``above_mass`` split the
+    leakage and ``outside_mass_other`` is 0.0; any other shape, a union of
+    intervals included, carries the total in ``outside_mass_other`` with
+    the other two 0.0. The three parts sum to ``leakage`` exactly. For a
+    batch of predictives the masses are arrays, or a float where they do
+    not depend on the predictive (an infinite interval end, the
+    complete-leakage rule).
     """
 
     leakage: float
@@ -276,11 +279,13 @@ def _clip_unit(x):
 def leakage(dist: PredictiveDistribution, e: Evidence, x_star=None) -> LeakageReport:
     """Probability the predictive assigns outside the evidence's support.
 
-    Continuous predictive vs continuous evidence: one minus the CDF mass over
-    the interval list. Continuous vs discrete evidence: exactly 1 with the
+    Against continuous evidence, for either kind of predictive, leakage is
+    the mass below the first interval, plus the mass in each gap between
+    intervals, plus the mass above the last, all from CDF values (an atom on
+    an interval end counts as inside). One interval is the case with no
+    gaps. Continuous predictive vs discrete evidence: exactly 1 with the
     complete flag set. Discrete vs discrete: one minus the pmf sum over the
-    possible values. Discrete vs continuous: one minus the atom mass inside
-    the intervals (computed from CDF differences, so it is exact).
+    possible values.
     """
     if dist.kind == "continuous" and e.kind == "discrete_support":
         return LeakageReport(
@@ -293,28 +298,19 @@ def leakage(dist: PredictiveDistribution, e: Evidence, x_star=None) -> LeakageRe
             complete=True,
         )
 
-    if e.is_single_interval:
-        a, b = e.intervals[0]
+    if e.kind == "continuous_support":
+        (a, _), (_, b) = e.intervals[0], e.intervals[-1]
         below = 0.0 if math.isinf(a) else _clip_unit(dist.cdf_left(a))
         above = 0.0 if math.isinf(b) else _clip_unit(1.0 - dist.cdf(b))
-        return LeakageReport(
-            leakage=_clip_unit(below + above),
-            below_mass=below,
-            above_mass=above,
-            outside_mass_other=0.0,
-            evidence=e,
-            x_star=x_star,
-        )
-
-    if e.kind == "continuous_support":
-        inside = 0.0
-        for a, b in e.intervals:
-            lo_mass = 0.0 if math.isinf(a) else dist.cdf_left(a)
-            hi_mass = 1.0 if math.isinf(b) else dist.cdf(b)
-            inside = inside + np.maximum(hi_mass - lo_mass, 0.0)
+        outside = below + above
+        for (_, gap_lo), (gap_hi, _) in zip(e.intervals, e.intervals[1:]):
+            outside = outside + np.maximum(dist.cdf_left(gap_hi) - dist.cdf(gap_lo), 0.0)
+        total = _clip_unit(outside)
+        if e.is_single_interval:
+            return LeakageReport(total, below, above, 0.0, e, x_star)
     # discrete predictive vs discrete evidence
     elif e.values is not None:
-        inside = float(np.sum(dist.density(np.asarray(e.values))))
+        total = _clip_unit(1.0 - float(np.sum(dist.density(np.asarray(e.values)))))
     else:
         # Float lattice points lo + k*step can miss atoms by an ulp, and a fine
         # lattice has far more points than the predictive has atoms. So take
@@ -322,16 +318,8 @@ def leakage(dist: PredictiveDistribution, e: Evidence, x_star=None) -> LeakageRe
         # leakage, < 1e-12) and test them as mc_leakage does, with contains.
         lo, hi, _ = e.lattice
         atoms = dist.atoms_between(lo, min(hi, dist.quantile(1.0 - 1e-13)))
-        inside = float(np.sum(dist.density(atoms[e.contains(atoms)])))
-    total = _clip_unit(1.0 - inside)
-    return LeakageReport(
-        leakage=total,
-        below_mass=0.0,
-        above_mass=0.0,
-        outside_mass_other=total,
-        evidence=e,
-        x_star=x_star,
-    )
+        total = _clip_unit(1.0 - float(np.sum(dist.density(atoms[e.contains(atoms)]))))
+    return LeakageReport(total, 0.0, 0.0, total, e, x_star)
 
 
 class LeakageProfile(Sequence):

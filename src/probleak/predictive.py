@@ -66,7 +66,8 @@ class PredictiveDistribution:
     """Base interface shared by every predictive family.
 
     ``kind`` is "continuous" or "discrete"; ``family`` names the concrete
-    family. Subclasses implement ``cdf``/``density``/``sample`` plus the
+    family. Subclasses implement ``cdf``/``density``/``sample``, the
+    quantile hook ``_quantile`` (``quantile`` checks p first), and the
     structural support queries ``has_atom`` and ``has_mass`` used by the
     falsification semantics (those must reflect exact support knowledge,
     never numerical underflow).
@@ -93,10 +94,10 @@ class PredictiveDistribution:
     def quantile(self, p: float) -> float:
         if not (isinstance(p, (int, float, np.floating)) and 0.0 < p < 1.0):
             raise ValueError(f"quantile level must lie in (0, 1), got {p!r}")
-        p = float(p)
-        if self.kind == "continuous":
-            return self._quantile_continuous(p)
-        return self._quantile_discrete(p)
+        return self._quantile(float(p))
+
+    def _quantile(self, p: float) -> float:
+        raise NotImplementedError
 
     # -- structural support queries -------------------------------------
 
@@ -116,14 +117,6 @@ class PredictiveDistribution:
         Every family answers elementwise for arrays of bounds; scalar bounds
         get a bool.
         """
-        raise NotImplementedError
-
-    # -- quantile machinery ----------------------------------------------
-
-    def _quantile_continuous(self, p: float) -> float:
-        raise NotImplementedError
-
-    def _quantile_discrete(self, p: float) -> float:
         raise NotImplementedError
 
 
@@ -222,7 +215,7 @@ class Normal(PredictiveDistribution):
     def has_mass(self, lo, hi):
         return _bool_or_array(np.less(lo, hi))
 
-    def _quantile_continuous(self, p):
+    def _quantile(self, p):
         return _scalar_or_array(self.loc + self.scale * special.ndtri(p))
 
 
@@ -310,7 +303,7 @@ class StudentT(PredictiveDistribution):
     def has_mass(self, lo, hi):
         return _bool_or_array(np.less(lo, hi))
 
-    def _quantile_continuous(self, p):
+    def _quantile(self, p):
         return _scalar_or_array(self.loc + self.scale * special.stdtrit(self.df, p))
 
 
@@ -394,7 +387,7 @@ class Poisson(PredictiveDistribution):
             return np.empty(0)
         return np.arange(lo, hi + 1, dtype=float)
 
-    def _quantile_discrete(self, p):
+    def _quantile(self, p):
         # pdtrik inverts the CDF continued in k (the regularized upper gamma
         # function), so its ceiling is the answer or next to it: two cdf
         # calls confirm it. Where it is off (pdtrik gives up from rates near
@@ -475,7 +468,7 @@ class Empirical(PredictiveDistribution):
         uniq = np.unique(self._obs)
         return uniq[(uniq >= lo) & (uniq <= hi)]
 
-    def _quantile_discrete(self, p):
+    def _quantile(self, p):
         n = self._obs.size
         idx = int(math.ceil(p * n - 1e-9)) - 1
         return float(self._obs[min(max(idx, 0), n - 1)])
@@ -565,17 +558,14 @@ class Mixture(PredictiveDistribution):
         pieces = [c.atoms_between(lo, hi) for c in self.components]
         return np.unique(np.concatenate(pieces)) if pieces else np.empty(0)
 
-    # The mixture p-quantile lies between the smallest and largest
-    # component p-quantiles: a bracket for bisection, a window of candidate
-    # atoms for a discrete mixture.
-
-    def _quantile_continuous(self, p):
+    def _quantile(self, p):
+        # The mixture p-quantile lies between the smallest and largest
+        # component p-quantiles: a bracket for bisection, a window of
+        # candidate atoms for a discrete mixture.
         qs = [c.quantile(p) for c in self.components]
-        lo, hi = _expand_bracket(self.cdf, p, min(qs), max(qs))
-        return _invert_cdf(self.cdf, self.density, p, lo, hi)
-
-    def _quantile_discrete(self, p):
-        qs = [c.quantile(p) for c in self.components]
+        if self.kind == "continuous":
+            lo, hi = _expand_bracket(self.cdf, p, min(qs), max(qs))
+            return _invert_cdf(self.cdf, self.density, p, lo, hi)
         atoms = self.atoms_between(min(qs), max(qs))
         cdf_vals = np.asarray(self.cdf(atoms))
         hit = np.nonzero(cdf_vals >= p)[0]

@@ -22,6 +22,7 @@ import numpy as np
 from scipy import special
 
 from .calibration import (
+    _LEVELS,
     ForecastCase,
     crps,
     ks_uniform,
@@ -138,7 +139,7 @@ class TruncatedNormal(PredictiveDistribution):
         """Smallest closed interval containing all positive density."""
         return float(self.lower), math.inf
 
-    def _quantile_continuous(self, p):
+    def _quantile(self, p):
         # Phi(z) = Phi(a) + p Q(a) when the quantile lies below the centre,
         # Q(z) = (1 - p) Q(a) above it: each form keeps the relative accuracy
         # of its own tail, the second however deep the truncation
@@ -158,6 +159,22 @@ def _truncnorm_inverse(u, loc, scale, lower):
     y = loc + scale * special.ndtri(q)
     # rounding in fa + u*(1-fa) can land half an ulp below fa; pin the floor
     return np.maximum(y, lower)
+
+
+def _truncated_draws(rng, mu, sd, lower):
+    """One Normal(mu_i, sd | Y >= lower) draw per mean, from one uniform each.
+
+    Raises when some row's truncation region holds less than 1e-12 mass.
+    """
+    if math.isfinite(lower):
+        fa = special.ndtr((lower - mu) / sd)
+        if 1.0 - float(np.max(fa)) < _MIN_FEASIBLE_MASS:
+            idx = int(np.argmax(fa))
+            raise DataError(
+                f"infeasible config: truncation region has mass < {_MIN_FEASIBLE_MASS} "
+                f"at row {idx} (mean {mu[idx]:.6g}, bound {lower})"
+            )
+    return _truncnorm_inverse(rng.uniform(size=mu.size), mu, sd, lower)
 
 
 @dataclass(frozen=True)
@@ -215,24 +232,10 @@ def gen_truncated_regression(cfg: SimConfig) -> Dataset:
     """
     rng = np.random.default_rng(cfg.seed)
     cols: dict = {}
-    xs = []
     for name, (a, b) in zip(cfg.covariate_names, cfg.covariate_ranges):
-        col = rng.uniform(a, b, size=cfg.n) if a < b else np.full(cfg.n, a)
-        cols[name] = col
-        xs.append(col)
-    mu = cfg.coefficients[0] + sum(c * col for c, col in zip(cfg.coefficients[1:], xs))
-    if math.isfinite(cfg.support_lower):
-        fa = special.ndtr((cfg.support_lower - mu) / cfg.noise_sd)
-        worst = float(np.max(fa))
-        if 1.0 - worst < _MIN_FEASIBLE_MASS:
-            idx = int(np.argmax(fa))
-            raise DataError(
-                f"infeasible config: truncation region has mass < {_MIN_FEASIBLE_MASS} "
-                f"at row {idx} (mean {mu[idx]:.6g}, bound {cfg.support_lower})"
-            )
-    u = rng.uniform(size=cfg.n)
-    y = _truncnorm_inverse(u, mu, cfg.noise_sd, cfg.support_lower)
-    data = {"y": y}
+        cols[name] = rng.uniform(a, b, size=cfg.n) if a < b else np.full(cfg.n, a)
+    mu = cfg.coefficients[0] + sum(c * col for c, col in zip(cfg.coefficients[1:], cols.values()))
+    data = {"y": _truncated_draws(rng, mu, cfg.noise_sd, cfg.support_lower)}
     data.update(cols)
     return Dataset(data)
 
@@ -312,15 +315,7 @@ def _gen_callcenter(cfg: CallCenterConfig, coefs: CallCenterCoefs) -> Dataset:
         + coefs.absentees * absentees
         + coefs.location_b * is_b
     )
-    fa = special.ndtr((cfg.y_floor - mu) / coefs.noise_sd)
-    if 1.0 - float(np.max(fa)) < _MIN_FEASIBLE_MASS:
-        idx = int(np.argmax(fa))
-        raise DataError(
-            f"infeasible coefficients: truncation region has mass < "
-            f"{_MIN_FEASIBLE_MASS} at row {idx} (mean {mu[idx]:.6g}, floor {cfg.y_floor})"
-        )
-    u = rng.uniform(size=calls.size)
-    y = _truncnorm_inverse(u, mu, coefs.noise_sd, cfg.y_floor)
+    y = _truncated_draws(rng, mu, coefs.noise_sd, cfg.y_floor)
     location = np.where(is_b > 0.0, "B", "A")
     return Dataset(
         {
@@ -391,18 +386,17 @@ class ImpossibilityReport:
 
 
 def impossibility_experiment(
-    cfg: SimConfig,
-    levels=None,
-    holdout_n: int = 5000,
-    compute_crps: bool = True,
+    cfg: SimConfig, holdout_n: int = 5000, compute_crps: bool = True
 ) -> ImpossibilityReport:
     """Fit the flat-prior regression to data from cfg and audit it on holdout.
 
     Training data comes from cfg; the holdout redraws holdout_n rows from the
     same truth with seed + 1. Per-case leakage is the fitted predictive's
-    mass below the support bound. With a finite bound the report carries the
-    frequency at p_star = ell_min/2 (zero whenever ell_min > 0) and the CRPS
-    of the fitted model next to the true truncated oracle.
+    mass below the support bound, one ``leakage`` call over the holdout
+    batch. The probability curve is read at p = 0.05, 0.10, ..., 0.95. With
+    a finite bound the report carries the frequency at p_star = ell_min/2
+    (zero whenever ell_min > 0) and the CRPS of the fitted model next to
+    the true truncated oracle.
     """
     train = gen_truncated_regression(cfg)
     spec = ModelSpec("y", cfg.covariate_names)
@@ -426,9 +420,7 @@ def impossibility_experiment(
     pits = pit([ForecastCase(dist, y_hold)], seed=cfg.seed + 2)
     ks = ks_uniform(pits)
     ks_crit = 1.36 / math.sqrt(holdout_n)
-    if levels is None:
-        levels = np.linspace(0.05, 0.95, 19)
-    prob = probability_calibration(pits, levels)
+    prob = probability_calibration(pits, _LEVELS)
 
     ell_min = float(np.min(leakages))
     mean_leak = float(np.mean(leakages))

@@ -306,6 +306,12 @@ def test_kl_distance_sees_truncated_support():
     assert back == pytest.approx(math.log(2.0), abs=1e-8)
 
 
+def test_kl_distance_is_infinite_for_any_elicited_mass_outside_the_model_hull():
+    # 3.2e-14 of N(7.5, 1) lies below the truncation point 0; mass below
+    # 1e-12 outside the hull was once forgiven, giving 27.43
+    assert kl_distance(Normal(7.5, 1.0), TruncatedNormal(0.0, 1.0, lower=0.0)) == math.inf
+
+
 def test_kl_distance_rejects_discrete_inputs():
     with pytest.raises(ModelError):
         kl_distance(Poisson(rate=2.0), Normal(0.0, 1.0))
@@ -444,8 +450,7 @@ def _grid_density(draw):
     """A piecewise-linear density on 2-6 knots, some values possibly 0.
 
     The knots lie on a lattice of step 1/4, so a stretch between knots holds
-    either no mass or far more than the 1e-12 of escaped mass that
-    ``kl_distance`` leaves to rounding.
+    either no mass or a whole linear piece of it.
     """
     n = draw(st.integers(2, 6))
     steps = draw(st.lists(st.integers(1, 8), min_size=n - 1, max_size=n - 1))

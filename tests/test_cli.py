@@ -292,6 +292,20 @@ def test_falsify_interval_without_resolution_is_usage_error(capsys, toy_csv):
     assert "resolution" in err
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [["--mode", "interval", "--resolution", "0"], ["--resolution", "-1"]],
+)
+def test_falsify_nonpositive_resolution_is_usage_error(capsys, toy_csv, extra):
+    code, out, err = run(
+        capsys,
+        ["falsify", "--data", toy_csv, "--response", "y", "--covariates", "x1",
+         "--value", "-0.5", *extra],
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("probleak: error: --resolution must be positive")
+
+
 # ---------------------------------------------------------------------------
 # calibrate
 # ---------------------------------------------------------------------------
@@ -426,6 +440,26 @@ def test_report_document_and_curves(capsys, cc_csv, tmp_path):
     assert markers.count("support_bound") == 1
     bound_row = rows[1 + markers.index("support_bound")]
     assert float(bound_row[0]) == 0.0
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--resolution", "-1"), ("--resolution", "0"),
+     ("--grid-points", "-5"), ("--grid-points", "0"), ("--grid-points", "1")],
+)
+def test_report_bad_resolution_or_grid_points_is_usage_error(
+    capsys, toy_csv, tmp_path, flag, value
+):
+    curves = tmp_path / "curves.csv"
+    code, out, err = run(
+        capsys,
+        ["report", "--data", toy_csv, "--response", "y", "--covariates", "x1",
+         "--support", "[0,inf)", "--out-curves", str(curves), flag, value],
+    )
+    rule = {"--resolution": "must be positive", "--grid-points": "needs at least 2 points"}
+    assert code == 1 and out == ""
+    assert err.startswith(f"probleak: error: {flag} {rule[flag]}")
+    assert not curves.exists()
 
 
 def test_report_pipeline_is_deterministic(capsys, tmp_path):

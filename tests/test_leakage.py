@@ -5,6 +5,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from probleak import (
     Empirical,
@@ -150,6 +153,52 @@ def test_leakage_interval_union_uses_other_bucket():
     assert rep.outside_mass_other == pytest.approx(1.0 - inside, abs=1e-12)
     assert rep.leakage == rep.outside_mass_other
     assert rep.below_mass == 0.0 and rep.above_mass == 0.0
+
+
+@st.composite
+def _union(draw):
+    """1-4 disjoint closed intervals with ends on a 1/4 lattice (so atoms
+    of a count model fall on them), the outer ends possibly infinite."""
+    k = draw(st.integers(1, 4))
+    ticks = draw(st.lists(st.integers(-40, 120), min_size=2 * k, max_size=2 * k, unique=True))
+    ends = [0.25 * t for t in sorted(ticks)]
+    if draw(st.booleans()):
+        ends[0] = -math.inf
+    if draw(st.booleans()):
+        ends[-1] = math.inf
+    return list(zip(ends[::2], ends[1::2]))
+
+
+@st.composite
+def _model_and_law(draw):
+    """A Normal, Student t or Poisson predictive and its scipy.stats twin."""
+    kind = draw(st.sampled_from(["normal", "t", "poisson"]))
+    if kind == "poisson":
+        rate = draw(st.floats(0.1, 25.0))
+        return Poisson(rate), stats.poisson(rate)
+    loc, scale = draw(st.floats(-3.0, 10.0)), math.exp(draw(st.floats(-1.0, 1.5)))
+    if kind == "normal":
+        return Normal(loc, scale), stats.norm(loc, scale)
+    df = draw(st.floats(1.0, 30.0))
+    return StudentT(df, loc, scale), stats.t(df, loc, scale)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_model_and_law(), _union())
+def test_leakage_over_interval_unions_matches_one_minus_scipy_inside(model_and_law, intervals):
+    dist, law = model_and_law
+    rep = leakage(dist, Evidence.interval_union(intervals))
+    inside = 0.0
+    for a, b in intervals:
+        # P(a <= Y <= b); for counts the atom at a is inside, so step below it
+        below_a = a if math.isinf(a) or dist.kind == "continuous" else math.ceil(a) - 1
+        inside += law.cdf(b) - law.cdf(below_a)
+    assert rep.leakage == pytest.approx(1.0 - inside, abs=1e-12)
+    if len(intervals) == 1:
+        assert rep.outside_mass_other == 0.0
+    else:
+        assert rep.leakage == rep.outside_mass_other
+        assert rep.below_mass == 0.0 and rep.above_mass == 0.0
 
 
 def test_leakage_kind_mismatch_is_complete():

@@ -399,6 +399,15 @@ def kl_distance(elicited, dist) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _csv_text(header: str, columns, marker=None) -> str:
+    """CSV text: the header line, then the float columns row by row as ``repr``
+    (which reads back bit for bit), with ``marker`` as an optional last column."""
+    cells = [map(repr, np.asarray(col, dtype=float).tolist()) for col in columns]
+    if marker is not None:
+        cells.append(marker)
+    return "\n".join([header, *map(",".join, zip(*cells))]) + "\n"
+
+
 @dataclass(frozen=True)
 class CalibrationReport:
     """PIT values, the three calibration curves, and summary scores."""
@@ -434,10 +443,7 @@ class CalibrationReport:
             header, rows = "y,mean_predictive_cdf,pooled_empirical_cdf", self.marginal_curve
         else:
             raise ValueError(f"unknown curve {which!r}")
-        lines = [header]
-        for row in rows:
-            lines.append(",".join(repr(float(v)) for v in row))
-        return "\n".join(lines) + "\n"
+        return _csv_text(header, zip(*rows))
 
 
 def calibration_report(

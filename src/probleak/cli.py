@@ -28,6 +28,7 @@ from . import __version__
 from .calibration import (
     _LEVELS,
     ForecastCase,
+    _csv_text,
     calibration_report,
     crps,
     ks_uniform,
@@ -55,6 +56,11 @@ from .simulation import (
 )
 
 __all__ = ["main"]
+
+
+# the most points a --grid or --grid-points curve may have: every point is one
+# float per column and one output row, so a mistyped count is refused up front
+_MAX_GRID_POINTS = 10**6
 
 
 class _UsageError(Exception):
@@ -227,15 +233,17 @@ def _parse_grid(text: str):
         raise _UsageError(
             f'probleak: error: --grid must look like "x=0:2:21", got {text!r}'
         ) from None
-    if count < 2 or not lo < hi:
-        raise _UsageError("probleak: error: grid needs lo < hi and at least 2 points")
+    if not 2 <= count <= _MAX_GRID_POINTS or not lo < hi:
+        raise _UsageError(
+            f"probleak: error: grid needs lo < hi and 2 to {_MAX_GRID_POINTS} points"
+        )
     return name.strip(), np.linspace(lo, hi, count)
 
 
 def _cmd_leak_profile(args) -> int:
+    name, grid = _parse_grid(args.grid)
     data, spec, result = _load_and_fit(args)
     evidence = _parse_support_arg(args.support)
-    name, grid = _parse_grid(args.grid)
     if name not in spec.covariates:
         raise _UsageError(f"probleak: error: grid covariate {name!r} is not in --covariates")
     if not data.is_numeric(name):
@@ -261,9 +269,7 @@ def _cmd_leak_profile(args) -> int:
             )
         columns[other] = np.full(grid.size, value)
     profile = leakage_profile(result, evidence, columns)
-    lines = [f"{name},leakage"]
-    lines.extend(f"{v!r},{leak!r}" for v, leak in zip(grid.tolist(), profile.leakage.tolist()))
-    _emit_text("\n".join(lines) + "\n", args.out)
+    _emit_text(_csv_text(f"{name},leakage", [grid, profile.leakage]), args.out)
     return 0
 
 
@@ -408,21 +414,17 @@ def _density_curves(dists: list, evidence: Evidence, grid_points: int) -> str:
     if bounds:
         grid = np.unique(np.concatenate([grid, np.asarray(bounds, dtype=float)]))
     bound_set = set(float(b) for b in bounds)
-    columns = [d.density(grid) for _, d in dists]
+    marker = ["support_bound" if y in bound_set else "" for y in grid.tolist()]
     header = "y," + ",".join(f"density_{label}" for label, _ in dists) + ",marker"
-    lines = [header]
-    for i, y in enumerate(grid):
-        marker = "support_bound" if float(y) in bound_set else ""
-        cells = [repr(float(y))] + [repr(float(col[i])) for col in columns] + [marker]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return _csv_text(header, [grid, *(d.density(grid) for _, d in dists)], marker)
 
 
 def _cmd_report(args) -> int:
     _check_resolution(args.resolution)
-    if args.grid_points < 2:
+    if not 2 <= args.grid_points <= _MAX_GRID_POINTS:
         raise _UsageError(
-            f"probleak: error: --grid-points needs at least 2 points, got {args.grid_points}"
+            f"probleak: error: --grid-points needs at least 2 points and at most "
+            f"{_MAX_GRID_POINTS}, got {args.grid_points}"
         )
     data, spec, result = _load_and_fit(args)
     evidence = _parse_support_arg(args.support)

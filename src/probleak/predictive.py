@@ -317,6 +317,12 @@ def _is_integral(y) -> np.ndarray:
     return np.isfinite(y) & (np.floor(y) == y)
 
 
+# coefficients of rate^(m+1), m = 10 down to 1, in Poisson._crps's small-rate series
+_POISSON_EXCESS_SERIES = [
+    (-1) ** (m + 1) * math.comb(2 * m, m) / math.factorial(m + 1) for m in range(10, 0, -1)
+]
+
+
 @dataclass(frozen=True)
 class Poisson(PredictiveDistribution):
     rate: float
@@ -360,14 +366,22 @@ class Poisson(PredictiveDistribution):
         where i0e, i1e are the exponentially scaled Bessel functions, so
         nothing overflows at large rates. F(k) = 0 for k < 0 makes the form
         exact for any real y: negative, between atoms or past the tail.
+        Below rate 0.05, rate - rate (i0e + i1e), about rate², would cancel,
+        so its power series sum_m (-1)^(m+1) C(2m, m) rate^(m+1) / (m+1)!
+        is summed instead (ten terms reach 1e-16 relative).
         """
         y = np.asarray(y, dtype=float)
         rate = self.rate
         k = np.floor(y)
         at = np.where(k >= 0.0, special.pdtr(np.maximum(k, 0.0), rate), 0.0)
         below = np.where(k >= 1.0, special.pdtr(np.maximum(k - 1.0, 0.0), rate), 0.0)
+        steps = 2.0 * (y * at - rate * below)
+        if rate < 0.05:
+            excess = rate * rate * np.polyval(_POISSON_EXCESS_SERIES, rate)
+            return _scalar_or_array(excess - y + steps)
         spread = rate * (special.i0e(2.0 * rate) + special.i1e(2.0 * rate))
-        return _scalar_or_array(rate - y + 2.0 * (y * at - rate * below) - spread)
+        # rate - y first: it is exact for y near rate, where the score is small
+        return _scalar_or_array(rate - y + steps - spread)
 
     def sample(self, n, rng):
         return _as_rng(rng).poisson(self.rate, size=int(n)).astype(float)

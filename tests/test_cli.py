@@ -462,6 +462,38 @@ def test_report_bad_resolution_or_grid_points_is_usage_error(
     assert not curves.exists()
 
 
+def test_grid_sizes_past_the_cap_are_usage_errors(capsys, toy_csv, tmp_path):
+    from probleak.cli import _MAX_GRID_POINTS
+
+    out = tmp_path / "profile.csv"
+    code, _, err = run(
+        capsys,
+        ["leak-profile", "--data", toy_csv, "--response", "y", "--covariates", "x1",
+         "--support", "[0,inf)", "--grid", f"x1=0:1:{_MAX_GRID_POINTS + 1}", "--out", str(out)],
+    )
+    assert code == 1 and err.startswith("probleak: error: grid")
+    assert not out.exists()
+    curves, doc = tmp_path / "curves.csv", tmp_path / "report.json"
+    code, _, err = run(
+        capsys,
+        ["report", "--data", toy_csv, "--response", "y", "--covariates", "x1",
+         "--support", "[0,inf)", "--out-curves", str(curves), "--out", str(doc),
+         "--grid-points", str(_MAX_GRID_POINTS + 1)],
+    )
+    assert code == 1 and err.startswith("probleak: error: --grid-points")
+    assert not curves.exists() and not doc.exists()
+
+
+def test_grid_size_is_checked_before_the_data_are_read(capsys, tmp_path):
+    missing = str(tmp_path / "missing.csv")
+    code, _, err = run(
+        capsys,
+        ["leak-profile", "--data", missing, "--response", "y", "--covariates", "x1",
+         "--support", "[0,inf)", "--grid", "x1=0:1:2001000000"],
+    )
+    assert code == 1 and err.startswith("probleak: error: grid")
+
+
 def test_report_pipeline_is_deterministic(capsys, tmp_path):
     outputs = []
     for tag in ("a", "b"):

@@ -193,6 +193,16 @@ def test_poisson_closed_form_matches_mpmath(rate):
         assert crps(Poisson(rate), y) == pytest.approx(want, rel=1e-12, abs=0.0), (rate, y)
 
 
+@pytest.mark.parametrize("rate", [1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.0499, 0.05, 0.1])
+def test_poisson_closed_form_stays_relative_at_small_rates(rate):
+    # at y < 1 the score is about rate**2 + y (1 - 2 rate): the Bessel form's
+    # rate - rate (i0e + i1e) cancels there, so a series takes over
+    got = crps(Poisson(rate), np.array([0.0, 0.5]))
+    for y, score in zip((0.0, 0.5), got):
+        want = float(_mpmath_poisson_crps(rate, y))
+        assert score == pytest.approx(want, rel=1e-13, abs=0.0), (rate, y)
+
+
 def test_poisson_closed_form_broadcasts_over_outcomes():
     dist = Poisson(6.5)
     ys = np.array([-1.0, 0.0, 2.5, 6.0, 7.0, 30.0])

@@ -46,6 +46,7 @@ from .predictive import (
     Poisson,
     PredictiveDistribution,
     StudentT,
+    TruncatedNormal,
 )
 from .regression import (
     ColumnCoding,
@@ -66,7 +67,6 @@ from .simulation import (
     CallCenterConfig,
     ImpossibilityReport,
     SimConfig,
-    TruncatedNormal,
     gen_callcenter_like,
     gen_truncated_regression,
     impossibility_experiment,
@@ -84,6 +84,7 @@ __all__ = [
     "PredictiveDistribution",
     "Normal",
     "StudentT",
+    "TruncatedNormal",
     "Poisson",
     "Mixture",
     "Empirical",
@@ -129,7 +130,6 @@ __all__ = [
     # simulation
     "SimConfig",
     "CallCenterConfig",
-    "TruncatedNormal",
     "ImpossibilityReport",
     "gen_truncated_regression",
     "gen_callcenter_like",

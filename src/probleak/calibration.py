@@ -38,7 +38,6 @@ tail underflows.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -46,7 +45,7 @@ import numpy as np
 from scipy import special
 
 from .exceptions import ModelError
-from .predictive import Mixture, PredictiveDistribution, StudentT
+from .predictive import Mixture, PredictiveDistribution, StudentT, _scalar_or_array
 
 __all__ = [
     "CalibrationReport",
@@ -258,12 +257,13 @@ def crps(dist: PredictiveDistribution, y):
     which perturbs the integral by far less than that. These two score one
     outcome per call.
     """
+    y = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(y)):
         raise ValueError("observation must be finite")
     _require_finite_mean(dist)
     closed_form = getattr(dist, "_crps", None)
     if closed_form is not None:
-        return closed_form(y)
+        return _scalar_or_array(closed_form(y))
     y = float(y)
     if dist.kind == "continuous":
         from scipy import integrate
@@ -333,12 +333,6 @@ class GridDensity:
         return float(lo), float(hi)
 
 
-def _density_support(obj) -> tuple[float, float]:
-    if hasattr(obj, "support"):
-        return obj.support()
-    return -math.inf, math.inf
-
-
 def _check_continuous(obj, name: str) -> None:
     if getattr(obj, "kind", None) != "continuous":
         raise ModelError(f"kl_distance needs continuous densities; {name} is not")
@@ -349,11 +343,11 @@ def kl_distance(elicited, dist) -> float:
 
     Both arguments may be analytic families or GridDensity objects. The
     integral runs over the elicited density's hull by 20-point
-    Gauss-Legendre per segment. The segment edges are the finite hull ends
-    of both densities and every grid knot; for an analytic density, or each
-    component of a mixture, its quartiles and from them edges stepping
-    outward by widths that double every second step, so every bulk and tail
-    is cut at its own scale. Edges past the last point where the elicited
+    Gauss-Legendre per segment. The segment edges are every grid knot and,
+    for an analytic density or each component of a mixture, the finite ends
+    of its support, its quartiles and from them edges stepping outward by
+    widths that double every second step, so every bulk and tail is cut at
+    its own scale and every truncation point is an edge. Edges past the last point where the elicited
     density is positive are dropped. Both densities are smooth inside each
     segment (linear or analytic), so fixed-order Gauss-Legendre converges to
     machine precision, and log densities keep p's far tail from
@@ -363,8 +357,8 @@ def kl_distance(elicited, dist) -> float:
     """
     _check_continuous(elicited, "elicited")
     _check_continuous(dist, "dist")
-    lo, hi = _density_support(elicited)
-    pieces = [[lo, hi], _density_support(dist)]
+    lo, hi = elicited.support()
+    pieces = []
     growth = np.exp2(np.arange(0.0, 1024.0, 0.5)) - 1.0  # offsets, in quartile spans
     for obj in (elicited, dist):
         if isinstance(obj, GridDensity):
@@ -374,7 +368,7 @@ def kl_distance(elicited, dist) -> float:
             q1, q2, q3 = (part.quantile(p) for p in (0.25, 0.5, 0.75))
             with np.errstate(over="ignore"):
                 steps = (q3 - q1) * growth
-            pieces += [[q2], q1 - steps, q3 + steps]
+            pieces += [part.support(), [q2], q1 - steps, q3 + steps]
     edges = np.unique(np.concatenate(pieces))
     edges = edges[np.isfinite(edges) & (edges >= lo) & (edges <= hi)]
     with np.errstate(over="ignore"):

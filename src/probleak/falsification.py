@@ -108,13 +108,13 @@ def is_falsified(
     if not values.size:
         raise ValueError("need at least one observation")
     if mode == "point_event":
-        held = dist.kind != "continuous" and dist.has_atom(values)
+        held = dist.has_atom(values)
     elif mode == "interval_event":
         half = 0.5 * resolutions
         held = dist.has_mass(values - half, values + half) & ~np.isnan(resolutions)
     else:
         raise ValueError(f"unknown mode {mode!r}; expected point_event or interval_event")
-    zero = ~np.broadcast_to(held, values.shape)
+    zero = ~held
     i = int(np.argmax(zero))
     if not zero[i]:
         return FalsificationVerdict(falsified=False, mode=mode)

@@ -2,24 +2,38 @@
 
 Distribution objects are the common currency of the package: regression fits
 produce them, leakage audits and calibration diagnostics consume them. The
-family list is deliberately short (normal, Student t, Poisson, finite
-mixtures, empirical step functions). Every family exposes the same small
-surface, so downstream code never branches on family:
+family list is deliberately short (normal, Student t, lower-truncated normal,
+Poisson, finite mixtures, empirical step functions). The base class owns the
+public surface, so downstream code never branches on family:
 
     cdf(y)        P(Y <= y), including the atom at y for discrete families
-    cdf_left(y)   P(Y < y); equals cdf for continuous families
+    cdf_left(y)   P(Y < y); the CDF itself for continuous families
     density(y)    pdf for continuous families, pmf for discrete
     quantile(p)   smallest y with cdf(y) >= p, for p in (0, 1)
-    sample(n, rng)  n seeded draws
+    support()     smallest closed interval holding all the mass
+    has_atom(y)   P(Y = y) > 0, decided from the support, never by underflow
+    has_mass(lo, hi)  P(lo <= Y <= hi) > 0, decided the same way
+
+The base class converts the points once to a float array, calls a hook
+that works on arrays, and gives a 0-d answer back as a float or a bool. A
+family supplies ``_cdf``, ``_logdensity`` (``density`` is its exp, unless
+the family overrides ``_density``, as the mixture's weighted sum and the
+empirical counts do), ``_quantile`` and ``sample``; a discrete family also
+``_cdf_left``, ``_has_atom`` and ``_has_mass``. A continuous family has no
+atoms, and has mass exactly where a window meets ``support()`` with positive
+length, so it overrides ``support()`` only where that is narrower than the
+whole line. Families with a closed-form CRPS define ``_crps`` on arrays,
+which ``calibration.crps`` calls.
 
 Student-t CDFs go through the regularized incomplete beta function so tail
 probabilities keep relative accuracy. Normal and Student-t quantiles are
 closed forms (``ndtri``, ``stdtrit``); quantiles of a continuous mixture are
 found by bracketed bisection on the CDF refined with Newton steps.
 
-Normal and Student t also take array ``loc``/``scale``: such an object is a
-batch with one predictive per row, and ``cdf``, ``density``, ``quantile`` and
-the closed-form CRPS broadcast the argument against the parameters.
+Normal, Student t and the truncated normal also take array ``loc`` (and the
+first two array ``scale``): such an object is a batch with one predictive per
+row, and ``cdf``, ``density``, ``quantile`` and the closed-form CRPS
+broadcast the argument against the parameters.
 
 All objects are immutable after construction and safe to share across
 threads. Sampling takes its generator (or an integer seed) explicitly; there
@@ -35,16 +49,20 @@ from typing import Sequence
 import numpy as np
 from scipy import special
 
+from .exceptions import DataError
+
 __all__ = [
     "PredictiveDistribution",
     "Normal",
     "StudentT",
+    "TruncatedNormal",
     "Poisson",
     "Mixture",
     "Empirical",
 ]
 
 _QUANTILE_PROB_TOL = 1e-12  # stop Newton polish below this CDF error
+_MIN_FEASIBLE_MASS = 1e-12  # least kept mass of a truncated normal
 
 
 def _as_rng(rng) -> np.random.Generator:
@@ -63,61 +81,55 @@ def _bool_or_array(values):
 
 
 class PredictiveDistribution:
-    """Base interface shared by every predictive family.
+    """Base of every predictive family; it owns the public surface.
 
     ``kind`` is "continuous" or "discrete"; ``family`` names the concrete
-    family. Subclasses implement ``cdf``/``density``/``sample``, the
-    quantile hook ``_quantile`` (``quantile`` checks p first), and the
-    structural support queries ``has_atom`` and ``has_mass`` used by the
-    falsification semantics (those must reflect exact support knowledge,
-    never numerical underflow).
+    family. The module docstring lists the hooks a family supplies.
     """
 
     kind: str = ""
     family: str = ""
 
     def cdf(self, y):
-        raise NotImplementedError
+        return _scalar_or_array(self._cdf(np.asarray(y, dtype=float)))
 
     def cdf_left(self, y):
-        """P(Y < y). Continuous families have no atoms, so this is cdf."""
-        if self.kind == "continuous":
-            return self.cdf(y)
-        raise NotImplementedError
+        y = np.asarray(y, dtype=float)
+        return _scalar_or_array(self._cdf(y) if self.kind == "continuous" else self._cdf_left(y))
 
     def density(self, y):
-        raise NotImplementedError
+        return _scalar_or_array(self._density(np.asarray(y, dtype=float)))
 
-    def sample(self, n: int, rng) -> np.ndarray:
-        raise NotImplementedError
+    def _density(self, y):
+        return np.exp(self._logdensity(y))
 
-    def quantile(self, p: float) -> float:
+    def quantile(self, p: float):
         if not (isinstance(p, (int, float, np.floating)) and 0.0 < p < 1.0):
             raise ValueError(f"quantile level must lie in (0, 1), got {p!r}")
-        return self._quantile(float(p))
+        return _scalar_or_array(self._quantile(float(p)))
 
-    def _quantile(self, p: float) -> float:
-        raise NotImplementedError
-
-    # -- structural support queries -------------------------------------
+    def support(self) -> tuple[float, float]:
+        """Smallest closed interval holding all the mass."""
+        return -math.inf, math.inf
 
     def has_atom(self, y):
-        """True iff P(Y = y) > 0, decided from the family's exact support.
-
-        Discrete families answer elementwise for an array of points; a
-        scalar point gets a bool.
-        """
+        """True iff P(Y = y) > 0, elementwise, from the family's exact support."""
+        y = np.asarray(y, dtype=float)
         if self.kind == "continuous":
-            return False
-        raise NotImplementedError
+            return _bool_or_array(np.zeros(y.shape, dtype=bool))
+        return _bool_or_array(self._has_atom(y))
 
     def has_mass(self, lo, hi):
-        """True iff P(lo <= Y <= hi) > 0, decided structurally.
+        """True iff P(lo <= Y <= hi) > 0, elementwise, decided structurally.
 
-        Every family answers elementwise for arrays of bounds; scalar bounds
-        get a bool.
+        A continuous family has mass exactly where the window meets its
+        support with positive length.
         """
-        raise NotImplementedError
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        if self.kind == "continuous":
+            s_lo, s_hi = self.support()
+            return _bool_or_array(np.maximum(lo, s_lo) < np.minimum(hi, s_hi))
+        return _bool_or_array(self._has_mass(lo, hi))
 
 
 def _expand_bracket(cdf, p, lo, hi):
@@ -190,33 +202,27 @@ class Normal(PredictiveDistribution):
         if np.any(np.asarray(self.scale) <= 0.0):
             raise ValueError(f"scale must be positive, got {self.scale}")
 
-    def cdf(self, y):
-        return _scalar_or_array(special.ndtr((np.asarray(y, dtype=float) - self.loc) / self.scale))
+    def _cdf(self, y):
+        return special.ndtr((y - self.loc) / self.scale)
 
     def _logdensity(self, y):
-        z = (np.asarray(y, dtype=float) - self.loc) / self.scale
+        z = (y - self.loc) / self.scale
         return -0.5 * z * z - np.log(self.scale * math.sqrt(2.0 * math.pi))
 
     def _crps(self, y):
         """Closed-form CRPS (Gneiting, Raftery, Westveld & Goldman 2005, MWR 133):
         scale * (z (2 Phi(z) - 1) + 2 phi(z) - 1/sqrt(pi)) at z = (y - loc) / scale.
         """
-        z = (np.asarray(y, dtype=float) - self.loc) / self.scale
+        z = (y - self.loc) / self.scale
         pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
         std = z * special.erf(z / math.sqrt(2.0)) + 2.0 * pdf - 1.0 / math.sqrt(math.pi)
-        return _scalar_or_array(self.scale * std)
-
-    def density(self, y):
-        return _scalar_or_array(np.exp(self._logdensity(y)))
+        return self.scale * std
 
     def sample(self, n, rng):
         return _as_rng(rng).normal(self.loc, self.scale, size=int(n))
 
-    def has_mass(self, lo, hi):
-        return _bool_or_array(np.less(lo, hi))
-
     def _quantile(self, p):
-        return _scalar_or_array(self.loc + self.scale * special.ndtri(p))
+        return self.loc + self.scale * special.ndtri(p)
 
 
 @dataclass(frozen=True)
@@ -244,13 +250,13 @@ class StudentT(PredictiveDistribution):
         if not np.all(np.isfinite(self.loc)):
             raise ValueError("location must be finite")
 
-    def cdf(self, y):
+    def _cdf(self, y):
         # The tail P(T > |t|) is betainc(df/2, 1/2, df / (df + t^2)), but near
         # the centre that argument rounds to 1. For t^2 < min(df, 1), where the
         # tail is above 0.15 and nothing cancels, it is taken as
         # 1/2 - P(|T| < |t|)/2 instead. Either way one betainc call per point.
         df, half_df = self.df, 0.5 * self.df
-        t = (np.asarray(y, dtype=float) - self.loc) / self.scale
+        t = (y - self.loc) / self.scale
         t2 = t * t
         near = t2 < min(df, 1.0)
         ib = special.betainc(
@@ -259,7 +265,7 @@ class StudentT(PredictiveDistribution):
             np.where(near, t2, df) / (df + t2),
         )
         tail = np.where(near, 0.5 - 0.5 * ib, 0.5 * ib)
-        return _scalar_or_array(np.where(t <= 0.0, tail, 1.0 - tail))
+        return np.where(t <= 0.0, tail, 1.0 - tail)
 
     def _crps(self, y):
         """Closed-form CRPS; df > 1, which ``calibration.crps`` checks first.
@@ -275,16 +281,15 @@ class StudentT(PredictiveDistribution):
         which is built from betaln so nothing overflows at large df.
         """
         v = self.df
-        y = np.asarray(y, dtype=float)
         z = (y - self.loc) / self.scale
         log_b = float(special.betaln(0.5, 0.5 * v))
         k = math.exp(math.log(2.0) + 0.5 * math.log(v) - math.log(v - 1.0) - log_b)
         ratio = math.exp(float(special.betaln(0.5, v - 0.5)) - log_b)
         decay = np.exp(-0.5 * (v - 1.0) * np.log1p(z * z / v))
-        return _scalar_or_array(self.scale * (z * (2.0 * self.cdf(y) - 1.0) + k * (decay - ratio)))
+        return self.scale * (z * (2.0 * self._cdf(y) - 1.0) + k * (decay - ratio))
 
     def _logdensity(self, y):
-        t = (np.asarray(y, dtype=float) - self.loc) / self.scale
+        t = (y - self.loc) / self.scale
         lognorm = (
             special.gammaln(0.5 * (self.df + 1.0))
             - special.gammaln(0.5 * self.df)
@@ -293,28 +298,118 @@ class StudentT(PredictiveDistribution):
         )
         return lognorm - 0.5 * (self.df + 1.0) * np.log1p(t * t / self.df)
 
-    def density(self, y):
-        return _scalar_or_array(np.exp(self._logdensity(y)))
-
     def sample(self, n, rng):
         draws = _as_rng(rng).standard_t(self.df, size=int(n))
         return self.loc + self.scale * draws
 
-    def has_mass(self, lo, hi):
-        return _bool_or_array(np.less(lo, hi))
+    def _quantile(self, p):
+        return self.loc + self.scale * special.stdtrit(self.df, p)
+
+
+@dataclass(frozen=True)
+class TruncatedNormal(PredictiveDistribution):
+    """Normal(loc, scale) conditioned on Y >= lower.
+
+    Serves as the support-respecting oracle in experiments; lower = -inf
+    gives back the plain normal. ``loc`` may be an array, one oracle per row;
+    the CDF, density and closed-form CRPS then broadcast.
+    """
+
+    loc: float
+    scale: float
+    lower: float = -math.inf
+
+    kind = "continuous"
+    family = "truncated_normal"
+
+    def __post_init__(self):
+        if not (self.scale > 0.0 and np.isfinite(self.scale)):
+            raise ValueError(f"scale must be positive, got {self.scale}")
+        if not np.all(np.isfinite(self.loc)):
+            raise ValueError("location must be finite")
+        if np.any(self._tail_mass() < _MIN_FEASIBLE_MASS):
+            raise DataError(
+                f"truncation region has mass < {_MIN_FEASIBLE_MASS} "
+                f"(loc={self.loc}, scale={self.scale}, lower={self.lower})"
+            )
+
+    def _standard_lower(self):
+        return (self.lower - self.loc) / self.scale
+
+    def _tail_mass(self):
+        """Kept mass Q(a) = Phi(-a), which keeps its relative accuracy however deep."""
+        return special.ndtr(-self._standard_lower())
+
+    def _cdf(self, y):
+        # (Phi(z) - Phi(a)) / Q(a) cancels to nothing when both are near 1,
+        # so a truncation point above the mean takes (Q(a) - Q(z)) / Q(a)
+        a, z = self._standard_lower(), (y - self.loc) / self.scale
+        m = special.ndtr(-a)
+        kept = np.where(a < 0.0, special.ndtr(z) - special.ndtr(a), m - special.ndtr(-z))
+        return np.clip(np.where(y < self.lower, 0.0, kept / m), 0.0, 1.0)
+
+    def _crps(self, y):
+        """Closed-form CRPS of the lower-truncated normal.
+
+        The form of Thorarinsdottir & Gneiting (2010, JRSS-A 173) and of
+        scoringRules' crps_tnorm (Jordan, Krueger & Lerch 2019), written
+        with upper tails Q = 1 - Phi so that deep truncation keeps its
+        precision. With a = (lower - loc) / scale, kept mass m = Q(a) and
+        z = (max(y, lower) - loc) / scale, the standardised score is
+
+            z + 2 (phi(z) - z Q(z)) / m - Q(sqrt(2) a) / (sqrt(pi) m^2);
+
+        it is scaled by scale, and an observation below lower adds the
+        exact (lower - y). lower = -inf gives the normal form.
+        """
+        a = self._standard_lower()
+        m = special.ndtr(-a)
+        z = (np.maximum(y, self.lower) - self.loc) / self.scale
+        pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        std = (
+            z
+            + 2.0 * (pdf - z * special.ndtr(-z)) / m
+            - special.ndtr(-math.sqrt(2.0) * a) / (math.sqrt(math.pi) * m * m)
+        )
+        return self.scale * std + np.maximum(self.lower - y, 0.0)
+
+    def _logdensity(self, y):
+        z = (y - self.loc) / self.scale
+        log_base = -0.5 * z * z - np.log(self.scale * math.sqrt(2.0 * math.pi) * self._tail_mass())
+        return np.where(y < self.lower, -np.inf, log_base)
+
+    def sample(self, n, rng):
+        u = _as_rng(rng).uniform(size=int(n))
+        return _truncnorm_inverse(u, self.loc, self.scale, self.lower)
+
+    def support(self) -> tuple[float, float]:
+        return float(self.lower), math.inf
 
     def _quantile(self, p):
-        return _scalar_or_array(self.loc + self.scale * special.stdtrit(self.df, p))
+        # Phi(z) = Phi(a) + p Q(a) when the quantile lies below the centre,
+        # Q(z) = (1 - p) Q(a) above it: each form keeps the relative accuracy
+        # of its own tail, the second however deep the truncation
+        a = self._standard_lower()
+        kept = special.ndtr(-a)
+        below = special.ndtr(a) + p * kept
+        z = np.where(below < 0.5, special.ndtri(below), -special.ndtri((1.0 - p) * kept))
+        return np.maximum(self.loc + self.scale * z, self.lower)
+
+
+def _truncnorm_inverse(u, loc, scale, lower):
+    """Map uniforms to Normal(loc, scale | Y >= lower) by CDF inversion."""
+    fa = 0.0 if math.isinf(lower) else special.ndtr((lower - loc) / scale)
+    q = fa + u * (1.0 - fa)
+    # a generator can emit u = 0 exactly; keep the probit argument interior
+    q = np.clip(q, 1e-16, 1.0 - 1e-16)
+    y = loc + scale * special.ndtri(q)
+    # rounding in fa + u*(1-fa) can land half an ulp below fa; pin the floor
+    return np.maximum(y, lower)
 
 
 # ---------------------------------------------------------------------------
 # discrete families
 # ---------------------------------------------------------------------------
-
-
-def _is_integral(y) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
-    return np.isfinite(y) & (np.floor(y) == y)
 
 
 # coefficients of rate^(m+1), m = 10 down to 1, in Poisson._crps's small-rate series
@@ -334,27 +429,19 @@ class Poisson(PredictiveDistribution):
         if not (self.rate > 0.0 and np.isfinite(self.rate)):
             raise ValueError(f"rate must be positive, got {self.rate}")
 
-    def cdf(self, y):
-        y = np.asarray(y, dtype=float)
+    def _cdf(self, y):
         k = np.floor(y)
         with np.errstate(invalid="ignore"):
             out = np.where(k < 0.0, 0.0, special.pdtr(np.maximum(k, 0.0), self.rate))
-        out = np.where(np.isposinf(y), 1.0, out)
-        return _scalar_or_array(out)
+        return np.where(np.isposinf(y), 1.0, out)
 
-    def cdf_left(self, y):
-        y = np.asarray(y, dtype=float)
-        at_atom = _is_integral(y) & (y >= 0.0)
-        out = self.cdf(np.where(at_atom, y - 1.0, y))
-        return _scalar_or_array(np.asarray(out))
+    def _cdf_left(self, y):
+        return self._cdf(np.where(self._has_atom(y), y - 1.0, y))
 
-    def density(self, y):
-        y = np.asarray(y, dtype=float)
-        ok = _is_integral(y) & (y >= 0.0)
-        k = np.where(ok, y, 0.0)
-        logpmf = k * math.log(self.rate) - self.rate - special.gammaln(k + 1.0)
-        out = np.where(ok, np.exp(logpmf), 0.0)
-        return _scalar_or_array(out)
+    def _logdensity(self, y):
+        atom = self._has_atom(y)
+        k = np.where(atom, y, 0.0)
+        return np.where(atom, k * math.log(self.rate) - self.rate - special.gammaln(k + 1.0), -np.inf)
 
     def _crps(self, y):
         """Closed-form CRPS, E|X - y| - E|X - X'| / 2 (Wei & Held 2014, TEST 23).
@@ -370,7 +457,6 @@ class Poisson(PredictiveDistribution):
         so its power series sum_m (-1)^(m+1) C(2m, m) rate^(m+1) / (m+1)!
         is summed instead (ten terms reach 1e-16 relative).
         """
-        y = np.asarray(y, dtype=float)
         rate = self.rate
         k = np.floor(y)
         at = np.where(k >= 0.0, special.pdtr(np.maximum(k, 0.0), rate), 0.0)
@@ -378,20 +464,19 @@ class Poisson(PredictiveDistribution):
         steps = 2.0 * (y * at - rate * below)
         if rate < 0.05:
             excess = rate * rate * np.polyval(_POISSON_EXCESS_SERIES, rate)
-            return _scalar_or_array(excess - y + steps)
+            return excess - y + steps
         spread = rate * (special.i0e(2.0 * rate) + special.i1e(2.0 * rate))
         # rate - y first: it is exact for y near rate, where the score is small
-        return _scalar_or_array(rate - y + steps - spread)
+        return rate - y + steps - spread
 
     def sample(self, n, rng):
         return _as_rng(rng).poisson(self.rate, size=int(n)).astype(float)
 
-    def has_atom(self, y):
-        y = np.asarray(y, dtype=float)
-        return _bool_or_array(_is_integral(y) & (y >= 0.0))
+    def _has_atom(self, y):
+        return np.isfinite(y) & (np.floor(y) == y) & (y >= 0.0)
 
-    def has_mass(self, lo, hi):
-        return _bool_or_array(np.ceil(np.maximum(lo, 0.0)) <= np.floor(hi))
+    def _has_mass(self, lo, hi):
+        return np.ceil(np.maximum(lo, 0.0)) <= np.floor(hi)
 
     def atoms_between(self, lo: float, hi: float) -> np.ndarray:
         """Integer support points in [lo, hi]; both bounds must be finite."""
@@ -447,36 +532,25 @@ class Empirical(PredictiveDistribution):
         object.__setattr__(self, "observations", tuple(obs.tolist()))
         object.__setattr__(self, "_obs", obs)
 
-    def cdf(self, y):
-        y = np.asarray(y, dtype=float)
-        out = np.searchsorted(self._obs, y, side="right") / self._obs.size
-        return _scalar_or_array(out.astype(float))
+    def _cdf(self, y):
+        return np.searchsorted(self._obs, y, side="right") / self._obs.size
 
-    def cdf_left(self, y):
-        y = np.asarray(y, dtype=float)
-        out = np.searchsorted(self._obs, y, side="left") / self._obs.size
-        return _scalar_or_array(out.astype(float))
+    def _cdf_left(self, y):
+        return np.searchsorted(self._obs, y, side="left") / self._obs.size
 
-    def density(self, y):
-        y = np.asarray(y, dtype=float)
-        hi = np.searchsorted(self._obs, y, side="right")
-        lo = np.searchsorted(self._obs, y, side="left")
-        out = (hi - lo) / self._obs.size
-        return _scalar_or_array(out.astype(float))
+    def _density(self, y):
+        counts = np.searchsorted(self._obs, y, side="right") - np.searchsorted(self._obs, y, side="left")
+        return counts / self._obs.size
 
     def sample(self, n, rng):
         idx = _as_rng(rng).integers(0, self._obs.size, size=int(n))
         return self._obs[idx]
 
-    def has_atom(self, y):
-        lo = np.searchsorted(self._obs, y, side="left")
-        hi = np.searchsorted(self._obs, y, side="right")
-        return _bool_or_array(hi > lo)
+    def _has_atom(self, y):
+        return self._has_mass(y, y)
 
-    def has_mass(self, lo, hi):
-        i = np.searchsorted(self._obs, lo, side="left")
-        j = np.searchsorted(self._obs, hi, side="right")
-        return _bool_or_array(j > i)
+    def _has_mass(self, lo, hi):
+        return np.searchsorted(self._obs, hi, side="right") > np.searchsorted(self._obs, lo, side="left")
 
     def atoms_between(self, lo, hi):
         uniq = np.unique(self._obs)
@@ -521,25 +595,23 @@ class Mixture(PredictiveDistribution):
         object.__setattr__(self, "_w", w)
         object.__setattr__(self, "kind", kinds.pop())
 
-    def cdf(self, y):
-        y = np.asarray(y, dtype=float)
-        out = sum(w * np.asarray(c.cdf(y)) for w, c in zip(self._w, self.components))
-        return _scalar_or_array(np.asarray(out))
+    def _weighted_sum(self, method: str, y):
+        """Sum over components of weight times the component's ``method`` at y."""
+        return sum(w * getattr(c, method)(y) for w, c in zip(self._w, self.components))
 
-    def cdf_left(self, y):
-        y = np.asarray(y, dtype=float)
-        out = sum(w * np.asarray(c.cdf_left(y)) for w, c in zip(self._w, self.components))
-        return _scalar_or_array(np.asarray(out))
+    def _cdf(self, y):
+        return self._weighted_sum("cdf", y)
 
-    def density(self, y):
-        y = np.asarray(y, dtype=float)
-        out = sum(w * np.asarray(c.density(y)) for w, c in zip(self._w, self.components))
-        return _scalar_or_array(np.asarray(out))
+    def _cdf_left(self, y):
+        return self._weighted_sum("cdf_left", y)
+
+    def _density(self, y):
+        return self._weighted_sum("density", y)
 
     def _logdensity(self, y):
         with np.errstate(divide="ignore"):
             log_w = np.log(self._w)
-        terms = [lw + np.asarray(c._logdensity(y)) for lw, c in zip(log_w, self.components)]
+        terms = [lw + c._logdensity(y) for lw, c in zip(log_w, self.components)]
         return np.logaddexp.reduce(terms, axis=0)
 
     def sample(self, n, rng):
@@ -554,19 +626,19 @@ class Mixture(PredictiveDistribution):
                 out[mask] = comp.sample(cnt, rng)
         return out
 
-    def has_atom(self, y):
-        out = np.zeros(np.shape(y), dtype=bool)
-        for w, c in zip(self._w, self.components):
-            if w > 0.0:
-                out |= c.has_atom(y)
-        return _bool_or_array(out)
+    def _weighted_parts(self) -> list[PredictiveDistribution]:
+        return [c for w, c in zip(self._w, self.components) if w > 0.0]
 
-    def has_mass(self, lo, hi):
-        out = np.zeros(np.broadcast_shapes(np.shape(lo), np.shape(hi)), dtype=bool)
-        for w, c in zip(self._w, self.components):
-            if w > 0.0:
-                out |= c.has_mass(lo, hi)
-        return _bool_or_array(out)
+    def support(self) -> tuple[float, float]:
+        """Hull of the supports of the components with positive weight."""
+        los, his = zip(*(c.support() for c in self._weighted_parts()))
+        return min(los), max(his)
+
+    def _has_atom(self, y):
+        return np.any([c.has_atom(y) for c in self._weighted_parts()], axis=0)
+
+    def _has_mass(self, lo, hi):
+        return np.any([c.has_mass(lo, hi) for c in self._weighted_parts()], axis=0)
 
     def atoms_between(self, lo, hi):
         pieces = [c.atoms_between(lo, hi) for c in self.components]

@@ -31,7 +31,12 @@ from .calibration import (
 )
 from .exceptions import DataError
 from .leakage import Evidence, leakage
-from .predictive import PredictiveDistribution, _bool_or_array, _scalar_or_array
+from .predictive import (
+    _MIN_FEASIBLE_MASS,
+    TruncatedNormal,
+    _scalar_or_array,
+    _truncnorm_inverse,
+)
 from .regression import Dataset, FitResult, ModelSpec, fit_model, predictive_rows
 
 __all__ = [
@@ -40,125 +45,10 @@ __all__ = [
     "DEFAULT_TRUNCATED_CONFIG",
     "ImpossibilityReport",
     "SimConfig",
-    "TruncatedNormal",
     "gen_callcenter_like",
     "gen_truncated_regression",
     "impossibility_experiment",
 ]
-
-_MIN_FEASIBLE_MASS = 1e-12
-
-
-@dataclass(frozen=True)
-class TruncatedNormal(PredictiveDistribution):
-    """Normal(loc, scale) conditioned on Y >= lower.
-
-    Serves as the support-respecting oracle in experiments; lower = -inf
-    gives back the plain normal. ``loc`` may be an array, one oracle per row;
-    the CDF, density and closed-form CRPS then broadcast.
-    """
-
-    loc: float
-    scale: float
-    lower: float = -math.inf
-
-    kind = "continuous"
-    family = "truncated_normal"
-
-    def __post_init__(self):
-        if not (self.scale > 0.0 and np.isfinite(self.scale)):
-            raise ValueError(f"scale must be positive, got {self.scale}")
-        if not np.all(np.isfinite(self.loc)):
-            raise ValueError("location must be finite")
-        if np.any(self._tail_mass() < _MIN_FEASIBLE_MASS):
-            raise DataError(
-                f"truncation region has mass < {_MIN_FEASIBLE_MASS} "
-                f"(loc={self.loc}, scale={self.scale}, lower={self.lower})"
-            )
-
-    def _standard_lower(self):
-        return (self.lower - self.loc) / self.scale
-
-    def _tail_mass(self):
-        """Kept mass Q(a) = Phi(-a), which keeps its relative accuracy however deep."""
-        return special.ndtr(-self._standard_lower())
-
-    def cdf(self, y):
-        # (Phi(z) - Phi(a)) / Q(a) cancels to nothing when both are near 1,
-        # so a truncation point above the mean takes (Q(a) - Q(z)) / Q(a)
-        y = np.asarray(y, dtype=float)
-        a, z = self._standard_lower(), (y - self.loc) / self.scale
-        m = special.ndtr(-a)
-        kept = np.where(a < 0.0, special.ndtr(z) - special.ndtr(a), m - special.ndtr(-z))
-        return _scalar_or_array(np.clip(np.where(y < self.lower, 0.0, kept / m), 0.0, 1.0))
-
-    def _crps(self, y):
-        """Closed-form CRPS of the lower-truncated normal.
-
-        The form of Thorarinsdottir & Gneiting (2010, JRSS-A 173) and of
-        scoringRules' crps_tnorm (Jordan, Krueger & Lerch 2019), written
-        with upper tails Q = 1 - Phi so that deep truncation keeps its
-        precision. With a = (lower - loc) / scale, kept mass m = Q(a) and
-        z = (max(y, lower) - loc) / scale, the standardised score is
-
-            z + 2 (phi(z) - z Q(z)) / m - Q(sqrt(2) a) / (sqrt(pi) m^2);
-
-        it is scaled by scale, and an observation below lower adds the
-        exact (lower - y). lower = -inf gives the normal form.
-        """
-        y = np.asarray(y, dtype=float)
-        a = self._standard_lower()
-        m = special.ndtr(-a)
-        z = (np.maximum(y, self.lower) - self.loc) / self.scale
-        pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-        std = (
-            z
-            + 2.0 * (pdf - z * special.ndtr(-z)) / m
-            - special.ndtr(-math.sqrt(2.0) * a) / (math.sqrt(math.pi) * m * m)
-        )
-        return _scalar_or_array(self.scale * std + np.maximum(self.lower - y, 0.0))
-
-    def _logdensity(self, y):
-        y = np.asarray(y, dtype=float)
-        z = (y - self.loc) / self.scale
-        log_base = -0.5 * z * z - np.log(self.scale * math.sqrt(2.0 * math.pi) * self._tail_mass())
-        return np.where(y < self.lower, -np.inf, log_base)
-
-    def density(self, y):
-        return _scalar_or_array(np.exp(self._logdensity(y)))
-
-    def sample(self, n, rng):
-        rng = np.random.default_rng(rng)
-        u = rng.uniform(size=int(n))
-        return _truncnorm_inverse(u, self.loc, self.scale, self.lower)
-
-    def has_mass(self, lo, hi):
-        return _bool_or_array(np.less(lo, hi) & np.greater(hi, self.lower))
-
-    def support(self) -> tuple[float, float]:
-        """Smallest closed interval containing all positive density."""
-        return float(self.lower), math.inf
-
-    def _quantile(self, p):
-        # Phi(z) = Phi(a) + p Q(a) when the quantile lies below the centre,
-        # Q(z) = (1 - p) Q(a) above it: each form keeps the relative accuracy
-        # of its own tail, the second however deep the truncation
-        a = self._standard_lower()
-        kept = special.ndtr(-a)
-        below = special.ndtr(a) + p * kept
-        z = np.where(below < 0.5, special.ndtri(below), -special.ndtri((1.0 - p) * kept))
-        return _scalar_or_array(np.maximum(self.loc + self.scale * z, self.lower))
-
-
-def _truncnorm_inverse(u, loc, scale, lower):
-    """Map uniforms to Normal(loc, scale | Y >= lower) by CDF inversion."""
-    fa = 0.0 if math.isinf(lower) else special.ndtr((lower - loc) / scale)
-    q = fa + u * (1.0 - fa)
-    # a generator can emit u = 0 exactly; keep the probit argument interior
-    q = np.clip(q, 1e-16, 1.0 - 1e-16)
-    y = loc + scale * special.ndtri(q)
-    # rounding in fa + u*(1-fa) can land half an ulp below fa; pin the floor
-    return np.maximum(y, lower)
 
 
 def _truncated_draws(rng, mu, sd, lower):

@@ -82,6 +82,21 @@ def test_student_t_cdf_keeps_relative_accuracy_in_the_tails(df):
     np.testing.assert_allclose(1.0 - d.cdf(-ts), want, rtol=1e-10, atol=1e-16)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="the CDF drops where it switches from the centre form to the tail form at |t| = 1",
+)
+@pytest.mark.parametrize("df", [1998.0, 1e5])
+def test_student_t_cdf_is_monotone_across_the_branch_switch(df):
+    # the 101 adjacent floats around t = -1 and t = 1; rounding alone moves
+    # the CDF down by an ulp or two (~1e-16), the switch by 8.5e-15 at df 1998
+    ulps = np.arange(-50, 51)
+    one = (np.array(1.0).view(np.int64) + ulps).view(np.float64)
+    d = StudentT(df=df)
+    for ts in (-one[::-1], one):
+        assert np.min(np.diff(d.cdf(ts))) >= -1e-15
+
+
 def test_student_t_cdf_scalar_and_array_paths_agree():
     d = StudentT(df=2.5, loc=0.3, scale=1.7)
     ys = np.array([-np.inf, -1e6, -40.0, -2.0, 0.3, 0.30001, 1.9, 2.4, 60.0, 1e9, np.inf])

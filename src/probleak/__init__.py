@@ -6,7 +6,13 @@ percentage giving 10% probability to negative outcomes. The package fits
 flat-prior normal linear regressions (whose predictive is Student t), scores
 their leakage against evidence declarations, applies strict falsification
 semantics, and shows what leakage does to forecast calibration and scoring.
+
+The package logs under the ``probleak`` logger, which carries a
+``NullHandler``: nothing is printed unless the application configures
+logging.
 """
+
+import logging
 
 from .calibration import (
     CalibrationReport,
@@ -73,6 +79,8 @@ from .simulation import (
 )
 
 __version__ = "0.1.0"
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "__version__",

@@ -38,6 +38,7 @@ tail underflows.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -45,7 +46,7 @@ import numpy as np
 from scipy import special
 
 from .exceptions import ModelError
-from .predictive import Mixture, PredictiveDistribution, StudentT, _scalar_or_array
+from .predictive import Mixture, PredictiveDistribution, StudentT, _batch_shape, _scalar_or_array
 
 __all__ = [
     "CalibrationReport",
@@ -85,29 +86,39 @@ class ForecastCase:
     A case may also be a batch of instances: a continuous predictive with
     array parameters and an array of outcomes of the same shape, one per
     row. Every function here treats it as that many cases, in row order.
+    ``observed`` is kept as a Python float for one outcome and as a float
+    array for a batch.
     """
 
     predictive: PredictiveDistribution
     observed: float | np.ndarray
 
     def __post_init__(self):
-        if np.ndim(self.observed):
-            object.__setattr__(self, "observed", np.asarray(self.observed, dtype=float))
-        if not np.all(np.isfinite(self.observed)):
-            raise ValueError(f"observed value must be finite, got {self.observed}")
+        observed = _finite_outcome(self.observed, "observed value")
+        object.__setattr__(self, "observed", observed)
         shape = _batch_shape(self.predictive)
-        if np.shape(self.observed) != shape:
+        if getattr(observed, "shape", ()) != shape:
             raise ValueError(
-                f"observed has shape {np.shape(self.observed)}, "
+                f"observed has shape {np.shape(observed)}, "
                 f"the predictive's batch has shape {shape}"
             )
 
 
-def _batch_shape(dist: PredictiveDistribution) -> tuple:
-    """() for one predictive; the shape of ``loc``/``scale`` for a batch."""
-    if dist.kind != "continuous" or not hasattr(dist, "loc"):
-        return ()
-    return np.broadcast_shapes(np.shape(dist.loc), np.shape(dist.scale))
+def _finite_outcome(y, what: str):
+    """``y`` as a Python float if 0-d, else as a float array; all finite.
+
+    One outcome is checked with ``math.isfinite``, which costs a fraction
+    of the array check.
+    """
+    y = np.asarray(y, dtype=float)
+    if y.ndim == 0:
+        y = float(y)
+        finite = math.isfinite(y)
+    else:
+        finite = np.all(np.isfinite(y))
+    if not finite:
+        raise ValueError(f"{what} must be finite, got {y}")
+    return y
 
 
 def _pooled(cases: Sequence[ForecastCase]) -> np.ndarray:
@@ -256,10 +267,12 @@ def crps(dist: PredictiveDistribution, y):
     breakpoints, dropping atoms that carry less than 1e-13 total tail mass,
     which perturbs the integral by far less than that. These two score one
     outcome per call.
+
+    One outcome reaches the closed form as a Python float, through the same
+    ``_crps`` body as an array and with the same bits per value, at a
+    fraction of the 0-d array's cost.
     """
-    y = np.asarray(y, dtype=float)
-    if not np.all(np.isfinite(y)):
-        raise ValueError("observation must be finite")
+    y = _finite_outcome(y, "observation")
     _require_finite_mean(dist)
     closed_form = getattr(dist, "_crps", None)
     if closed_form is not None:

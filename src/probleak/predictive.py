@@ -18,12 +18,14 @@ The base class converts the points once to a float array, calls a hook
 that works on arrays, and gives a 0-d answer back as a float or a bool. A
 family supplies ``_cdf``, ``_logdensity`` (``density`` is its exp, unless
 the family overrides ``_density``, as the mixture's weighted sum and the
-empirical counts do), ``_quantile`` and ``sample``; a discrete family also
+empirical counts do), ``_quantile`` and ``_sample``; a discrete family also
 ``_cdf_left``, ``_has_atom`` and ``_has_mass``. A continuous family has no
 atoms, and has mass exactly where a window meets ``support()`` with positive
 length, so it overrides ``support()`` only where that is narrower than the
-whole line. Families with a closed-form CRPS define ``_crps`` on arrays,
-which ``calibration.crps`` calls.
+whole line. Families with a closed-form CRPS define ``_crps``, which
+``calibration.crps`` calls with a float array or, for one outcome, a Python
+float: one body serves both, with no scalar twin, and gives the same bits
+for a value either way.
 
 Student-t CDFs go through the regularized incomplete beta function so tail
 probabilities keep relative accuracy. Normal and Student-t quantiles are
@@ -33,17 +35,22 @@ found by bracketed bisection on the CDF refined with Newton steps.
 Normal, Student t and the truncated normal also take array ``loc`` (and the
 first two array ``scale``): such an object is a batch with one predictive per
 row, and ``cdf``, ``density``, ``quantile`` and the closed-form CRPS
-broadcast the argument against the parameters.
+broadcast the argument against the parameters. ``sample`` refuses a batch,
+since one draw count cannot serve every row.
 
 All objects are immutable after construction and safe to share across
-threads. Sampling takes its generator (or an integer seed) explicitly; there
-is no global random state anywhere in the package.
+threads. The one memo, Poisson's rate-only CRPS term, is computed on first
+use from the immutable rate and stored on that instance only; two threads
+that race to fill it store equal values. Sampling takes its generator (or
+an integer seed) explicitly; there is no global random state anywhere in
+the package.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -65,19 +72,22 @@ _QUANTILE_PROB_TOL = 1e-12  # stop Newton polish below this CDF error
 _MIN_FEASIBLE_MASS = 1e-12  # least kept mass of a truncated normal
 
 
-def _as_rng(rng) -> np.random.Generator:
-    """Accept an integer seed or an existing Generator."""
-    return np.random.default_rng(rng)
-
-
 def _scalar_or_array(values):
     """A 0-d result comes back as a Python float, anything else as an array."""
-    return float(values) if np.ndim(values) == 0 else values
+    # getattr, not np.ndim: this runs on every scalar call of the surface
+    return values if getattr(values, "ndim", 0) else float(values)
 
 
 def _bool_or_array(values):
     """A 0-d answer comes back as a bool, anything else as an array."""
-    return bool(values) if np.ndim(values) == 0 else values
+    return values if getattr(values, "ndim", 0) else bool(values)
+
+
+def _batch_shape(dist) -> tuple:
+    """() for one predictive; the shape of ``loc``/``scale`` for a batch."""
+    if dist.kind != "continuous" or not hasattr(dist, "loc"):
+        return ()
+    return np.broadcast_shapes(np.shape(dist.loc), np.shape(dist.scale))
 
 
 class PredictiveDistribution:
@@ -107,6 +117,16 @@ class PredictiveDistribution:
         if not (isinstance(p, (int, float, np.floating)) and 0.0 < p < 1.0):
             raise ValueError(f"quantile level must lie in (0, 1), got {p!r}")
         return _scalar_or_array(self._quantile(float(p)))
+
+    def sample(self, n, rng) -> np.ndarray:
+        """n independent draws; ``rng`` is a Generator or an integer seed."""
+        shape = _batch_shape(self)
+        if shape:
+            raise ValueError(
+                f"cannot sample a batch of predictives with shape {shape}: "
+                "one draw count cannot serve every row"
+            )
+        return self._sample(int(n), np.random.default_rng(rng))
 
     def support(self) -> tuple[float, float]:
         """Smallest closed interval holding all the mass."""
@@ -218,8 +238,8 @@ class Normal(PredictiveDistribution):
         std = z * special.erf(z / math.sqrt(2.0)) + 2.0 * pdf - 1.0 / math.sqrt(math.pi)
         return self.scale * std
 
-    def sample(self, n, rng):
-        return _as_rng(rng).normal(self.loc, self.scale, size=int(n))
+    def _sample(self, n, rng):
+        return rng.normal(self.loc, self.scale, size=n)
 
     def _quantile(self, p):
         return self.loc + self.scale * special.ndtri(p)
@@ -298,9 +318,8 @@ class StudentT(PredictiveDistribution):
         )
         return lognorm - 0.5 * (self.df + 1.0) * np.log1p(t * t / self.df)
 
-    def sample(self, n, rng):
-        draws = _as_rng(rng).standard_t(self.df, size=int(n))
-        return self.loc + self.scale * draws
+    def _sample(self, n, rng):
+        return self.loc + self.scale * rng.standard_t(self.df, size=n)
 
     def _quantile(self, p):
         return self.loc + self.scale * special.stdtrit(self.df, p)
@@ -378,9 +397,8 @@ class TruncatedNormal(PredictiveDistribution):
         log_base = -0.5 * z * z - np.log(self.scale * math.sqrt(2.0 * math.pi) * self._tail_mass())
         return np.where(y < self.lower, -np.inf, log_base)
 
-    def sample(self, n, rng):
-        u = _as_rng(rng).uniform(size=int(n))
-        return _truncnorm_inverse(u, self.loc, self.scale, self.lower)
+    def _sample(self, n, rng):
+        return _truncnorm_inverse(rng.uniform(size=n), self.loc, self.scale, self.lower)
 
     def support(self) -> tuple[float, float]:
         return float(self.lower), math.inf
@@ -452,25 +470,38 @@ class Poisson(PredictiveDistribution):
 
         where i0e, i1e are the exponentially scaled Bessel functions, so
         nothing overflows at large rates. F(k) = 0 for k < 0 makes the form
-        exact for any real y: negative, between atoms or past the tail.
-        Below rate 0.05, rate - rate (i0e + i1e), about rate², would cancel,
-        so its power series sum_m (-1)^(m+1) C(2m, m) rate^(m+1) / (m+1)!
-        is summed instead (ten terms reach 1e-16 relative).
+        exact for any real y: negative, between atoms or past the tail; the
+        factor (k >= 0) sets it, and pdtr sees no negative k, where it gives
+        nan. One body serves a Python float and an array alike. The terms
+        that depend on the rate alone come from ``_crps_rate_terms``, which
+        this instance computes once.
         """
         rate = self.rate
         k = np.floor(y)
-        at = np.where(k >= 0.0, special.pdtr(np.maximum(k, 0.0), rate), 0.0)
-        below = np.where(k >= 1.0, special.pdtr(np.maximum(k - 1.0, 0.0), rate), 0.0)
+        at = special.pdtr(np.maximum(k, 0.0), rate) * (k >= 0.0)
+        below = special.pdtr(np.maximum(k - 1.0, 0.0), rate) * (k >= 1.0)
         steps = 2.0 * (y * at - rate * below)
-        if rate < 0.05:
-            excess = rate * rate * np.polyval(_POISSON_EXCESS_SERIES, rate)
-            return excess - y + steps
-        spread = rate * (special.i0e(2.0 * rate) + special.i1e(2.0 * rate))
-        # rate - y first: it is exact for y near rate, where the score is small
-        return rate - y + steps - spread
+        lead, spread = self._crps_rate_terms
+        # lead - y first: with lead = rate it is exact for y near rate, where the score is small
+        return lead - y + steps - spread
 
-    def sample(self, n, rng):
-        return _as_rng(rng).poisson(self.rate, size=int(n)).astype(float)
+    @cached_property
+    def _crps_rate_terms(self) -> tuple[float, float]:
+        """(lead, spread) of the CRPS, lead - y + steps - spread; per instance.
+
+        lead is the rate and spread = rate (i0e(2 rate) + i1e(2 rate)) is
+        E|X - X'| / 2. Below rate 0.05 their difference, about rate², would
+        cancel, so lead is its power series sum_m (-1)^(m+1) C(2m, m)
+        rate^(m+1) / (m+1)! (ten terms reach 1e-16 relative) and spread is 0,
+        whose subtraction changes no bit.
+        """
+        rate = self.rate
+        if rate < 0.05:
+            return rate * rate * np.polyval(_POISSON_EXCESS_SERIES, rate), 0.0
+        return rate, rate * (special.i0e(2.0 * rate) + special.i1e(2.0 * rate))
+
+    def _sample(self, n, rng):
+        return rng.poisson(self.rate, size=n).astype(float)
 
     def _has_atom(self, y):
         return np.isfinite(y) & (np.floor(y) == y) & (y >= 0.0)
@@ -542,9 +573,8 @@ class Empirical(PredictiveDistribution):
         counts = np.searchsorted(self._obs, y, side="right") - np.searchsorted(self._obs, y, side="left")
         return counts / self._obs.size
 
-    def sample(self, n, rng):
-        idx = _as_rng(rng).integers(0, self._obs.size, size=int(n))
-        return self._obs[idx]
+    def _sample(self, n, rng):
+        return self._obs[rng.integers(0, self._obs.size, size=n)]
 
     def _has_atom(self, y):
         return self._has_mass(y, y)
@@ -614,9 +644,7 @@ class Mixture(PredictiveDistribution):
         terms = [lw + c._logdensity(y) for lw, c in zip(log_w, self.components)]
         return np.logaddexp.reduce(terms, axis=0)
 
-    def sample(self, n, rng):
-        rng = _as_rng(rng)
-        n = int(n)
+    def _sample(self, n, rng):
         idx = rng.choice(len(self.components), size=n, p=self._w)
         out = np.empty(n)
         for c_i, comp in enumerate(self.components):

@@ -240,7 +240,10 @@ def test_forecast_case_batch_rejects_a_non_finite_outcome():
 def test_forecast_case_outcome_shape_must_match_the_batch():
     with pytest.raises(ValueError, match=r"shape \(5,\).*shape \(\)"):
         ForecastCase(Normal(0.0, 1.0), np.zeros(5))
-    with pytest.raises(ValueError, match=r"shape \(\).*shape \(3,\)"):
-        ForecastCase(StudentT(3.0, np.zeros(3), 1.0), 0.5)
+    batches = (StudentT(3.0, np.zeros(3), 1.0), Normal(np.zeros(3), 1.0), TruncatedNormal(np.zeros(3), 1.0, 0.0))
+    for one in (0.5, np.float64(0.5), 1, np.array(0.5)):
+        for batch in batches:
+            with pytest.raises(ValueError, match=r"shape \(\).*shape \(3,\)"):
+                ForecastCase(batch, one)
     with pytest.raises(ValueError, match=r"shape \(2,\).*shape \(\)"):
         ForecastCase(Poisson(2.0), [1.0, 2.0])

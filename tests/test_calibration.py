@@ -113,8 +113,14 @@ def test_grouped_pit_equals_the_case_by_case_loop(cases, seed):
 
 
 def test_forecast_case_requires_finite_outcome():
-    with pytest.raises(ValueError):
-        ForecastCase(Normal(0.0, 1.0), math.inf)
+    # a float, an np.float64 and a 0-d array each take the one-outcome path
+    bad = (math.inf, -math.inf, math.nan, np.float64(math.nan), np.float64(-math.inf), np.array(-math.inf))
+    for dist in (Normal(0.0, 1.0), Poisson(3.0), Empirical([0.0, 2.0])):
+        for y in bad:
+            with pytest.raises(ValueError, match="finite"):
+                ForecastCase(dist, y)
+            with pytest.raises(ValueError, match="finite"):
+                crps(dist, y)
 
 
 def test_perfect_forecaster_pits_look_uniform():

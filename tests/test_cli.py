@@ -534,3 +534,14 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "scipy.integrate"]
+
+
+def test_library_logger_is_silent_unless_the_application_configures_logging():
+    import logging
+
+    assert any(isinstance(h, logging.NullHandler) for h in logging.getLogger("probleak").handlers)
+    # without the NullHandler, logging's last-resort handler would print the warning
+    code = "import logging, probleak; logging.getLogger('probleak.calibration').warning('unseen')"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (proc.stdout, proc.stderr) == ("", "")

@@ -12,17 +12,20 @@ import numpy as np
 import pytest
 
 from probleak import Empirical, GridDensity, Mixture, Normal, Poisson, StudentT, TruncatedNormal
+from probleak import Evidence, mc_leakage
 
 INF = math.inf
 
 CASES = {
     "normal": (Normal(1.0, 2.0), (-INF, INF)),
+    "normal_batch": (Normal(np.array([0.0, 1.0, -2.0]), 1.5), (-INF, INF)),
     "student_t": (StudentT(4.5, -1.0, 0.7), (-INF, INF)),
     "student_t_batch": (
         StudentT(6.0, np.array([0.0, 1.0, -2.0]), np.array([1.0, 0.5, 2.0])),
         (-INF, INF),
     ),
     "truncated_normal": (TruncatedNormal(0.5, 1.2, lower=0.25), (0.25, INF)),
+    "truncated_normal_batch": (TruncatedNormal(np.array([0.5, 1.0, 2.0]), 1.2, lower=0.25), (0.25, INF)),
     "poisson": (Poisson(3.5), (0.0, INF)),
     "empirical": (Empirical([2.5, 0.5, 1.0, 1.0]), (0.5, 2.5)),
     "mixture_continuous": (Mixture([Normal(0.0, 1.0), StudentT(3.0, 2.0, 0.5)], [0.3, 0.7]), (-INF, INF)),
@@ -34,7 +37,6 @@ CASES = {
 }
 CONTINUOUS = [k for k, (d, _) in CASES.items() if d.kind == "continuous"]
 DISCRETE = [k for k, (d, _) in CASES.items() if d.kind == "discrete"]
-UNBATCHED = [k for k in CASES if k != "student_t_batch"]  # a batch has no sampler
 
 # a quarter lattice, so integers and the empirical atoms lie on it exactly
 GRID = np.arange(-24, 41) / 4.0
@@ -140,9 +142,17 @@ def test_discrete_atoms_and_pmf_agree(name):
     assert [dist.has_atom(v) for v in y] == atom.tolist()
 
 
-@pytest.mark.parametrize("name", UNBATCHED)
+@pytest.mark.parametrize("name", CASES)
 def test_samples_lie_in_the_support(name):
     dist, (s_lo, s_hi) = CASES[name]
+    if _batch_shape(dist) != ():
+        # one draw count cannot serve every row, not even one equal to the batch size
+        for n in (2000, 3):
+            with pytest.raises(ValueError, match=r"batch of predictives with shape \(3,\)"):
+                dist.sample(n, 7)
+        with pytest.raises(ValueError, match=r"batch of predictives with shape \(3,\)"):
+            mc_leakage(dist, Evidence.interval(0.0, INF), 10_000, 7)
+        return
     draws = dist.sample(2000, 7)
     assert np.all((draws >= s_lo) & (draws <= s_hi))
     if dist.kind == "discrete":

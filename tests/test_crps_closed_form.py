@@ -211,6 +211,55 @@ def test_poisson_closed_form_broadcasts_over_outcomes():
     np.testing.assert_array_equal(got, [crps(dist, float(y)) for y in ys])
 
 
+# ---------------------------------------------------------------------------
+# one outcome scores the same bits as an array of outcomes
+# ---------------------------------------------------------------------------
+
+CLOSED_FORMS = {
+    "normal": Normal(1.0, 2.0),
+    "student_t": StudentT(4.5, -1.0, 0.7),
+    "student_t_df1998": StudentT(1998.0, 0.3, 1.1),
+    "truncated_normal": TruncatedNormal(0.5, 1.2, lower=0.25),
+    "poisson": Poisson(7.0),
+    "poisson_series": Poisson(0.01),  # below rate 0.05, the power series
+}
+# negative, between atoms, on atoms, below the truncation and far out
+OUTCOMES = np.concatenate([np.arange(-3.0, 20.0, 0.25), [-0.0, 0.3, 1e-300, -1e6, 1e6]])
+
+
+def _same_bits(one, many):
+    assert type(one) is float
+    assert np.float64(one).tobytes() == np.float64(many).tobytes(), (one, many)
+
+
+@pytest.mark.parametrize("name", CLOSED_FORMS)
+def test_one_outcome_scores_the_same_bits_as_the_array_call(name):
+    dist = CLOSED_FORMS[name]
+    for y, want in zip(OUTCOMES, crps(dist, OUTCOMES)):
+        for one in (float(y), np.float64(y), np.array(y)) + ((int(y),) if y == int(y) else ()):
+            _same_bits(crps(dist, one), want)
+
+
+@st.composite
+def _dist_and_outcomes(draw):
+    zs = draw(st.lists(_zs, min_size=1, max_size=6))
+    if draw(st.booleans()):
+        rate = 10.0 ** draw(st.floats(-3.0, 4.0))
+        ys = [rate + math.sqrt(rate) * z for z in zs]  # some negative
+        return Poisson(rate), ys + [float(math.floor(y)) for y in ys]
+    loc, scale = draw(_locs), draw(_scales)
+    return draw(_family())(loc, scale, draw(st.floats(-8.0, 6.0))), [loc + scale * z for z in zs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_dist_and_outcomes())
+def test_one_outcome_scores_the_same_bits_as_an_array_over_random_parameters(case):
+    dist, ys = case
+    for y, want in zip(ys, crps(dist, np.array(ys))):
+        for one in (y, np.float64(y), np.array(y)) + ((int(y),) if y == int(y) else ()):
+            _same_bits(crps(dist, one), want)
+
+
 def test_poisson_crps_enumerates_no_atoms():
     crps(Poisson(1e12), 1e12)  # first call outside the trace
     tracemalloc.start()

@@ -52,7 +52,7 @@ def main():
 
     # leakage is a function of where you predict, not a single number
     print("\nleakage along the covariate axis:")
-    grid = [{"x": v} for v in np.linspace(-1.0, 3.0, 9)]
+    grid = {"x": np.linspace(-1.0, 3.0, 9)}
     for rep in leakage_profile(result, support, grid):
         x = rep.x_star["x"]
         print(f"  x* = {x:+.1f}   leakage = {rep.leakage:.4f}")

@@ -37,14 +37,14 @@ from .calibration import (
 )
 from .exceptions import DataError, ModelError
 from .falsification import is_falsified
-from .leakage import Evidence, leakage, leakage_profile, parse_support
+from .leakage import Evidence, LeakageProfile, leakage, leakage_profile, parse_support
+from .predictive import StudentT
 from .regression import (
     Dataset,
-    FitResult,
     ModelSpec,
+    _encode_columns,
     fit_model,
     load_dataset,
-    predictive_at,
     predictive_rows,
 )
 from .simulation import (
@@ -61,6 +61,7 @@ __all__ = ["main"]
 # the most points a --grid or --grid-points curve may have: every point is one
 # float per column and one output row, so a mistyped count is refused up front
 _MAX_GRID_POINTS = 10**6
+_AT_KEYWORDS = ("medians", "minima")
 
 
 class _UsageError(Exception):
@@ -137,10 +138,12 @@ def _check_resolution(resolution) -> None:
         raise _UsageError(f"probleak: error: --resolution must be positive, got {resolution}")
 
 
-def _parse_at(text: str):
-    """--at accepts the keywords medians/minima or a JSON covariate point."""
-    if text in ("medians", "minima"):
-        return text
+def _parse_at(text: str, data: Dataset, spec: ModelSpec) -> dict:
+    """--at as covariate columns: training medians/minima, or a JSON point as
+    one-row object columns, which keep each value as given for the encoder to
+    check and ``x_star`` to echo. A name not in --covariates is refused."""
+    if text in _AT_KEYWORDS:
+        return _training_points(data, spec, text)
     try:
         point = json.loads(text)
     except json.JSONDecodeError:
@@ -149,36 +152,31 @@ def _parse_at(text: str):
         ) from None
     if not isinstance(point, dict):
         raise _UsageError("probleak: error: a JSON --at point must be an object")
-    return point
+    unknown = set(point) - set(spec.covariates)
+    if unknown:
+        raise ModelError(f"unknown covariate(s) in --at point: {sorted(unknown)}")
+    return {name: np.fromiter([value], dtype=object, count=1) for name, value in point.items()}
 
 
-def _training_points(data: Dataset, spec: ModelSpec, how: str) -> list[dict]:
-    """Covariate points at training medians or minima.
+def _training_points(data: Dataset, spec: ModelSpec, how: str) -> dict:
+    """Covariate columns at training medians or minima.
 
     A categorical covariate has no median or minimum, so it expands to one
-    point per observed level (levels in sorted order) and the numeric
+    row per observed level (levels in sorted order) and the numeric
     summaries are shared across the expansion.
     """
-    base = {}
-    cat_axes = []
-    for name in spec.covariates:
-        col = data.column(name)
-        if data.is_numeric(name):
-            base[name] = float(np.median(col) if how == "medians" else col.min())
-        else:
-            cat_axes.append((name, sorted(np.unique(col).tolist())))
-    points = []
-    for combo in itertools.product(*(levels for _, levels in cat_axes)):
-        point = dict(base)
-        for (name, _), level in zip(cat_axes, combo):
-            point[name] = level
-        points.append(point)
-    return points
+    numeric = [name for name in spec.covariates if data.is_numeric(name)]
+    categorical = [name for name in spec.covariates if name not in numeric]
+    combos = list(itertools.product(*(np.unique(data.column(name)) for name in categorical)))
+    summary = np.median if how == "medians" else np.min
+    columns = {name: np.full(len(combos), float(summary(data.column(name)))) for name in numeric}
+    columns.update((name, np.array(levels)) for name, levels in zip(categorical, zip(*combos)))
+    return columns
 
 
-def _predictive_rows(result: FitResult, data: Dataset):
-    """The fit's predictives at every row of a table, as one batch."""
-    return predictive_rows(result, result.column_coding.encode_rows(data.columns))
+def _row(batch: StudentT, i: int) -> StudentT:
+    """Entry i of a batch of predictives as one predictive."""
+    return StudentT(df=batch.df, loc=float(batch.loc[i]), scale=float(batch.scale[i]))
 
 
 def _fit_summary(spec: ModelSpec, result) -> dict:
@@ -209,16 +207,12 @@ def _cmd_fit(args) -> int:
 def _cmd_leak(args) -> int:
     data, spec, result = _load_and_fit(args)
     evidence = _parse_support_arg(args.support)
-    at = _parse_at(args.at)
-    if isinstance(at, str):
-        points, label = _training_points(data, spec, at), at
-    else:
-        points, label = [at], "point"
+    label = args.at if args.at in _AT_KEYWORDS else "point"
     doc = {
         "version": __version__,
         "at": label,
         "support": args.support,
-        "reports": leakage_profile(result, evidence, points).to_json(),
+        "reports": leakage_profile(result, evidence, _parse_at(args.at, data, spec)).to_json(),
     }
     _emit_json(doc, args)
     return 0
@@ -250,24 +244,22 @@ def _cmd_leak_profile(args) -> int:
         raise _UsageError(f"probleak: error: grid covariate {name!r} must be numeric")
     fixed = {}
     if args.at is not None:
-        at = _parse_at(args.at)
-        if not isinstance(at, dict):
+        if args.at in _AT_KEYWORDS:
             raise _UsageError("probleak: error: leak-profile --at takes a JSON object")
-        fixed = at
+        fixed = _parse_at(args.at, data, spec)
     columns = {name: grid}
     for other in spec.covariates:
         if other == name:
             continue
         if other in fixed:
-            value = fixed[other]
+            columns[other] = np.repeat(fixed[other], grid.size)
         elif data.is_numeric(other):
-            value = float(np.median(data.column(other)))
+            columns[other] = np.full(grid.size, float(np.median(data.column(other))))
         else:
             raise _UsageError(
                 f"probleak: error: categorical covariate {other!r} must be pinned "
                 f'via --at, e.g. --at \'{{"{other}": "<level>"}}\''
             )
-        columns[other] = np.full(grid.size, value)
     profile = leakage_profile(result, evidence, columns)
     _emit_text(_csv_text(f"{name},leakage", [grid, profile.leakage]), args.out)
     return 0
@@ -276,9 +268,8 @@ def _cmd_leak_profile(args) -> int:
 def _cmd_falsify(args) -> int:
     _check_resolution(args.resolution)
     data, spec, result = _load_and_fit(args)
-    at = _parse_at(args.at)
-    points = _training_points(data, spec, at) if isinstance(at, str) else [at]
-    if len(points) != 1:
+    X = _encode_columns(result, _parse_at(args.at, data, spec), "point")
+    if len(X) != 1:
         raise _UsageError(
             "probleak: error: falsify needs a single covariate point; pin "
             "categorical levels via a JSON --at"
@@ -286,7 +277,7 @@ def _cmd_falsify(args) -> int:
     mode = {"point": "point_event", "interval": "interval_event"}[args.mode]
     if mode == "interval_event" and args.resolution is None:
         raise _UsageError("probleak: error: --mode interval requires --resolution")
-    dist = predictive_at(result, points[0])
+    dist = predictive_rows(result, X)
     verdict = is_falsified(dist, [args.value], mode=mode, resolution=args.resolution)
     doc = {"version": __version__, **verdict.to_json()}
     _emit_json(doc, args)
@@ -311,7 +302,8 @@ def _cmd_calibrate(args) -> int:
     hold = _subset(data, np.sort(perm[:n_hold]))
     train = _subset(data, np.sort(perm[n_hold:]))
     result = fit_model(train, spec)
-    case = ForecastCase(_predictive_rows(result, hold), hold.column(spec.response))
+    batch = predictive_rows(result, _encode_columns(result, hold.columns))
+    case = ForecastCase(batch, hold.column(spec.response))
     report = calibration_report([case], seed=args.seed)
     doc = {
         "version": __version__,
@@ -429,27 +421,30 @@ def _cmd_report(args) -> int:
     data, spec, result = _load_and_fit(args)
     evidence = _parse_support_arg(args.support)
     null_fit = fit_model(data, ModelSpec(spec.response, ()))
-    null_dist = predictive_at(null_fit, {})
+    null_dist = _row(predictive_rows(null_fit, _encode_columns(null_fit, {})), 0)
 
-    leak_section = {"null_x": leakage(null_dist, evidence).to_json()}
-    med_points = _training_points(data, spec, "medians")
-    for key, points in (
-        ("at_medians", med_points),
-        ("at_minima", _training_points(data, spec, "minima")),
-    ):
-        leak_section[key] = leakage_profile(result, evidence, points).to_json()
+    parts = {f"at_{how}": _training_points(data, spec, how) for how in _AT_KEYWORDS}
     if args.at is not None:
-        at = _parse_at(args.at)
-        if not isinstance(at, dict):
+        if args.at in _AT_KEYWORDS:
             raise _UsageError("probleak: error: report --at takes a JSON object")
-        leak_section["at_point"] = leakage_profile(result, evidence, [at]).to_json()
+        parts["at_point"] = _parse_at(args.at, data, spec)
+    # one batch for every part: design rows are stacked, since the one point
+    # of a model without covariates is an empty mapping, which has no length
+    designs = [_encode_columns(result, columns, key) for key, columns in parts.items()]
+    at_dists = predictive_rows(result, np.concatenate(designs))
+    first = parts["at_medians"]
+    columns = {name: np.concatenate([part[name] for part in parts.values()]) for name in first}
+    reports = iter(LeakageProfile(at_dists, evidence, columns).to_json())
+    leak_section = {"null_x": leakage(null_dist, evidence).to_json()}
+    for key, X in zip(parts, designs):
+        leak_section[key] = list(itertools.islice(reports, len(X)))
 
     # strict falsification of the fitted model against its own training rows:
     # exact observations falsify any continuous predictive, so pass
     # --resolution to ask the finite-precision (interval) question instead
     mode = "interval_event" if args.resolution is not None else "point_event"
     y_train = data.column(spec.response)
-    batch = _predictive_rows(result, data)
+    batch = predictive_rows(result, _encode_columns(result, data.columns))
     verdict = is_falsified(batch, y_train, mode=mode, resolution=args.resolution)
 
     pits = pit([ForecastCase(batch, y_train)], args.seed)
@@ -462,10 +457,11 @@ def _cmd_report(args) -> int:
         "mean_crps": float(np.mean(crps(batch, y_train))),
     }
 
+    categorical = [name for name in spec.covariates if not data.is_numeric(name)]
     dists = [("null", null_dist)]
-    for pt in med_points:
-        levels = [str(pt[name]) for name in spec.covariates if not data.is_numeric(name)]
-        dists.append(("_".join(levels) if levels else "model", predictive_at(result, pt)))
+    for i, report in enumerate(leak_section["at_medians"]):
+        label = "_".join(report["x_star"][name] for name in categorical) or "model"
+        dists.append((label, _row(at_dists, i)))
     Path(args.out_curves).write_text(_density_curves(dists, evidence, args.grid_points))
 
     doc = {

@@ -14,8 +14,8 @@ value. The report carries a ``complete`` flag for that case.
 
 A batch of continuous predictives (array ``loc``/``scale``, as
 ``predictive_rows`` gives) is scored in one call: the masses of the report
-are then arrays. ``leakage_profile`` scores a fit along a list of covariate
-points or covariate columns that way.
+are then arrays. ``leakage_profile`` scores a fit at the points of named
+covariate columns that way, the one form in which covariate points enter.
 """
 
 from __future__ import annotations
@@ -28,9 +28,8 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .exceptions import ModelError
 from .predictive import PredictiveDistribution, _scalar_or_array
-from .regression import FitResult, _design_row, predictive_rows
+from .regression import FitResult, _encode_columns, predictive_rows
 
 __all__ = [
     "Evidence",
@@ -323,17 +322,20 @@ def leakage(dist: PredictiveDistribution, e: Evidence, x_star=None) -> LeakageRe
 
 
 class LeakageProfile(Sequence):
-    """Leakage of one fit at a sequence of covariate points, held as arrays.
+    """Leakage of a batch of predictives at the points of covariate columns.
 
-    ``batch`` is the leakage report of the batch of predictives, its masses
-    arrays in point order; ``leakage`` is the array of totals. Indexing or
-    iterating gives one point's ``LeakageReport``, built when asked for.
+    ``predictive`` is the batch (array ``loc``/``scale``, one entry per
+    point), ``batch`` its leakage report, with masses as arrays in point
+    order, and ``leakage`` the array of totals. Indexing or iterating gives
+    one point's ``LeakageReport``, built when asked for; its ``x_star`` maps
+    each column's name to that point's entry as a Python scalar.
     """
 
-    def __init__(self, batch: LeakageReport, points, n: int):
-        self.batch = batch
-        self._points = points
-        self._n = n
+    def __init__(self, predictive: PredictiveDistribution, e: Evidence, columns: Mapping):
+        self.predictive = predictive
+        self.batch = leakage(predictive, e)
+        self._columns = {name: np.asarray(col) for name, col in columns.items()}
+        self._n = len(predictive.loc)
 
     @property
     def leakage(self) -> np.ndarray:
@@ -344,49 +346,35 @@ class LeakageProfile(Sequence):
 
     def __getitem__(self, i: int) -> LeakageReport:
         i = range(self._n)[i]  # bounds check and negative indices
-        if isinstance(self._points, Mapping):
-            point = {name: col[i] for name, col in self._points.items()}
-        else:
-            point = self._points[i]
         masses = (
             float(np.broadcast_to(getattr(self.batch, name), (self._n,))[i])
             for name in ("leakage", "below_mass", "above_mass", "outside_mass_other")
         )
+        x_star = {name: col.item(i) for name, col in self._columns.items()}
         return LeakageReport(
-            *masses, evidence=self.batch.evidence, x_star=point, complete=self.batch.complete
+            *masses, evidence=self.batch.evidence, x_star=x_star, complete=self.batch.complete
         )
 
     def to_json(self) -> list:
         return [report.to_json() for report in self]
 
 
-def _profile_rows(fit: FitResult, x_grid) -> np.ndarray:
-    """Design rows for a profile's points; an error names the first bad point."""
-    coding = fit.column_coding
-    if isinstance(x_grid, Mapping):
-        if coding is None:
-            raise ModelError("fit carries no column coding; pass encoded rows")
-        return coding.encode_rows(x_grid, label="grid point")
-    rows = np.empty((len(x_grid), fit.p))
-    for i, point in enumerate(x_grid):
-        try:
-            rows[i] = _design_row(fit, point)
-        except ModelError as err:
-            raise ModelError(f"grid point {i}: {err}") from err
-    return rows
+def leakage_profile(fit: FitResult, e: Evidence, columns: Mapping) -> LeakageProfile:
+    """Leakage of the fit's predictive at each point of named covariate
+    columns, in row order.
 
-
-def leakage_profile(fit: FitResult, e: Evidence, x_grid) -> LeakageProfile:
-    """Leakage of the fit's predictive at each grid point, in grid order.
-
-    ``x_grid`` is a sequence of covariate points (mappings, or encoded
-    design rows) or a mapping of covariate columns. Every point is scored
-    in one batch; an error about one point names it as ``grid point i``.
+    Every point is scored in one batch; an error about one point names it
+    as ``grid point i``. An empty mapping is the one point of a model
+    without covariates. Design rows already encoded are scored with
+    ``leakage(predictive_rows(fit, X), e)``.
     """
-    if not isinstance(x_grid, Mapping):
-        x_grid = list(x_grid)
-    X = _profile_rows(fit, x_grid)
-    return LeakageProfile(leakage(predictive_rows(fit, X), e), x_grid, X.shape[0])
+    if not isinstance(columns, Mapping):
+        raise TypeError(
+            "leakage_profile takes a mapping of covariate columns; for encoded "
+            "design rows X use leakage(predictive_rows(fit, X), e)"
+        )
+    X = _encode_columns(fit, columns, label="grid point")
+    return LeakageProfile(predictive_rows(fit, X), e, columns)
 
 
 class MCLeakage(NamedTuple):

@@ -9,10 +9,11 @@ new covariate point is Student t with
     loc   = x* . beta_hat
     scale = sqrt(s2 * (1 + x* (X'X)^-1 x*'))
 
-Predictives are built in batches: ``ColumnCoding.encode_rows`` turns named
-covariate columns into design rows, and ``predictive_rows`` gives one
-``StudentT`` whose ``loc``/``scale`` are arrays with one entry per row, ready
-for the broadcasting scores downstream. ``predictive_at`` is the one-row case.
+Covariate points enter as named columns, and predictives are built in
+batches: ``ColumnCoding.encode_rows`` turns the columns into design rows, and
+``predictive_rows`` gives one ``StudentT`` whose ``loc``/``scale`` are arrays
+with one entry per row, ready for the broadcasting scores downstream.
+``predictive_at`` is the one-row case of the same encoder.
 
 Fitting goes through a pivoted QR factorization so rank deficiency is
 detected rather than silently absorbed, and categorical covariates are
@@ -286,24 +287,15 @@ class ColumnCoding:
     def p(self) -> int:
         return len(self.terms)
 
-    def encode(self, point: Mapping) -> np.ndarray:
-        """Encode a named covariate point into a design row."""
-        unknown = set(point) - set(self.covariates)
-        if unknown:
-            raise ModelError(f"unknown covariate(s) in point: {sorted(unknown)}")
-        missing = [name for name in self.covariates if name not in point]
-        if missing:
-            raise ModelError(f"point is missing covariate {missing[0]!r}")
-        return self._design({name: np.asarray([point[name]]) for name in self.covariates}, 1)[0]
-
     def encode_rows(self, columns: Mapping, label: str = "row") -> np.ndarray:
         """Encode named covariate columns into a design matrix, one row per entry.
 
         The test-time twin of ``build_design``: columns the coding does not
-        use are ignored (a ``Dataset``'s ``columns`` can be passed as is), and
-        an unknown categorical level raises ModelError naming the first row
-        that has it (as ``label`` i). A coding without covariates reads the
-        row count off the other columns.
+        use are ignored (a ``Dataset``'s ``columns`` can be passed as is). An
+        unknown categorical level, or a numeric value that is not a finite
+        number, raises ModelError naming the covariate and the first row that
+        has it (as ``label`` i). A coding without covariates reads the row
+        count off the other columns.
         """
         missing = [name for name in self.covariates if name not in columns]
         if missing:
@@ -312,31 +304,42 @@ class ColumnCoding:
         sizes = {len(col) for col in cols.values()} or {len(col) for col in columns.values()}
         if len(sizes) != 1:
             raise ModelError(f"cannot tell the row count from column lengths {sorted(sizes)}")
-        return self._design(cols, sizes.pop(), label)
-
-    def _design(self, cols: Mapping, n: int, label: str | None = None) -> np.ndarray:
-        """The (n, p) design of covariate columns already checked for presence.
-
-        An unknown level is reported at ``label`` i, or bare without a label.
-        """
-        X = np.empty((n, self.p))
+        X = np.empty((sizes.pop(), self.p))
         for j, term in enumerate(self.terms):
             if term[0] == "intercept":
                 X[:, j] = 1.0
             elif term[0] == "numeric":
-                X[:, j] = cols[term[1]]
+                X[:, j] = _finite_floats(cols[term[1]], term[1], label)
             else:  # indicator
                 name, col = term[1], cols[term[1]].astype(str)
                 unknown = np.flatnonzero(~np.isin(col, self.levels[name]))
                 if unknown.size:
                     i = int(unknown[0])
-                    where = "" if label is None else f"{label} {i}: "
                     raise ModelError(
-                        f"{where}unknown level {str(col[i])!r} for {name!r}; "
+                        f"{label} {i}: unknown level {str(col[i])!r} for {name!r}; "
                         f"saw {self.levels[name]}"
                     )
                 X[:, j] = col == term[2]
         return X
+
+
+def _finite_floats(col: np.ndarray, name: str, label: str) -> np.ndarray:
+    """A numeric covariate column as floats; ModelError names the first row
+    whose entry is not a finite number."""
+    try:
+        values = np.asarray(col, dtype=float)
+        if values.ndim == 1 and np.isfinite(values).all():
+            return values
+    except (TypeError, ValueError):  # text, or sequences among the entries
+        pass
+    for i, value in enumerate(col.tolist()):
+        try:
+            if np.ndim(value) == 0 and math.isfinite(float(value)):
+                continue
+        except (TypeError, ValueError):
+            pass
+        raise ModelError(f"{label} {i}: covariate {name!r} needs a finite number, got {value!r}")
+    raise ModelError(f"covariate {name!r} needs one finite number per {label}")
 
 
 def build_design(data: Dataset, spec: ModelSpec):
@@ -495,27 +498,34 @@ def predictive_rows(fit_result: FitResult, X) -> StudentT:
     return StudentT(df=float(fit_result.df), loc=loc, scale=scale)
 
 
-def _design_row(fit_result: FitResult, x_star) -> np.ndarray:
-    """The design row of a covariate mapping (through the fit's column coding)
-    or of an already-encoded row of length p."""
-    if isinstance(x_star, Mapping):
-        if fit_result.column_coding is None:
-            raise ModelError("fit carries no column coding; pass an encoded row")
-        return fit_result.column_coding.encode(x_star)
-    row = np.asarray(x_star, dtype=float)
-    if row.shape != (fit_result.p,):
-        raise ModelError(
-            f"dimension mismatch: point has shape {row.shape}, fit has p={fit_result.p}"
-        )
-    return row
+def _encode_columns(fit_result: FitResult, columns: Mapping, label: str = "row") -> np.ndarray:
+    """Design rows of covariate columns through the fit's column coding.
+
+    An empty mapping is the one point of a model without covariates, which
+    leaves no column to count rows by.
+    """
+    coding = fit_result.column_coding
+    if coding is None:
+        raise ModelError("fit carries no column coding; pass encoded rows to predictive_rows")
+    if columns or coding.covariates:
+        return coding.encode_rows(columns, label)
+    return np.ones((1, fit_result.p))
 
 
 def predictive_at(fit_result: FitResult, x_star) -> StudentT:
-    """Exact posterior predictive at a covariate point.
+    """Exact posterior predictive at one covariate point.
 
-    ``x_star`` is either a mapping of covariate names to values (encoded with
-    the fit's column coding) or an already-encoded design row of length p.
+    ``x_star`` is either a mapping of covariate names to values, encoded as
+    one row of ``encode_rows`` with the fit's column coding, or an
+    already-encoded design row of length p.
     """
-    row = _design_row(fit_result, x_star)
-    batch = predictive_rows(fit_result, row[None, :])
+    if isinstance(x_star, Mapping):
+        coding = fit_result.column_coding
+        unknown = set(x_star) - set(coding.covariates) if coding is not None else set()
+        if unknown:
+            raise ModelError(f"unknown covariate(s) in point: {sorted(unknown)}")
+        X = _encode_columns(fit_result, {name: [value] for name, value in x_star.items()}, "point")
+    else:  # predictive_rows checks the row's length
+        X = np.asarray(x_star, dtype=float)[None]
+    batch = predictive_rows(fit_result, X)
     return StudentT(df=batch.df, loc=float(batch.loc[0]), scale=float(batch.scale[0]))

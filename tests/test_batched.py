@@ -119,29 +119,42 @@ def test_encode_rows_names_the_row_with_an_unknown_level():
 def test_leakage_profile_keeps_its_grid_point_label():
     result = _site_fit()
     e = Evidence.interval(0.0, math.inf)
-    good = {"x": 1.0, "site": "a"}
     with pytest.raises(ModelError, match=r"grid point 2: unknown level 'z'"):
-        leakage_profile(result, e, [good, good, {"x": 1.0, "site": "z"}])
-    with pytest.raises(ModelError, match=r"grid point 1: point is missing covariate 'site'"):
-        leakage_profile(result, e, [good, {"x": 1.0}, {"x": 1.0, "site": "z"}])
-    with pytest.raises(ModelError, match=r"grid point 0: unknown covariate"):
-        leakage_profile(result, e, [{**good, "bogus": 1.0}])
+        leakage_profile(result, e, {"x": [1.0, 1.0, 1.0], "site": ["a", "a", "z"]})
+    with pytest.raises(ModelError, match=r"missing covariate 'site'"):
+        leakage_profile(result, e, {"x": [1.0, 1.0]})
     with pytest.raises(ModelError, match=r"grid point 1: unknown level 'z'"):
         leakage_profile(result, e, {"x": [1.0, 2.0], "site": ["a", "z"]})
-    with pytest.raises(ModelError, match=r"grid point 0: dimension mismatch"):
-        leakage_profile(result, e, [[1.0, 2.0], [1.0, 3.0]])
-    with pytest.raises(ModelError, match=r"grid point 1: dimension mismatch"):
-        leakage_profile(result, e, [[1.0, 2.0, 0.0], [1.0, 3.0]])
+    with pytest.raises(ModelError, match=r"grid point 1: covariate 'x' needs a finite number, got None"):
+        leakage_profile(result, e, {"x": [1.0, None], "site": ["a", "b"]})
+    with pytest.raises(TypeError, match=r"leakage\(predictive_rows\(fit, X\), e\)"):
+        leakage_profile(result, e, [[1.0, 2.0, 0.0], [1.0, 3.0, 1.0]])
+    with pytest.raises(TypeError, match="mapping of covariate columns"):
+        leakage_profile(result, e, [{"x": 1.0, "site": "a"}])
+
+
+def test_an_empty_mapping_is_the_one_point_of_a_model_without_covariates():
+    null = fit_model(load_dataset_text("y\n1\n2\n4\n"), ModelSpec("y", ()))
+    e = Evidence.interval(0.0, math.inf)
+    (report,) = leakage_profile(null, e, {})
+    assert report.x_star == {}
+    assert report.leakage == leakage(predictive_at(null, {}), e).leakage
+    with pytest.raises(ModelError, match="missing covariate 'x'"):
+        leakage_profile(_site_fit(), e, {})
 
 
 def test_leakage_profile_encodes_each_point_as_predictive_at_does():
     data = load_dataset_text("y,x,site\n1,0,1\n2,1,2.5\n3,2,x\n4,3,1\n4,5,2.5\n6,4,x\n")
     result = fit_model(data, ModelSpec("y", ("x", "site")))
     e = Evidence.interval(0.0, math.inf)
-    points = [{"x": 1.0, "site": 1}, {"x": 1.0, "site": 2.5}, [1.0, 1.0, 0.0, 1.0]]
-    profile = leakage_profile(result, e, points)
+    # an object column keeps each level as given: 1 reads "1", as it does alone
+    columns = {"x": [1.0, 1.0, 2.0], "site": np.array([1, 2.5, "x"], dtype=object)}
+    points = [{"x": 1.0, "site": 1}, {"x": 1.0, "site": 2.5}, {"x": 2.0, "site": "x"}]
+    profile = leakage_profile(result, e, columns)
     for got, point in zip(profile.leakage, points):
         assert got == leakage(predictive_at(result, point), e).leakage
+    row = [1.0, 1.0, 0.0, 1.0]  # encoded rows take predictive_rows
+    assert leakage(predictive_rows(result, [row]), e).leakage[0] == leakage(predictive_at(result, row), e).leakage
 
 
 def test_leakage_profile_matches_pointwise_leakage_in_every_input_form():
@@ -150,19 +163,20 @@ def test_leakage_profile_matches_pointwise_leakage_in_every_input_form():
     xs = np.linspace(-3.0, 8.0, 23)
     points = [{"x": float(x), "site": "b"} for x in xs]
     want = [leakage(predictive_at(result, pt), e, x_star=pt) for pt in points]
-    rows = result.column_coding.encode_rows({"x": xs, "site": ["b"] * xs.size})
-    for grid in (points, {"x": xs, "site": np.full(xs.size, "b")}, rows):
-        profile = leakage_profile(result, e, grid)
+    arrays = {"x": xs, "site": np.full(xs.size, "b")}
+    for columns in (arrays, {"x": xs.tolist(), "site": ["b"] * xs.size}):
+        profile = leakage_profile(result, e, columns)
         assert isinstance(profile, LeakageProfile) and len(profile) == xs.size
         for got, ref in zip(profile, want):
             assert _ulps(got.leakage, ref.leakage) <= 4
             assert _ulps(got.below_mass, ref.below_mass) <= 4
             assert _ulps(got.above_mass, ref.above_mass) <= 4
-    assert [r.x_star for r in leakage_profile(result, e, points)] == points
-    by_column = leakage_profile(result, e, {"x": xs, "site": np.full(xs.size, "b")})
-    assert by_column[-1].x_star == {"x": xs[-1], "site": "b"}
-    np.testing.assert_array_equal(leakage_profile(result, e, rows)[3].x_star, rows[3])
-    assert leakage_profile(result, e, []).leakage.shape == (0,)
+        assert [r.x_star for r in profile] == points
+    rows = result.column_coding.encode_rows(arrays)
+    np.testing.assert_array_equal(
+        leakage(predictive_rows(result, rows), e).leakage, leakage_profile(result, e, arrays).leakage
+    )
+    assert leakage_profile(result, e, {"x": [], "site": []}).leakage.shape == (0,)
 
 
 def test_leakage_of_a_batch_broadcasts_every_evidence_shape():

@@ -9,7 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from probleak import schemas
+from probleak import Dataset, Evidence, ModelSpec, fit_model, leakage_profile, load_dataset, schemas
 from probleak.cli import main
 
 
@@ -193,6 +193,78 @@ def test_leak_at_json_point(capsys, toy_csv):
     doc = check("leak_report", out)
     assert doc["at"] == "point"
     assert doc["reports"][0]["x_star"] == {"x1": 0.0}
+
+
+AT_COMMANDS = ["leak", "falsify", "report", "leak-profile"]
+
+
+def at_argv(command, cc_csv, tmp_path, point, *extra):
+    """A subcommand that takes a JSON --at point, with what else it needs."""
+    needs = {
+        "leak": ["--support", "[0,inf)"],
+        "falsify": ["--value", "0.5"],
+        "report": ["--support", "[0,inf)", "--out-curves", str(tmp_path / "curves.csv")],
+        "leak-profile": ["--support", "[0,inf)", "--grid", "calls=0:3000:5"],
+    }[command]
+    model = ["--response", "abandonment", "--covariates", "calls,absentees,location"]
+    return [command, "--data", cc_csv, *model, *needs, "--at", point, *extra]
+
+
+@pytest.mark.parametrize("bad", ["null", '"abc"', "[1, 2]", "1e400"])
+@pytest.mark.parametrize("command", AT_COMMANDS)
+def test_at_value_that_is_no_finite_number_is_a_model_error(capsys, cc_csv, tmp_path, command, bad):
+    point = '{"calls": 1500.0, "absentees": %s, "location": "B"}' % bad
+    want = "covariate 'absentees' needs a finite number, got "
+    code, out, err = run(capsys, at_argv(command, cc_csv, tmp_path, point))
+    assert (code, out) == (2, "")
+    assert err.startswith("probleak: error: ") and want in err
+    code, out, err = run(capsys, at_argv(command, cc_csv, tmp_path, point, "--json-errors"))
+    assert (code, err) == (2, "")
+    assert want in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("command", AT_COMMANDS)
+def test_at_names_outside_the_covariates_are_a_model_error(capsys, cc_csv, tmp_path, command):
+    point = '{"calls": 1500.0, "absentees": 5.0, "location": "B", "bogus": 1}'
+    code, out, _ = run(capsys, at_argv(command, cc_csv, tmp_path, point, "--json-errors"))
+    assert code == 2
+    assert json.loads(out) == {"error": "unknown covariate(s) in --at point: ['bogus']"}
+
+
+def test_at_point_values_echo_with_their_own_json_text(capsys, tmp_path):
+    rng = np.random.default_rng(4)
+    columns = {name: rng.normal(size=30) for name in ("y", "a", "b", "c")}
+    path = tmp_path / "mixed.csv"
+    Dataset({**columns, "site": np.array(["A", "B"] * 15)}).to_csv(path)
+    point = '{"a": 3, "b": 2.5, "c": true, "site": "B"}'
+    code, out, _ = run(capsys, ["leak", "--data", str(path), "--response", "y", "--covariates",
+                                "a,b,c,site", "--support", "[0,inf)", "--at", point])
+    assert code == 0
+    assert json.dumps(json.loads(out)["reports"][0]["x_star"]) == point
+    assert '"a": 3,' in out and '"c": true' in out
+    # the library gives x_star entries as Python scalars, so json needs no default
+    result = fit_model(load_dataset(path), ModelSpec("y", ("a", "b", "c", "site")))
+    profile = leakage_profile(result, Evidence.interval(0.0, np.inf), {
+        "a": np.array([3, 4]), "b": np.array([2.5, 1.0]),
+        "c": np.array([True, False]), "site": np.array(["B", "A"]),
+    })
+    for report in profile:
+        assert [type(v) for v in report.x_star.values()] == [int, float, bool, str]
+    assert json.dumps(profile[0].x_star) == point
+
+
+def test_intercept_only_model_scores_its_one_empty_point(capsys, toy_csv, tmp_path):
+    model = ["--data", toy_csv, "--response", "y", "--support", "[0,inf)"]
+    code, out, _ = run(capsys, ["leak", *model, "--at", "minima"])
+    assert code == 0
+    assert [r["x_star"] for r in json.loads(out)["reports"]] == [{}]
+    code, out, _ = run(capsys, ["report", *model, "--at", "{}", "--out-curves", str(tmp_path / "c.csv")])
+    assert code == 0
+    leak = json.loads(out)["leakage"]
+    for key in ("at_medians", "at_minima", "at_point"):
+        assert leak[key] == [{**leak["null_x"], "x_star": {}}]
+    code, out, _ = run(capsys, ["falsify", "--data", toy_csv, "--response", "y", "--value", "0.5"])
+    assert (code, json.loads(out)["falsified"]) == (0, True)
 
 
 def test_leak_categorical_expands_levels(capsys, cc_csv):

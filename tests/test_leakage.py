@@ -306,9 +306,8 @@ def test_leakage_profile_orders_and_reports():
     data = load_dataset_text("x,y\n0,0\n1,1\n2,3\n3,4\n")
     result = fit_model(data, ModelSpec("y", ("x",)))
     e = Evidence.interval(0.0, math.inf)
-    points = [{"x": v} for v in (0.0, 1.0, 2.0)]
-    reports = leakage_profile(result, e, points)
-    assert [r.x_star for r in reports] == points
+    reports = leakage_profile(result, e, {"x": [0.0, 1.0, 2.0]})
+    assert [r.x_star for r in reports] == [{"x": v} for v in (0.0, 1.0, 2.0)]
     # leakage shrinks as the predictive mean climbs away from the bound
     assert reports[0].leakage > reports[1].leakage > reports[2].leakage
 
@@ -318,7 +317,7 @@ def test_leakage_profile_labels_failing_point():
     result = fit_model(data, ModelSpec("y", ("x",)))
     e = Evidence.interval(0.0, math.inf)
     with pytest.raises(ModelError, match="grid point 1:"):
-        leakage_profile(result, e, [{"x": 0.0}, {"bogus": 1.0}])
+        leakage_profile(result, e, {"x": [0.0, "bogus"]})
 
 
 def test_mc_leakage_agrees_with_analytic():

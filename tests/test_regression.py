@@ -155,13 +155,23 @@ def test_model_spec_validation():
 
 def test_encode_rejects_bad_points():
     data = load_dataset_text("y,x,site\n1,0,a\n2,1,b\n3,2,a\n4,3,b\n")
-    _, _, coding = build_design(data, ModelSpec("y", ("x", "site")))
+    X, y, coding = build_design(data, ModelSpec("y", ("x", "site")))
     with pytest.raises(ModelError, match="missing covariate 'site'"):
-        coding.encode({"x": 1.0})
+        coding.encode_rows({"x": [1.0]})
     with pytest.raises(ModelError, match="unknown covariate"):
-        coding.encode({"x": 1.0, "site": "a", "bogus": 2.0})
-    with pytest.raises(ModelError, match="unknown level 'z'"):
-        coding.encode({"x": 1.0, "site": "z"})
+        predictive_at(fit(X, y, coding), {"x": 1.0, "site": "a", "bogus": 2.0})
+    with pytest.raises(ModelError, match="row 0: unknown level 'z'"):
+        coding.encode_rows({"x": [1.0], "site": ["z"]})
+    for bad, shown in ((None, "None"), ("abc", "'abc'"), ([1, 2], r"\[1, 2\]"), (math.inf, "inf")):
+        column = np.array([0.5, None], dtype=object)
+        column[1] = bad
+        with pytest.raises(ModelError, match=rf"row 1: covariate 'x' needs a finite number, got {shown}$"):
+            coding.encode_rows({"x": column, "site": ["a", "b"]})
+    # anything that converts to a finite float is a number
+    np.testing.assert_array_equal(
+        coding.encode_rows({"x": np.array(["1500", 5, True], dtype=object), "site": ["a", "b", "a"]}),
+        [[1.0, 1500.0, 0.0], [1.0, 5.0, 1.0], [1.0, 1.0, 0.0]],
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,9 @@ TABLES = {
 def _commands(name, sim, model, point, grid, value):
     data = ["--data", f"{name}.csv", *model]
     at_point = ["--at", json.dumps(point)]
+    # the same point with its whole-number values as JSON integers, which
+    # x_star must echo as integers
+    int_point = {k: int(v) if isinstance(v, float) and v.is_integer() else v for k, v in point.items()}
     # the call-center table has a categorical covariate, so falsify and the
     # profile's fixed covariates need the JSON point rather than medians
     pinned = at_point if name == "callcenter" else []
@@ -56,6 +59,8 @@ def _commands(name, sim, model, point, grid, value):
     for at in ("medians", "minima"):
         yield f"leak_{at}", ["leak", *data, *support, "--at", at, "--out", f"{name}_leak_{at}.json"]
     yield "leak_point", ["leak", *data, *support, *at_point, "--out", f"{name}_leak_point.json"]
+    yield "leak_point_int", ["leak", *data, *support, "--at", json.dumps(int_point),
+                             "--out", f"{name}_leak_point_int.json"]
     yield "leak_profile", [
         "leak-profile", *data, *support, "--grid", grid, *pinned, "--out", f"{name}_profile.csv",
     ]
@@ -72,6 +77,9 @@ def _commands(name, sim, model, point, grid, value):
         "--out-curves", f"{name}_report_resolution_curves.csv",
         "--out", f"{name}_report_resolution.json",
     ]
+    yield "report_point", ["report", *data, *support, *at_point,
+                           "--out-curves", f"{name}_report_point_curves.csv",
+                           "--out", f"{name}_report_point.json"]
 
 
 def write_outputs(outdir: Path) -> int:

@@ -43,6 +43,7 @@ from .regression import (
     Dataset,
     ModelSpec,
     _encode_columns,
+    _finite_floats,
     fit_model,
     load_dataset,
     predictive_rows,
@@ -247,6 +248,8 @@ def _cmd_leak_profile(args) -> int:
         if args.at in _AT_KEYWORDS:
             raise _UsageError("probleak: error: leak-profile --at takes a JSON object")
         fixed = _parse_at(args.at, data, spec)
+    if name in fixed:  # the grid replaces this value, but a bad one is still refused
+        _finite_floats(fixed[name], name, "point")
     columns = {name: grid}
     for other in spec.covariates:
         if other == name:

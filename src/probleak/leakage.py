@@ -20,7 +20,6 @@ covariate columns that way, the one form in which covariate points enter.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass

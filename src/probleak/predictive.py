@@ -298,15 +298,22 @@ class StudentT(PredictiveDistribution):
 
         times scale. With f(z) = (1 + z^2/v)^(-(v+1)/2) / (sqrt(v) B(1/2, v/2))
         the last two terms share the factor k = 2 sqrt(v) / ((v - 1) B(1/2, v/2)),
-        which is built from betaln so nothing overflows at large df.
+        which is built from betaln so nothing overflows at large df. k and
+        the ratio B(1/2, v - 1/2) / B(1/2, v/2) come from ``_crps_df_terms``.
         """
         v = self.df
         z = (y - self.loc) / self.scale
-        log_b = float(special.betaln(0.5, 0.5 * v))
-        k = math.exp(math.log(2.0) + 0.5 * math.log(v) - math.log(v - 1.0) - log_b)
-        ratio = math.exp(float(special.betaln(0.5, v - 0.5)) - log_b)
+        k, ratio = self._crps_df_terms
         decay = np.exp(-0.5 * (v - 1.0) * np.log1p(z * z / v))
         return self.scale * (z * (2.0 * self._cdf(y) - 1.0) + k * (decay - ratio))
+
+    @cached_property
+    def _crps_df_terms(self) -> tuple[float, float]:
+        """(k, ratio) of the CRPS, which depend on df alone; per instance."""
+        v = self.df
+        log_b = float(special.betaln(0.5, 0.5 * v))
+        k = math.exp(math.log(2.0) + 0.5 * math.log(v) - math.log(v - 1.0) - log_b)
+        return k, math.exp(float(special.betaln(0.5, v - 0.5)) - log_b)
 
     def _logdensity(self, y):
         t = (y - self.loc) / self.scale

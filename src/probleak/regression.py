@@ -25,11 +25,13 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import math
+import os
+import re
+import stat
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 from scipy import linalg
@@ -128,40 +130,71 @@ def _check_finite(values: np.ndarray, name: str) -> None:
         raise DataError(f"{what} value at row {i + _FIRST_ROW}, column {name!r}")
 
 
-def _plain_lines(lines):
-    """Pass lines through, raising ValueError at a blank or quoted one.
+# np.loadtxt opens a path with these suffixes through a decompressor
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
-    ``np.loadtxt`` skips blank lines, which csv reads as ragged rows, does
-    not unquote cells, and has no field size limit.
+
+def _loadtxt_lines(data: bytes, start: int = 0) -> int | None:
+    """The number of lines in ``data[start:]`` as ``newline=""`` splits
+    them (at \\n, \\r and \\r\\n), or None where np.loadtxt may read them
+    otherwise than csv: it does not unquote and has no field size limit. It
+    also skips blank lines, which show as a row count short of this one.
     """
-    limit = csv.field_size_limit()
-    for line in lines:
-        if '"' in line or line.isspace() or len(line) > limit:
-            raise ValueError("blank, quoted or long line")
-        yield line
+    if data.find(b'"', start) >= 0:
+        return None
+    limit, pos = csv.field_size_limit(), start
+    while len(data) - pos > limit:  # each window of limit + 1 bytes holds a line end
+        end = pos + limit + 1
+        cut = max(data.rfind(b"\n", pos, end), data.rfind(b"\r", pos, end))
+        if cut < 0:
+            return None
+        pos = cut + 1
+    lines = data.count(b"\n", start) + data.count(b"\r", start) - data.count(b"\r\n", start)
+    return lines + (len(data) > start and not data.endswith((b"\n", b"\r")))  # an unended last line
 
 
-def _numeric_table(handle, width: int) -> np.ndarray | None:
-    """The data lines parsed in C, one contiguous row per column, or None.
+_LINE_END = re.compile(rb"\r\n?|\n")
 
-    None (with the handle back at the start of the data) leaves the table to
-    the per-cell parser: a blank or quoted line, a cell that is not a number
-    to C, a row of another width, a NaN or inf, or no rows at all.
+
+def _past_lines(data: bytes, lines: int) -> int:
+    """The offset just past the first ``lines`` lines of ``data``, split as
+    ``newline=""`` splits them."""
+    pos = 0
+    for _ in range(lines):
+        found = _LINE_END.search(data, pos)
+        pos = found.end() if found else len(data)
+    return pos
+
+
+def _numeric_table(source, skiprows: int, first: list | None, width: int) -> np.ndarray | None:
+    """The lines of ``source`` past the first ``skiprows``, parsed in C into
+    one contiguous row per column, or None for the per-cell parser.
+
+    ``source`` is the path of a regular file, which np.loadtxt reads itself
+    (only its lines past the header are scanned), or a list of lines.
+    ``first``, the first data row as csv read it, must hold ``width``
+    numbers: so a categorical table never reaches C, and loadtxt never
+    meets a body of blank lines, on which it warns. None also follows what
+    ``_loadtxt_lines`` refuses, a cell that is not a number to C, a row of
+    another width, a skipped blank line, or a NaN or inf.
     """
-    start = handle.tell()
-    lines = iter(handle.readline, "")
-    first = next(lines, None)  # loadtxt warns on empty input
-    table = None
-    if first is not None:
-        try:
-            table = np.loadtxt(
-                _plain_lines(itertools.chain((first,), lines)),
-                delimiter=",", comments=None, ndmin=2, dtype=float,
-            )
-        except ValueError:
-            pass
-    if table is None or not len(table) or table.shape[1] != width or not np.isfinite(table).all():
-        handle.seek(start)
+    if not first or len(first) != width or any(_parse_cell(cell) is None for cell in first):
+        return None
+    if isinstance(source, str):
+        data = Path(source).read_bytes()
+        start = _past_lines(data, skiprows)
+    else:
+        data, start = "".join(source).encode("utf-8", "surrogatepass"), 0
+    lines = _loadtxt_lines(data, start)
+    if lines is None:
+        return None
+    try:
+        table = np.loadtxt(
+            source, skiprows=skiprows, delimiter=",", comments=None, ndmin=2, dtype=float
+        )
+    except ValueError:
+        return None
+    if len(table) != lines or table.shape[1] != width or not np.isfinite(table).all():
         return None
     return np.ascontiguousarray(table.T)
 
@@ -176,19 +209,22 @@ def load_dataset(source) -> Dataset:
     order; a NaN or inf cell only counts when it comes before the column's
     first non-numeric cell.
 
-    A seekable source (a path always is) whose data lines are all plain
-    finite numbers is parsed in C by ``np.loadtxt``. Anything else, and any
-    unseekable source, goes through the per-cell parser, which alone decides
-    categorical columns and reports errors; both give the same columns.
+    A table whose data lines are all plain finite numbers is parsed in C by
+    ``np.loadtxt``: from the path of a regular file, numpy reads the file
+    itself; from a file object, a pipe or a compressed file's path, it gets
+    the rest of the stream as a list of lines. One scan of the data lines'
+    bytes first refuses quotes and lines past csv's field size limit, and a
+    blank line shows as a missing row. Anything else goes through the
+    per-cell parser, which alone decides categorical columns and reports
+    errors; both give the same columns.
     """
     own = isinstance(source, (str, Path))
     handle = open(source, "r", newline="") if own else source
     try:
         if isinstance(handle, (bytes, str)):
             raise TypeError("pass a path or a file object, not raw text")
-        # readline, not iteration, so that a text file can still tell()
-        seekable = callable(getattr(handle, "seekable", None)) and handle.seekable()
-        reader = csv.reader(iter(handle.readline, "") if seekable else handle)
+        # readline, not iteration, so that nothing past the header is read
+        reader = csv.reader(iter(handle.readline, ""))
         try:
             header = next(reader)
         except StopIteration:
@@ -198,10 +234,19 @@ def load_dataset(source) -> Dataset:
             raise DataError("header contains an empty column name")
         if len(set(header)) != len(header):
             raise DataError("header contains duplicate column names")
-        table = _numeric_table(handle, len(header)) if seekable else None
+        # numpy opens the path again, so only a regular file goes by path:
+        # a pipe or FIFO would be drained, or block, on the second open
+        regular = own and stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
+        if regular and not str(source).endswith(_COMPRESSED):
+            body, skiprows = str(source), reader.line_num
+        else:
+            body, skiprows = handle.readlines(), 0
+            reader = csv.reader(body)
+        first = next(reader, None)
+        table = _numeric_table(body, skiprows, first, len(header))
         if table is not None:
             return Dataset(dict(zip(header, table)))
-        rows = list(reader)
+        rows = [] if first is None else [first, *reader]
     finally:
         if own:
             handle.close()
@@ -312,6 +357,11 @@ class ColumnCoding:
                 X[:, j] = _finite_floats(cols[term[1]], term[1], label)
             else:  # indicator
                 name, col = term[1], cols[term[1]].astype(str)
+                if col.ndim != 1:
+                    raise ModelError(
+                        f"covariate {name!r} needs one level per {label}, "
+                        f"got a column of shape {col.shape}"
+                    )
                 unknown = np.flatnonzero(~np.isin(col, self.levels[name]))
                 if unknown.size:
                     i = int(unknown[0])

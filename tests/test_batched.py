@@ -116,6 +116,12 @@ def test_encode_rows_names_the_row_with_an_unknown_level():
         coding.encode_rows({"x": [0.0, 1.0], "site": ["a", "b", "a"]})
 
 
+def test_encode_rows_refuses_a_categorical_column_of_more_than_one_dimension():
+    coding = _site_fit().column_coding
+    with pytest.raises(ModelError, match=r"^covariate 'site' needs one level per row, got a column of shape \(1, 2\)$"):
+        coding.encode_rows({"x": [1.0], "site": [["a", "z"]]})
+
+
 def test_leakage_profile_keeps_its_grid_point_label():
     result = _site_fit()
     e = Evidence.interval(0.0, math.inf)

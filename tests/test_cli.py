@@ -223,6 +223,26 @@ def test_at_value_that_is_no_finite_number_is_a_model_error(capsys, cc_csv, tmp_
     assert want in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize("bad", ["null", '"abc"', "[1, 2]", "1e400"])
+def test_leak_profile_refuses_a_bad_at_value_for_the_grid_covariate(capsys, cc_csv, tmp_path, bad):
+    point = '{"calls": %s, "absentees": 5.0, "location": "B"}' % bad
+    code, out, err = run(capsys, at_argv("leak-profile", cc_csv, tmp_path, point))
+    assert (code, out) == (2, "")
+    assert err.startswith("probleak: error: ")
+    assert "covariate 'calls' needs a finite number, got " in err
+
+
+def test_leak_profile_grid_replaces_a_valid_at_value(capsys, cc_csv, tmp_path):
+    outputs = []
+    for point in ['{"calls": 1500.0, "absentees": 5.0, "location": "B"}',
+                  '{"absentees": 5.0, "location": "B"}']:
+        code, out, err = run(capsys, at_argv("leak-profile", cc_csv, tmp_path, point))
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert out.startswith("calls,leakage\n0.0,")
+
+
 @pytest.mark.parametrize("command", AT_COMMANDS)
 def test_at_names_outside_the_covariates_are_a_model_error(capsys, cc_csv, tmp_path, command):
     point = '{"calls": 1500.0, "absentees": 5.0, "location": "B", "bogus": 1}'

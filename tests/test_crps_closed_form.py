@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from probleak import Empirical, Mixture, Normal, Poisson, StudentT, TruncatedNormal, crps
 from probleak import calibration
@@ -55,6 +55,31 @@ def test_student_t_closed_form_matches_quadrature(df):
             for scale in SCALES:
                 got = crps(StudentT(df, loc, scale), loc + scale * z)
                 assert got == pytest.approx(scale * want_std, rel=1e-9), (df, loc, scale, z)
+
+
+def _student_t_crps_inline(dist, y):
+    """The t closed form with its df-only constants computed in the call."""
+    v = dist.df
+    z = (y - dist.loc) / dist.scale
+    log_b = float(special.betaln(0.5, 0.5 * v))
+    k = math.exp(math.log(2.0) + 0.5 * math.log(v) - math.log(v - 1.0) - log_b)
+    ratio = math.exp(float(special.betaln(0.5, v - 0.5)) - log_b)
+    decay = np.exp(-0.5 * (v - 1.0) * np.log1p(z * z / v))
+    return dist.scale * (z * (2.0 * dist._cdf(y) - 1.0) + k * (decay - ratio))
+
+
+@pytest.mark.parametrize("df", DFS)
+def test_student_t_crps_with_cached_df_terms_is_bit_equal_to_the_inline_form(df):
+    locs = np.tile(LOCS, len(SCALES))
+    scales = np.repeat(SCALES, len(LOCS))
+    ys = locs + scales * np.resize(ZS, locs.size)
+    batch = StudentT(df, locs, scales)
+    for _ in range(2):  # the second call reads the instance's cached terms
+        assert crps(batch, ys).tobytes() == _student_t_crps_inline(batch, ys).tobytes()
+    for loc, scale, y in zip(locs.tolist(), scales.tolist(), ys.tolist()):
+        one = StudentT(df, loc, scale)
+        for _ in range(2):
+            assert crps(one, y).hex() == float(_student_t_crps_inline(one, y)).hex()
 
 
 def test_normal_closed_form_matches_quadrature():

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import os
 import warnings
 
 import numpy as np
@@ -174,20 +175,24 @@ def _assert_same(want, got):
 
 
 @settings(max_examples=400, deadline=None)
-@given(_mostly_numeric_text())
-def test_numeric_fast_path_matches_the_per_cell_reference(text):
+@given(text=_mostly_numeric_text())
+def test_numeric_fast_path_matches_the_per_cell_reference(tmp_path_factory, text):
     # newline="" splits lines as a file opened by path does, at \r too
     want = _outcome(lambda t: _reference_load(t, newline=""), text)
     got = _outcome(lambda t: load_dataset(io.StringIO(t, newline="")), text)
     _assert_same(want, got)
+    # a path is read by numpy itself, not line by line
+    path = tmp_path_factory.getbasetemp() / "drawn.csv"
+    path.write_text(text, newline="")
+    _assert_same(want, _outcome(load_dataset, path))
 
 
 def _spy_on_fast_path(monkeypatch):
     parsed = []
     real = regression._numeric_table
 
-    def spy(handle, width):
-        table = real(handle, width)
+    def spy(*args):
+        table = real(*args)
         parsed.append(table is not None)
         return table
 
@@ -214,6 +219,89 @@ def test_categorical_and_blank_lines_fall_back_to_the_per_cell_parser(monkeypatc
     with pytest.raises(DataError, match=r"^row 3: expected 1 fields, got 0$"):
         load_dataset_text("y\n1\n\n2\n")
     assert parsed == [False, False]
+
+
+@pytest.mark.parametrize(
+    "text, fast",
+    [
+        ("y,x\r1,2\r3,4.25\r", True),
+        ("y,x\r\n1,2\r\n3,4.25\r\n", True),
+        ("y,x\n1,2\r\n3,4.25\r5,-6\n", True),
+        # a last line with no line end
+        ("y,x\n1,2\n3,4.25", True),
+        ("y\r\n1\r\n2", True),
+        ("y,x\r1,2\r3,4.25", True),
+        # whitespace-only lines are cells, not blank lines
+        ("y,x\n1,2\n \n3,4\n", False),
+        ("y\n1\n\t\n2\n", False),
+        ("y\n1\n2\n \n", False),
+        # blank lines, in the body and as all of it
+        ("y,x\n1,2\n\n3,4\n", False),
+        ("y,x\n\n", False),
+        ("y,x\n\n\n", False),
+        ("y\r\n\r\n\r\n", False),
+        ("y\r\r", False),
+        ("y,x\r\n1,2\r\n\r\n", False),
+        ("\n\n\n", False),
+    ],
+)
+def test_line_layouts_load_by_path_as_the_reference_reads_them(monkeypatch, tmp_path, text, fast):
+    parsed = _spy_on_fast_path(monkeypatch)
+    want = _outcome(lambda t: _reference_load(t, newline=""), text)
+    path = tmp_path / "t.csv"
+    path.write_text(text, newline="")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # loadtxt warns on a body with no data
+        _assert_same(want, _outcome(load_dataset, path))
+        _assert_same(want, _outcome(load_dataset_text, text))
+    assert parsed == [fast, fast]
+
+
+@pytest.mark.parametrize(
+    "text, name",
+    [
+        ('"y\nz",x\n1,2\n3,4.25\n', "y\nz"),
+        ('"y\r\nz",x\r\n1,2\r\n', "y\r\nz"),
+        ('"y\rz","x"\r1,2\r3,4.25', "y\rz"),
+        # a quoted header on one line, as R's write.csv writes it
+        ('"y","x"\n1,2\n3,4.25\n', "y"),
+    ],
+)
+def test_a_quoted_header_loads_as_the_reference_reads_it(monkeypatch, tmp_path, text, name):
+    parsed = _spy_on_fast_path(monkeypatch)
+    want = _outcome(lambda t: _reference_load(t, newline=""), text)
+    assert list(want) == [name, "x"]
+    path = tmp_path / "t.csv"
+    path.write_text(text, newline="")
+    _assert_same(want, _outcome(load_dataset, path))
+    _assert_same(want, _outcome(load_dataset_text, text))
+    # only the lines after the header are scanned for quotes
+    assert parsed == [True, True]
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize(
+    "text",
+    [
+        "y,x\n" + "".join(f"{i},{i / 7!r}\n" for i in range(1000)),
+        "y,site\n" + "".join(f"{i / 7!r},{'ab'[i % 2]}\n" for i in range(1000)),
+    ],
+    ids=["numeric", "categorical"],
+)
+def test_a_pipe_given_by_path_is_read_once_through_its_one_handle(text):
+    # opened again, as numpy opens a path, the pipe would read as drained;
+    # the whole table, far past one read buffer, must load
+    assert 16384 < len(text) < 65536  # fits a pipe's buffer, so no writer thread
+    want = _outcome(_reference_load, text)
+    assert len(want["y"]) == 1000
+    read, write = os.pipe()
+    try:
+        os.write(write, text.encode())
+        os.close(write)
+        got = _outcome(load_dataset, f"/dev/fd/{read}")
+    finally:
+        os.close(read)
+    _assert_same(want, got)
 
 
 class _Unseekable(io.StringIO):
@@ -256,6 +344,33 @@ def test_a_cell_past_the_csv_field_limit_is_refused_as_csv_refuses_it():
         _reference_load(text)
     with pytest.raises(csv.Error, match="field larger than field limit"):
         load_dataset_text(text)
+
+
+def test_a_cell_past_the_csv_field_limit_in_a_file_is_refused_as_csv_refuses_it(tmp_path):
+    path = tmp_path / "long.csv"
+    path.write_text("a\r\n1\r\n0." + "0" * csv.field_size_limit() + "1\r\n2\r\n", newline="")
+    with pytest.raises(csv.Error, match="field larger than field limit"):
+        load_dataset(path)
+
+
+_BYTE_PIECES = st.lists(st.sampled_from(["a", "1", ",", "\n", "\r", "\r\n", '"']), max_size=30)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_BYTE_PIECES, _BYTE_PIECES, st.integers(1, 5))
+def test_the_byte_scan_counts_lines_as_newline_empty_splits_them(head, pieces, limit):
+    # the header, which ends at a line end, is skipped, quotes and all
+    head, text = "".join(head) + "\n", "".join(pieces)
+    data = (head + text).encode()
+    assert regression._past_lines(data, len(list(io.StringIO(head, newline="")))) == len(head)
+    lines = list(io.StringIO(text, newline=""))
+    refused = '"' in text or any(len(line.rstrip("\r\n")) > limit for line in lines)
+    old = csv.field_size_limit(limit)
+    try:
+        got = regression._loadtxt_lines(data, len(head))
+    finally:
+        csv.field_size_limit(old)
+    assert got == (None if refused else len(lines))
 
 
 def test_bare_carriage_returns_load_from_text_as_from_a_path(tmp_path):

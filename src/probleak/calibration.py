@@ -17,10 +17,8 @@ leaked mass, so low-level frequencies are exactly zero, and the mean
 predictive CDF sits strictly above the empirical CDF at the floor.
 
 All three are averages over cases (Gneiting, Balabdaoui & Raftery 2007,
-JRSS-B 69) and are computed as such. A ``ForecastCase`` may hold a whole
-batch: a predictive with array parameters, as ``predictive_rows`` gives,
-and one outcome per row. The curves come from one (grid x cases) table of
-CDF values per call, and PIT and CRPS from one call per batch.
+JRSS-B 69). A ``ForecastCase`` may hold a whole batch: a predictive with
+array parameters, as ``predictive_rows`` gives, and one outcome per row.
 
 CRPS uses the family's closed form where one exists (normal, Student t,
 truncated normal, Poisson), which is exact to rounding, costs O(1) per
@@ -157,8 +155,11 @@ class ProbabilityCalibration(NamedTuple):
     max_deviation: float
 
 
-def probability_calibration(pits, levels) -> ProbabilityCalibration:
-    """Empirical frequency of PIT <= p at each level, with the worst |freq - p|."""
+def probability_calibration(pits, levels=_LEVELS) -> ProbabilityCalibration:
+    """Empirical frequency of PIT <= p at each level, with the worst |freq - p|.
+
+    The default levels, p = 0.05, 0.10, ..., 0.95, are those of every report.
+    """
     pits = np.asarray(pits, dtype=float)
     levels = np.sort(np.asarray(levels, dtype=float))
     if pits.size == 0:
@@ -266,11 +267,8 @@ def crps(dist: PredictiveDistribution, y):
     discrete Mixture: it integrates exactly over the step function's
     breakpoints, dropping atoms that carry less than 1e-13 total tail mass,
     which perturbs the integral by far less than that. These two score one
-    outcome per call.
-
-    One outcome reaches the closed form as a Python float, through the same
-    ``_crps`` body as an array and with the same bits per value, at a
-    fraction of the 0-d array's cost.
+    outcome per call. A closed form scores one outcome with the same bits as
+    in a batch.
     """
     y = _finite_outcome(y, "observation")
     _require_finite_mean(dist)
@@ -338,9 +336,7 @@ class GridDensity:
 
     def support(self) -> tuple[float, float]:
         """Smallest closed interval containing all positive density."""
-        pos = np.nonzero(self.values > 0.0)[0]
-        if pos.size == 0:
-            raise ValueError("density is identically zero")
+        pos = np.nonzero(self.values > 0.0)[0]  # not empty: the mass is 1
         lo = self.grid[max(pos[0] - 1, 0)]
         hi = self.grid[min(pos[-1] + 1, self.grid.size - 1)]
         return float(lo), float(hi)
@@ -464,7 +460,7 @@ def calibration_report(
     score is undefined.
     """
     pits = pit(cases, seed)
-    prob = probability_calibration(pits, _LEVELS)
+    prob = probability_calibration(pits)
     grid = _default_marginal_grid(_pooled(cases))
     exceed = exceedance_calibration(cases, grid)
     marginal = marginal_calibration(cases, grid)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import itertools
 import json
@@ -26,7 +27,6 @@ import numpy as np
 
 from . import __version__
 from .calibration import (
-    _LEVELS,
     ForecastCase,
     _csv_text,
     calibration_report,
@@ -51,7 +51,6 @@ from .regression import (
 from .simulation import (
     DEFAULT_TRUNCATED_CONFIG,
     CallCenterConfig,
-    SimConfig,
     gen_callcenter_like,
     gen_truncated_regression,
 )
@@ -81,18 +80,8 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
-def _json_default(obj):
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
 def _emit_json(doc: dict, args) -> None:
-    text = json.dumps(doc, indent=2, default=_json_default)
+    text = json.dumps(doc, indent=2)
     if getattr(args, "out", None):
         Path(args.out).write_text(text + "\n")
     else:
@@ -322,43 +311,18 @@ def _cmd_calibrate(args) -> int:
     return 0
 
 
-def _sim_config(doc: dict) -> SimConfig:
-    known = {"n", "coefficients", "noise_sd", "covariate_ranges", "support_lower", "seed"}
-    unknown = set(doc) - known
+def _simulate_config(base, doc: dict):
+    """``base`` with the fields a simulate config sets, each value converted
+    to the type of ``base``'s own; a null support_lower means no floor."""
+    fields = [f.name for f in dataclasses.fields(base)]
+    unknown = set(doc) - set(fields)
     if unknown:
         raise DataError(f"unknown simulate config keys: {sorted(unknown)}")
-    base = DEFAULT_TRUNCATED_CONFIG
-    support_lower = doc.get("support_lower", base.support_lower)
-    if support_lower is None:
-        support_lower = -math.inf
+    if doc.get("support_lower", 0.0) is None:
+        doc = {**doc, "support_lower": -math.inf}
     try:
-        return SimConfig(
-            n=int(doc.get("n", base.n)),
-            coefficients=tuple(doc.get("coefficients", base.coefficients)),
-            noise_sd=float(doc.get("noise_sd", base.noise_sd)),
-            covariate_ranges=tuple(
-                tuple(r) for r in doc.get("covariate_ranges", base.covariate_ranges)
-            ),
-            support_lower=float(support_lower),
-            seed=int(doc.get("seed", base.seed)),
-        )
-    except (TypeError, ValueError) as err:
-        raise DataError(f"bad simulate config: {err}") from None
-
-
-def _cc_config(doc: dict) -> CallCenterConfig:
-    known = {"per_location_n", "calls_range", "absentee_range", "y_floor", "seed"}
-    unknown = set(doc) - known
-    if unknown:
-        raise DataError(f"unknown simulate config keys: {sorted(unknown)}")
-    base = CallCenterConfig()
-    try:
-        return CallCenterConfig(
-            per_location_n=int(doc.get("per_location_n", base.per_location_n)),
-            calls_range=tuple(doc.get("calls_range", base.calls_range)),
-            absentee_range=tuple(doc.get("absentee_range", base.absentee_range)),
-            y_floor=float(doc.get("y_floor", base.y_floor)),
-            seed=int(doc.get("seed", base.seed)),
+        return dataclasses.replace(
+            base, **{name: type(getattr(base, name))(doc[name]) for name in fields if name in doc}
         )
     except (TypeError, ValueError) as err:
         raise DataError(f"bad simulate config: {err}") from None
@@ -379,9 +343,9 @@ def _cmd_simulate(args) -> int:
     if args.seed is not None:
         doc = {**doc, "seed": args.seed}
     if args.kind == "truncated":
-        dataset = gen_truncated_regression(_sim_config(doc))
+        dataset = gen_truncated_regression(_simulate_config(DEFAULT_TRUNCATED_CONFIG, doc))
     else:
-        dataset = gen_callcenter_like(_cc_config(doc))
+        dataset = gen_callcenter_like(_simulate_config(CallCenterConfig(), doc))
     if args.out:
         dataset.to_csv(args.out)
     else:
@@ -451,7 +415,7 @@ def _cmd_report(args) -> int:
     verdict = is_falsified(batch, y_train, mode=mode, resolution=args.resolution)
 
     pits = pit([ForecastCase(batch, y_train)], args.seed)
-    prob = probability_calibration(pits, _LEVELS)
+    prob = probability_calibration(pits)
     calibration = {
         "seed": args.seed,
         "n_cases": data.n,
@@ -607,8 +571,8 @@ def main(argv=None) -> int:
     except _UsageError as err:
         print(err, file=sys.stderr)
         return 1
-    except SystemExit as exc:  # --help / --version
-        return 0 if exc.code in (None, 0) else int(exc.code)
+    except SystemExit:  # --help / --version; usage errors raise _UsageError
+        return 0
     try:
         return args.handler(args)
     except _UsageError as err:

@@ -68,8 +68,7 @@ def _as_arrays(obs, resolution):
     when some of them are Observations (None otherwise).
 
     Bare numbers, a whole float array among them, take ``resolution``; an
-    Observation keeps its own. Only a sequence holding Observation objects is
-    walked item by item, and then only to read their two fields.
+    Observation keeps its own.
     """
     items = obs if isinstance(obs, np.ndarray) else list(obs)
     try:
@@ -98,9 +97,7 @@ def is_falsified(
     observation): the support of those families, and so the verdict, does
     not depend on the parameters.
 
-    All observations are judged in one elementwise ``has_atom`` (point) or
-    ``has_mass`` (interval) call; an Observation is built only for the
-    witness, and an input Observation is returned as the witness itself.
+    An input Observation is returned as the witness itself.
     """
     if resolution is not None and not resolution > 0.0:
         raise ValueError(f"resolution must be positive, got {resolution}")

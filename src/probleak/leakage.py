@@ -15,7 +15,7 @@ value. The report carries a ``complete`` flag for that case.
 A batch of continuous predictives (array ``loc``/``scale``, as
 ``predictive_rows`` gives) is scored in one call: the masses of the report
 are then arrays. ``leakage_profile`` scores a fit at the points of named
-covariate columns that way, the one form in which covariate points enter.
+covariate columns that way.
 """
 
 from __future__ import annotations
@@ -127,11 +127,7 @@ class Evidence:
             for a, b in self.intervals:
                 mask |= (y >= a) & (y <= b)
         elif self.values is not None:
-            vals = np.asarray(self.values)
-            idx = np.searchsorted(vals, y)
-            idx = np.clip(idx, 0, vals.size - 1)
-            near = np.minimum(np.abs(vals[idx] - y), np.abs(vals[np.maximum(idx - 1, 0)] - y))
-            mask = near == 0.0
+            mask = np.isin(y, self.values)
         else:
             lo, hi, step = self.lattice
             k = np.round((y - lo) / step)

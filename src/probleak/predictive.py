@@ -24,8 +24,7 @@ atoms, and has mass exactly where a window meets ``support()`` with positive
 length, so it overrides ``support()`` only where that is narrower than the
 whole line. Families with a closed-form CRPS define ``_crps``, which
 ``calibration.crps`` calls with a float array or, for one outcome, a Python
-float: one body serves both, with no scalar twin, and gives the same bits
-for a value either way.
+float: one body serves both and gives the same bits for a value either way.
 
 Student-t CDFs go through the regularized incomplete beta function so tail
 probabilities keep relative accuracy. Normal and Student-t quantiles are
@@ -39,11 +38,11 @@ broadcast the argument against the parameters. ``sample`` refuses a batch,
 since one draw count cannot serve every row.
 
 All objects are immutable after construction and safe to share across
-threads. The one memo, Poisson's rate-only CRPS term, is computed on first
-use from the immutable rate and stored on that instance only; two threads
-that race to fill it store equal values. Sampling takes its generator (or
-an integer seed) explicitly; there is no global random state anywhere in
-the package.
+threads. The memos, the CRPS terms that depend on Poisson's rate or Student
+t's df alone, are computed on first use from those immutable fields and
+stored on that instance only; two threads that race to fill one store equal
+values. Sampling takes its generator (or an integer seed) explicitly; there
+is no global random state anywhere in the package.
 """
 
 from __future__ import annotations
@@ -479,9 +478,8 @@ class Poisson(PredictiveDistribution):
         nothing overflows at large rates. F(k) = 0 for k < 0 makes the form
         exact for any real y: negative, between atoms or past the tail; the
         factor (k >= 0) sets it, and pdtr sees no negative k, where it gives
-        nan. One body serves a Python float and an array alike. The terms
-        that depend on the rate alone come from ``_crps_rate_terms``, which
-        this instance computes once.
+        nan. The terms that depend on the rate alone come from
+        ``_crps_rate_terms``, which this instance computes once.
         """
         rate = self.rate
         k = np.floor(y)
@@ -676,8 +674,7 @@ class Mixture(PredictiveDistribution):
         return np.any([c.has_mass(lo, hi) for c in self._weighted_parts()], axis=0)
 
     def atoms_between(self, lo, hi):
-        pieces = [c.atoms_between(lo, hi) for c in self.components]
-        return np.unique(np.concatenate(pieces)) if pieces else np.empty(0)
+        return np.unique(np.concatenate([c.atoms_between(lo, hi) for c in self.components]))
 
     def _quantile(self, p):
         # The mixture p-quantile lies between the smallest and largest
@@ -690,6 +687,6 @@ class Mixture(PredictiveDistribution):
         atoms = self.atoms_between(min(qs), max(qs))
         cdf_vals = np.asarray(self.cdf(atoms))
         hit = np.nonzero(cdf_vals >= p)[0]
-        if hit.size == 0:  # numerical guard; the bound argument makes this unreachable
+        if hit.size == 0:  # the weighted CDF can round to just below p at the quantile
             return float(max(qs))
         return float(atoms[hit[0]])

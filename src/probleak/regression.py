@@ -335,8 +335,10 @@ class ColumnCoding:
     def encode_rows(self, columns: Mapping, label: str = "row") -> np.ndarray:
         """Encode named covariate columns into a design matrix, one row per entry.
 
-        The test-time twin of ``build_design``: columns the coding does not
-        use are ignored (a ``Dataset``'s ``columns`` can be passed as is). An
+        ``build_design`` encodes the training table through it too. Columns
+        the coding does not use are ignored (a ``Dataset``'s ``columns`` can be
+        passed as is). Levels compare as text. A column that is a single
+        value, not one entry per row, raises ModelError naming it. An
         unknown categorical level, or a numeric value that is not a finite
         number, raises ModelError naming the covariate and the first row that
         has it (as ``label`` i). A coding without covariates reads the row
@@ -346,6 +348,9 @@ class ColumnCoding:
         if missing:
             raise ModelError(f"columns are missing covariate {missing[0]!r}")
         cols = {name: np.asarray(columns[name]) for name in self.covariates}
+        single = [name for name, col in cols.items() if col.ndim == 0]
+        if single:
+            raise ModelError(f"covariate {single[0]!r} needs a column, one value per {label}")
         sizes = {len(col) for col in cols.values()} or {len(col) for col in columns.values()}
         if len(sizes) != 1:
             raise ModelError(f"cannot tell the row count from column lengths {sorted(sizes)}")
@@ -397,8 +402,10 @@ def build_design(data: Dataset, spec: ModelSpec):
 
     Returns ``(X, y, coding)``. The intercept column of ones comes first when
     enabled; categorical covariates expand to one indicator per non-baseline
-    level with the lexicographically smallest level as baseline; numeric
-    covariates pass through in declared order.
+    level, levels read as text, with the lexicographically smallest as
+    baseline; numeric covariates pass through in declared order. ``X`` is
+    ``coding.encode_rows`` of the table, so a numeric covariate entry that is
+    not finite raises ModelError.
     """
     if spec.response not in data.columns:
         raise ModelError(f"response column {spec.response!r} not in dataset")
@@ -406,35 +413,26 @@ def build_design(data: Dataset, spec: ModelSpec):
         raise ModelError(f"response column {spec.response!r} must be numeric")
     y = np.asarray(data.column(spec.response), dtype=float)
 
-    terms: list[tuple] = []
-    names: list[str] = []
-    cols: list[np.ndarray] = []
+    terms: list[tuple] = [("intercept",)] if spec.intercept else []
+    names: list[str] = ["(intercept)"] if spec.intercept else []
     levels: dict = {}
-    if spec.intercept:
-        terms.append(("intercept",))
-        names.append("(intercept)")
-        cols.append(np.ones(data.n))
     for name in spec.covariates:
         if name not in data.columns:
             raise ModelError(f"covariate column {name!r} not in dataset")
         if data.is_numeric(name):
             terms.append(("numeric", name))
             names.append(name)
-            cols.append(np.asarray(data.column(name), dtype=float))
         else:
-            col = data.column(name)
-            lvls = sorted(np.unique(col).tolist())
-            levels[name] = tuple(lvls)
-            for level in lvls[1:]:
+            levels[name] = tuple(np.unique(np.asarray(data.column(name), dtype=str)).tolist())
+            for level in levels[name][1:]:
                 terms.append(("indicator", name, level))
                 names.append(f"{name}={level}")
-                cols.append((col == level).astype(float))
-    if not cols:
+    if not terms:
         raise ModelError("model has no design columns (no intercept, no covariates)")
-    X = np.column_stack(cols)
     coding = ColumnCoding(
         terms=tuple(terms), names=tuple(names), levels=levels, covariates=spec.covariates
     )
+    X = coding.encode_rows(data.columns)
     return X, y, coding
 
 

@@ -15,14 +15,13 @@ predicts that it will.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 from scipy import special
 
 from .calibration import (
-    _LEVELS,
     ForecastCase,
     crps,
     ks_uniform,
@@ -292,15 +291,7 @@ def impossibility_experiment(
     spec = ModelSpec("y", cfg.covariate_names)
     fit = fit_model(train, spec)
 
-    holdout_cfg = SimConfig(
-        n=holdout_n,
-        coefficients=cfg.coefficients,
-        noise_sd=cfg.noise_sd,
-        covariate_ranges=cfg.covariate_ranges,
-        support_lower=cfg.support_lower,
-        seed=cfg.seed + 1,
-    )
-    holdout = gen_truncated_regression(holdout_cfg)
+    holdout = gen_truncated_regression(replace(cfg, n=holdout_n, seed=cfg.seed + 1))
 
     evidence = Evidence.interval(cfg.support_lower, math.inf)
     dist = predictive_rows(fit, fit.column_coding.encode_rows(holdout.columns))
@@ -310,7 +301,7 @@ def impossibility_experiment(
     pits = pit([ForecastCase(dist, y_hold)], seed=cfg.seed + 2)
     ks = ks_uniform(pits)
     ks_crit = 1.36 / math.sqrt(holdout_n)
-    prob = probability_calibration(pits, _LEVELS)
+    prob = probability_calibration(pits)
 
     ell_min = float(np.min(leakages))
     mean_leak = float(np.mean(leakages))
@@ -366,11 +357,4 @@ DEFAULT_TRUNCATED_CONFIG = SimConfig(
     seed=71,
 )
 
-DEFAULT_CONTROL_CONFIG = SimConfig(
-    n=2000,
-    coefficients=(0.2, 0.3),
-    noise_sd=1.0,
-    covariate_ranges=((0.0, 1.0),),
-    support_lower=-math.inf,
-    seed=71,
-)
+DEFAULT_CONTROL_CONFIG = replace(DEFAULT_TRUNCATED_CONFIG, support_lower=-math.inf)

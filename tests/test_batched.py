@@ -6,6 +6,7 @@ calibration functions over a list of one-row cases.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -120,6 +121,21 @@ def test_encode_rows_refuses_a_categorical_column_of_more_than_one_dimension():
     coding = _site_fit().column_coding
     with pytest.raises(ModelError, match=r"^covariate 'site' needs one level per row, got a column of shape \(1, 2\)$"):
         coding.encode_rows({"x": [1.0], "site": [["a", "z"]]})
+
+
+@pytest.mark.parametrize(
+    "columns, message",
+    [
+        ({"x": 1.0, "site": ["a"]}, "covariate 'x' needs a column, one value per {}"),
+        ({"x": [1.0], "site": "a"}, "covariate 'site' needs a column, one value per {}"),
+    ],
+)
+def test_a_single_value_in_place_of_a_covariate_column_is_a_model_error(columns, message):
+    result = _site_fit()
+    with pytest.raises(ModelError, match=f"^{re.escape(message.format('row'))}$"):
+        result.column_coding.encode_rows(columns)
+    with pytest.raises(ModelError, match=f"^{re.escape(message.format('grid point'))}$"):
+        leakage_profile(result, Evidence.interval(0.0, math.inf), columns)
 
 
 def test_leakage_profile_keeps_its_grid_point_label():

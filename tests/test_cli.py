@@ -1,6 +1,7 @@
 """End-to-end CLI behavior, run in-process through main(argv)."""
 
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -494,6 +495,57 @@ def test_simulate_unknown_config_key(capsys, tmp_path):
     )
     assert code == 2
     assert "bogus" in json.loads(out)["error"]
+
+
+def simulate_with(capsys, tmp_path, kind, doc, *extra):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    return run(capsys, ["simulate", kind, "--config", str(cfg), *extra])
+
+
+# sha256 of the CSV each config writes to stdout: the tables are part of the contract
+@pytest.mark.parametrize(
+    "kind, doc, extra, rows, digest",
+    [
+        ("callcenter", {"per_location_n": 12, "calls_range": [900, 2400], "y_floor": -2.5}, (), 25,
+         "f64d68c863f46c388d2304b7cb0e57652c5182367d71309295a73b2c8f998821"),
+        ("truncated", {"support_lower": None, "n": "600"}, (), 601,
+         "f22feeca6c8d2c7001d01034d8d1ce1e51ff3c8141da1854dab133810adefd32"),
+        ("truncated", {"support_lower": None, "n": 600.9}, (), 601,
+         "f22feeca6c8d2c7001d01034d8d1ce1e51ff3c8141da1854dab133810adefd32"),
+        ("truncated", {"n": 40, "seed": 4}, ("--seed", "9"), 41,
+         "59af5ccdc33e963309fc9d5970fbfad16ec40d6429396542015a4ad80ed634ba"),
+    ],
+)
+def test_simulate_config_values_convert_to_the_field_types(capsys, tmp_path, kind, doc, extra, rows, digest):
+    code, out, err = simulate_with(capsys, tmp_path, kind, doc, *extra)
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == rows
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_simulate_config_null_support_lower_means_no_floor(capsys, tmp_path):
+    _, out, _ = simulate_with(capsys, tmp_path, "truncated", {"support_lower": None, "n": 600})
+    ys = np.array([float(r.split(",")[0]) for r in out.splitlines()[1:]])
+    assert ys.min() < 0.0
+
+
+def test_simulate_seed_flag_overrides_the_config_seed(capsys, tmp_path):
+    _, seeded, _ = simulate_with(capsys, tmp_path, "truncated", {"n": 40, "seed": 9})
+    _, overridden, _ = simulate_with(capsys, tmp_path, "truncated", {"n": 40, "seed": 4}, "--seed", "9")
+    assert overridden == seeded
+
+
+@pytest.mark.parametrize(
+    "kind, doc, message",
+    [
+        ("truncated", {"coefficients": 3}, "bad simulate config: 'int' object is not iterable"),
+        ("callcenter", {"per_location_n": 10, "noise_sd": 1.0}, "unknown simulate config keys: ['noise_sd']"),
+    ],
+)
+def test_simulate_bad_config_is_a_data_error(capsys, tmp_path, kind, doc, message):
+    code, out, err = simulate_with(capsys, tmp_path, kind, doc)
+    assert (code, out, err) == (2, "", f"probleak: error: {message}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -403,6 +403,15 @@ def test_discrete_mixture_atoms():
     assert mix.density(0.5) == pytest.approx(0.5, abs=1e-12)
 
 
+def test_discrete_mixture_quantile_survives_a_weighted_cdf_that_rounds_below_p():
+    # every component puts the p-quantile at atom 1, but the weighted sum of
+    # their CDFs there rounds to just below p
+    p = Poisson(0.5).cdf(1.0)
+    mix = Mixture([Poisson(0.5)] * 3, [0.1, 0.2, 0.7])
+    assert mix.cdf(1.0) < p
+    assert mix.quantile(p) == 1.0
+
+
 def test_mixture_sampling_and_quantile():
     mix = Mixture([Normal(-5.0, 1.0), Normal(5.0, 1.0)], [0.5, 0.5])
     draws = mix.sample(4000, 12)

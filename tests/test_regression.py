@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from probleak import (
     DataError,
@@ -144,6 +146,78 @@ def test_build_design_errors():
     cat = load_dataset_text("y,g\none,a\ntwo,b\n")
     with pytest.raises(ModelError, match="must be numeric"):
         build_design(cat, ModelSpec("y", ("g",)))
+
+
+def test_build_design_encodes_through_encode_rows():
+    y = np.array([1.0, 2.0, 4.0, 3.0, 5.0])
+    # levels are text, so an integer column fits and predicts with the same levels
+    data = Dataset({"y": y, "g": np.array([2, 10, 2, 10, 3])})
+    X, _, coding = build_design(data, ModelSpec("y", ("g",)))
+    assert coding.levels["g"] == ("10", "2", "3")
+    np.testing.assert_array_equal(X, coding.encode_rows({"g": ["2", "10", "2", "10", "3"]}))
+    assert predictive_at(fit(X, y, coding), {"g": 2}) == predictive_at(fit(X, y, coding), {"g": "2"})
+    bad = Dataset({"y": y, "x": np.array([0.0, math.nan, 1.0, 2.0, 3.0])})
+    with pytest.raises(ModelError, match=r"^row 1: covariate 'x' needs a finite number, got nan$"):
+        build_design(bad, ModelSpec("y", ("x",)))
+
+
+def _column_loop_design(data, spec):
+    """Reference design: each term's column built on its own and stacked."""
+    terms, names, cols, levels = [], [], [], {}
+    if spec.intercept:
+        terms.append(("intercept",))
+        names.append("(intercept)")
+        cols.append(np.ones(data.n))
+    for name in spec.covariates:
+        if data.is_numeric(name):
+            terms.append(("numeric", name))
+            names.append(name)
+            cols.append(np.asarray(data.column(name), dtype=float))
+        else:
+            col = data.column(name)
+            lvls = sorted(np.unique(col).tolist())
+            levels[name] = tuple(lvls)
+            for level in lvls[1:]:
+                terms.append(("indicator", name, level))
+                names.append(f"{name}={level}")
+                cols.append((col == level).astype(float))
+    return cols, tuple(terms), tuple(names), levels
+
+
+_LEVEL_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=3)
+
+
+@st.composite
+def _tables(draw):
+    """A table of numeric and categorical covariates and a spec over some of them."""
+    n = draw(st.integers(1, 12))
+    columns = {"y": np.array(draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n)))}
+    for k in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            values = st.floats(allow_nan=False, allow_infinity=False)
+            columns[f"x{k}"] = np.array(draw(st.lists(values, min_size=n, max_size=n)))
+        else:
+            pool = draw(st.lists(_LEVEL_TEXT, min_size=1, max_size=4, unique=True))
+            columns[f"c{k}"] = np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    covariates = draw(st.permutations([name for name in columns if name != "y"]))
+    spec = ModelSpec("y", tuple(covariates[: draw(st.integers(0, len(covariates)))]), draw(st.booleans()))
+    return Dataset(columns), spec
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables())
+def test_build_design_matches_the_column_loop_bit_for_bit(table):
+    data, spec = table
+    cols, terms, names, levels = _column_loop_design(data, spec)
+    if not cols:  # no intercept, and no covariate with a column
+        with pytest.raises(ModelError, match="no design columns"):
+            build_design(data, spec)
+        return
+    X, y, coding = build_design(data, spec)
+    want = np.column_stack(cols)
+    assert X.shape == want.shape and X.tobytes() == want.tobytes()
+    assert (coding.terms, coding.names, coding.levels) == (terms, names, levels)
+    assert y.tobytes() == data.column("y").tobytes()
 
 
 def test_model_spec_validation():

@@ -106,8 +106,12 @@ def _finite_outcome(y, what: str):
     """``y`` as a Python float if 0-d, else as a float array; all finite.
 
     One outcome is checked with ``math.isfinite``, which costs a fraction
-    of the array check.
+    of the array check; a Python float skips the array conversion too.
     """
+    if type(y) is float:
+        if not math.isfinite(y):
+            raise ValueError(f"{what} must be finite, got {y}")
+        return y
     y = np.asarray(y, dtype=float)
     if y.ndim == 0:
         y = float(y)

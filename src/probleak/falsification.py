@@ -127,11 +127,22 @@ def is_falsified(
 def never_falsifiable(dist: PredictiveDistribution, e: Evidence) -> bool:
     """True when no observation the evidence permits can ever falsify the model.
 
-    Requires a discrete model and finitely enumerable discrete evidence; the
-    check is exhaustive, confirming the model puts an atom on every possible
-    value. A continuous model is falsifiable by any point observation, so it
-    returns False immediately.
+    Requires a discrete model and finitely enumerable discrete evidence: the
+    model must put an atom on every value ``e.possible_values()`` lists. A
+    Poisson against a lattice is decided without listing them, from the
+    lattice's lower end, step and point count, wherever every listed point
+    is sure to be a nonnegative integer or the first one is not; other
+    families, finite sets and the remaining lattices are checked point by
+    point. Either way the verdict, and every error (continuous evidence, an
+    unbounded lattice, one above the enumeration limit), is the one the
+    exhaustive check gives. A continuous model is falsifiable by any point
+    observation, so it returns False immediately.
     """
     if dist.kind == "continuous":
         return False
+    if e.lattice is not None:
+        lo, _, step = e.lattice
+        verdict = dist._atoms_on_lattice(lo, step, e._lattice_count())
+        if verdict is not None:
+            return verdict
     return bool(np.all(dist.has_atom(e.possible_values())))

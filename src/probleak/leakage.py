@@ -145,13 +145,19 @@ class Evidence:
             raise ValueError("enumerate only finite supports (evidence is continuous)")
         if self.values is not None:
             return np.asarray(self.values)
+        lo, _, step = self.lattice
+        return lo + step * np.arange(self._lattice_count())
+
+    def _lattice_count(self) -> int:
+        """The number of points ``possible_values`` lists for a lattice; raises
+        for an unbounded lattice or one of more than 1e7 points."""
         lo, hi, step = self.lattice
         if math.isinf(hi):
             raise ValueError("enumerate only finite supports (lattice is unbounded)")
         count = int(math.floor((hi - lo) / step + _LATTICE_RTOL)) + 1
         if count > _ENUMERATE_LIMIT:
             raise ValueError(f"lattice has {count} points, above the {_ENUMERATE_LIMIT} limit")
-        return lo + step * np.arange(count)
+        return count
 
     # -- serialization ----------------------------------------------------
 

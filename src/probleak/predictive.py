@@ -19,10 +19,11 @@ that works on arrays, and gives a 0-d answer back as a float or a bool. A
 family supplies ``_cdf``, ``_logdensity`` (``density`` is its exp, unless
 the family overrides ``_density``, as the mixture's weighted sum and the
 empirical counts do), ``_quantile`` and ``_sample``; a discrete family also
-``_cdf_left``, ``_has_atom`` and ``_has_mass``. A continuous family has no
-atoms, and has mass exactly where a window meets ``support()`` with positive
-length, so it overrides ``support()`` only where that is narrower than the
-whole line. Families with a closed-form CRPS define ``_crps``, which
+``_cdf_left``, ``_has_atom`` and ``_has_mass``, and may decide
+``_atoms_on_lattice`` (is every point of a lattice an atom?) without listing
+the points, as Poisson does. A continuous family has no atoms, and has mass
+exactly where a window meets ``support()`` with positive length, so it
+overrides ``support()`` only where that is narrower than the whole line. Families with a closed-form CRPS define ``_crps``, which
 ``calibration.crps`` calls with a float array or, for one outcome, a Python
 float: one body serves both and gives the same bits for a value either way.
 
@@ -86,7 +87,10 @@ def _batch_shape(dist) -> tuple:
     """() for one predictive; the shape of ``loc``/``scale`` for a batch."""
     if dist.kind != "continuous" or not hasattr(dist, "loc"):
         return ()
-    return np.broadcast_shapes(np.shape(dist.loc), np.shape(dist.scale))
+    loc, scale = dist.loc, dist.scale
+    if type(loc) is float and type(scale) is float:  # one predictive, at scalar cost
+        return ()
+    return np.broadcast_shapes(np.shape(loc), np.shape(scale))
 
 
 class PredictiveDistribution:
@@ -149,6 +153,11 @@ class PredictiveDistribution:
             s_lo, s_hi = self.support()
             return _bool_or_array(np.maximum(lo, s_lo) < np.minimum(hi, s_hi))
         return _bool_or_array(self._has_mass(lo, hi))
+
+    def _atoms_on_lattice(self, lo: float, step: float, count: int) -> bool | None:
+        """Whether the float points lo + step * k, k < count, are all atoms,
+        decided without listing them; None leaves it to the enumeration."""
+        return None
 
 
 def _expand_bracket(cdf, p, lo, hi):
@@ -480,11 +489,23 @@ class Poisson(PredictiveDistribution):
         factor (k >= 0) sets it, and pdtr sees no negative k, where it gives
         nan. The terms that depend on the rate alone come from
         ``_crps_rate_terms``, which this instance computes once.
+
+        One outcome as a Python float takes a float branch with the same
+        bits: F(k - 1) and F(k) come from one pdtr call on two points when
+        k >= 1, F(0) alone when k = 0 and no call below, and the rest is the
+        same arithmetic in the same order on floats.
         """
         rate = self.rate
-        k = np.floor(y)
-        at = special.pdtr(np.maximum(k, 0.0), rate) * (k >= 0.0)
-        below = special.pdtr(np.maximum(k - 1.0, 0.0), rate) * (k >= 1.0)
+        if type(y) is float:
+            k = float(math.floor(y))
+            if k >= 1.0:
+                below, at = special.pdtr([k - 1.0, k], rate).tolist()
+            else:
+                below, at = 0.0, (float(special.pdtr(0.0, rate)) if k == 0.0 else 0.0)
+        else:
+            k = np.floor(y)
+            at = special.pdtr(np.maximum(k, 0.0), rate) * (k >= 0.0)
+            below = special.pdtr(np.maximum(k - 1.0, 0.0), rate) * (k >= 1.0)
         steps = 2.0 * (y * at - rate * below)
         lead, spread = self._crps_rate_terms
         # lead - y first: with lead = rate it is exact for y near rate, where the score is small
@@ -502,8 +523,8 @@ class Poisson(PredictiveDistribution):
         """
         rate = self.rate
         if rate < 0.05:
-            return rate * rate * np.polyval(_POISSON_EXCESS_SERIES, rate), 0.0
-        return rate, rate * (special.i0e(2.0 * rate) + special.i1e(2.0 * rate))
+            return float(rate * rate * np.polyval(_POISSON_EXCESS_SERIES, rate)), 0.0
+        return rate, float(rate * (special.i0e(2.0 * rate) + special.i1e(2.0 * rate)))
 
     def _sample(self, n, rng):
         return rng.poisson(self.rate, size=n).astype(float)
@@ -513,6 +534,16 @@ class Poisson(PredictiveDistribution):
 
     def _has_mass(self, lo, hi):
         return np.ceil(np.maximum(lo, 0.0)) <= np.floor(hi)
+
+    def _atoms_on_lattice(self, lo, step, count):
+        # The first point is lo itself. With an integer lo >= 0, an integer
+        # step and the last point at most 2**53, every product and sum is an
+        # exact integer, so every point is a count.
+        if not (lo >= 0.0 and lo == math.floor(lo)):
+            return False
+        if count == 1 or (step == math.floor(step) and lo + step * (count - 1) <= 2.0**53):
+            return True
+        return None
 
     def atoms_between(self, lo: float, hi: float) -> np.ndarray:
         """Integer support points in [lo, hi]; both bounds must be finite."""

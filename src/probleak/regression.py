@@ -149,7 +149,9 @@ def _loadtxt_lines(data: bytes, start: int = 0) -> int | None:
         if cut < 0:
             return None
         pos = cut + 1
-    lines = data.count(b"\n", start) + data.count(b"\r", start) - data.count(b"\r\n", start)
+    lines = data.count(b"\n", start)
+    if data.find(b"\r", start) >= 0:
+        lines += data.count(b"\r", start) - data.count(b"\r\n", start)
     return lines + (len(data) > start and not data.endswith((b"\n", b"\r")))  # an unended last line
 
 
@@ -348,10 +350,13 @@ class ColumnCoding:
         if missing:
             raise ModelError(f"columns are missing covariate {missing[0]!r}")
         cols = {name: np.asarray(columns[name]) for name in self.covariates}
-        single = [name for name, col in cols.items() if col.ndim == 0]
-        if single:
+        counted = cols or {name: np.asarray(col) for name, col in columns.items()}
+        single = [name for name, col in counted.items() if col.ndim == 0]
+        if single and cols:
             raise ModelError(f"covariate {single[0]!r} needs a column, one value per {label}")
-        sizes = {len(col) for col in cols.values()} or {len(col) for col in columns.values()}
+        if single:  # no covariates: every column counts the rows
+            raise ModelError(f"column {single[0]!r} is a single value, not one value per {label}")
+        sizes = {len(col) for col in counted.values()}
         if len(sizes) != 1:
             raise ModelError(f"cannot tell the row count from column lengths {sorted(sizes)}")
         X = np.empty((sizes.pop(), self.p))

@@ -107,6 +107,14 @@ def test_encode_rows_ignores_other_columns_and_reads_the_row_count():
         null.column_coding.encode_rows({})
 
 
+def test_encode_rows_without_covariates_names_a_single_value():
+    null = fit_model(load_dataset_text("y\n1\n2\n4\n"), ModelSpec("y", ()))
+    with pytest.raises(ModelError, match="column 'y' is a single value, not one value per row"):
+        null.column_coding.encode_rows({"y": 1.0})
+    with pytest.raises(ModelError, match="column 'n' is a single value"):
+        null.column_coding.encode_rows({"y": [1.0, 2.0], "n": np.float64(2.0)})
+
+
 def test_encode_rows_names_the_row_with_an_unknown_level():
     coding = _site_fit().column_coding
     with pytest.raises(ModelError, match=r"row 2: unknown level 'z' for 'site'"):

@@ -285,6 +285,31 @@ def test_one_outcome_scores_the_same_bits_as_an_array_over_random_parameters(cas
             _same_bits(crps(dist, one), want)
 
 
+@st.composite
+def _poisson_rate_and_float(draw):
+    # both sides of the rate-0.05 switch to the power series
+    rate = draw(st.one_of(st.floats(1e-8, 0.0499), st.floats(0.05, 1e6)))
+    reach = 40.0 * math.sqrt(rate) + 40.0
+    y = draw(st.one_of(
+        st.floats(-1e6, -1e-300),  # negative
+        st.floats(0.0, rate + reach),  # between atoms
+        st.just(0.0),
+        st.floats(rate + reach, 1e300),  # past the far tail
+    ))
+    if draw(st.booleans()):
+        y = float(math.floor(y))  # on an atom, or a negative integer
+    return rate, y
+
+
+@settings(max_examples=400, deadline=None)
+@given(_poisson_rate_and_float())
+def test_poisson_float_branch_scores_the_same_bits_as_the_array_path(case):
+    rate, y = case
+    dist = Poisson(rate)
+    _same_bits(crps(dist, y), crps(dist, np.array([y]))[0])
+    _same_bits(dist._crps(y), dist._crps(np.array([y]))[0])
+
+
 def test_poisson_crps_enumerates_no_atoms():
     crps(Poisson(1e12), 1e12)  # first call outside the trace
     tracemalloc.start()

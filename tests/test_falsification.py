@@ -124,6 +124,79 @@ def test_never_falsifiable_needs_enumerable_evidence():
         never_falsifiable(d, Evidence.lattice_support(0.0, math.inf, 1.0))
 
 
+def _enumerated_verdict(dist, e):
+    """The exhaustive check, or the error it raises."""
+    try:
+        return bool(np.all(dist.has_atom(e.possible_values())))
+    except ValueError as exc:
+        return str(exc)
+
+
+def _decided_verdict(dist, e):
+    try:
+        return never_falsifiable(dist, e)
+    except ValueError as exc:
+        return str(exc)
+
+
+_INTEGRAL = st.integers(0, 50).map(float)
+_STEPS = st.one_of(_INTEGRAL.filter(bool), st.floats(0.01, 5.0), st.sampled_from([0.1, 0.5, 1.0 + 2.0**-40]))
+
+
+@st.composite
+def _lattices(draw):
+    """(lo, hi, step) with counts the reference can list, plus the raise cases."""
+    lo = draw(st.one_of(
+        _INTEGRAL,
+        st.floats(-20.0, 20.0),  # negative and non-integer
+        st.floats(2.0**52 - 64, 2.0**53 + 64),  # where floats stop holding fractions
+        st.sampled_from([-0.0, 2.0**53, 2.0**53 - 1, 1e300]),
+    ))
+    step = draw(_STEPS)
+    count = draw(st.one_of(st.just(1), st.integers(1, 400)))
+    hi = draw(st.one_of(
+        st.just(lo + step * (count - 1)),
+        st.just(lo + step * (count - 0.5)),
+        st.sampled_from([math.inf, lo + 2e7 * step]),  # unbounded, above the limit
+    ))
+    return lo, hi, step
+
+
+@settings(max_examples=500, deadline=None)
+@given(_lattices(), st.floats(0.01, 1e6))
+@example((0.0, 100_000.0, 1.0), 3.0)
+@example((2.0**53 - 2, 2.0**53 + 6, 2.0), 3.0)
+@example((2.0**52 - 1, 2.0**52 + 1, 0.5), 3.0)
+@example((4.0, 4.9, 0.25), 3.0)
+def test_poisson_lattice_verdict_matches_the_enumeration(lattice, rate):
+    try:
+        e = Evidence.lattice_support(*lattice)
+    except ValueError:
+        return
+    dist = Poisson(rate)
+    assert _decided_verdict(dist, e) == _enumerated_verdict(dist, e), lattice
+
+
+def test_poisson_on_a_lattice_is_decided_without_listing_it(monkeypatch):
+    def refuse(self):
+        raise AssertionError("possible_values was called")
+
+    monkeypatch.setattr(Evidence, "possible_values", refuse)
+    assert never_falsifiable(Poisson(3.0), Evidence.lattice_support(0.0, 9e6, 1.0)) is True
+    assert never_falsifiable(Poisson(3.0), Evidence.lattice_support(0.5, 9e6, 1.0)) is False
+    with pytest.raises(ValueError, match="above the 10000000 limit"):
+        never_falsifiable(Poisson(3.0), Evidence.lattice_support(0.0, 2e7, 1.0))
+
+
+def test_other_discrete_families_still_enumerate_the_lattice():
+    e = Evidence.lattice_support(0.0, 3.0, 1.0)
+    assert never_falsifiable(Empirical([0.0, 1.0, 2.0, 3.0]), e) is True
+    assert never_falsifiable(Empirical([0.0, 1.0, 3.0]), e) is False
+    mix = Mixture([Poisson(2.0), Empirical([0.5])], [0.5, 0.5])
+    assert never_falsifiable(mix, Evidence.lattice_support(0.0, 5.0, 0.5)) is False
+    assert never_falsifiable(mix, e) is True
+
+
 # ---------------------------------------------------------------------------
 # the array verdict against the per-observation loop
 # ---------------------------------------------------------------------------

@@ -131,12 +131,13 @@ def never_falsifiable(dist: PredictiveDistribution, e: Evidence) -> bool:
     model must put an atom on every value ``e.possible_values()`` lists. A
     Poisson against a lattice is decided without listing them, from the
     lattice's lower end, step and point count, wherever every listed point
-    is sure to be a nonnegative integer or the first one is not; other
-    families, finite sets and the remaining lattices are checked point by
-    point. Either way the verdict, and every error (continuous evidence, an
-    unbounded lattice, one above the enumeration limit), is the one the
-    exhaustive check gives. A continuous model is falsifiable by any point
-    observation, so it returns False immediately.
+    is sure to be a nonnegative integer or the first one is not, and so is
+    a mixture that one weighted component decides True, or all decide
+    False; other families, finite sets and the remaining lattices are
+    checked point by point. Either way the verdict, and every error
+    (continuous evidence, an unbounded lattice, one above the enumeration
+    limit), is the one the exhaustive check gives. A continuous model is
+    falsifiable by any point observation, so it returns False immediately.
     """
     if dist.kind == "continuous":
         return False

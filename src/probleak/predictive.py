@@ -21,11 +21,13 @@ the family overrides ``_density``, as the mixture's weighted sum and the
 empirical counts do), ``_quantile`` and ``_sample``; a discrete family also
 ``_cdf_left``, ``_has_atom`` and ``_has_mass``, and may decide
 ``_atoms_on_lattice`` (is every point of a lattice an atom?) without listing
-the points, as Poisson does. A continuous family has no atoms, and has mass
-exactly where a window meets ``support()`` with positive length, so it
-overrides ``support()`` only where that is narrower than the whole line. Families with a closed-form CRPS define ``_crps``, which
-``calibration.crps`` calls with a float array or, for one outcome, a Python
-float: one body serves both and gives the same bits for a value either way.
+the points, as Poisson does, and a mixture from its weighted components. A
+continuous family has no atoms, and has mass exactly where a window meets
+``support()`` with positive length, so it overrides ``support()`` only where
+that is narrower than the whole line. Families with a closed-form CRPS
+define ``_crps``, which ``calibration.crps`` calls with a float array or, for
+one outcome, a Python float: one body serves both and gives the same bits for
+a value either way.
 
 Student-t CDFs go through the regularized incomplete beta function so tail
 probabilities keep relative accuracy. Normal and Student-t quantiles are
@@ -156,7 +158,11 @@ class PredictiveDistribution:
 
     def _atoms_on_lattice(self, lo: float, step: float, count: int) -> bool | None:
         """Whether the float points lo + step * k, k < count, are all atoms,
-        decided without listing them; None leaves it to the enumeration."""
+        decided without listing them; None leaves it to the enumeration.
+
+        A family says False only where the first point, lo, is no atom, so
+        a mixture whose components all say False has no atom there either.
+        """
         return None
 
 
@@ -703,6 +709,14 @@ class Mixture(PredictiveDistribution):
 
     def _has_mass(self, lo, hi):
         return np.any([c.has_mass(lo, hi) for c in self._weighted_parts()], axis=0)
+
+    def _atoms_on_lattice(self, lo, step, count):
+        # A point is an atom of the mixture when it is an atom of any
+        # weighted component, and a component's False means lo is none.
+        verdicts = {c._atoms_on_lattice(lo, step, count) for c in self._weighted_parts()}
+        if True in verdicts:
+            return True
+        return False if verdicts == {False} else None
 
     def atoms_between(self, lo, hi):
         return np.unique(np.concatenate([c.atoms_between(lo, hi) for c in self.components]))

@@ -94,21 +94,52 @@ class Dataset:
         """Write the table in the same CSV dialect ``load_dataset`` reads.
 
         Floats are written with shortest round-trip repr, so a write/read
-        cycle reproduces the numeric columns bit for bit.
+        cycle reproduces the numeric columns bit for bit. The bytes are those
+        of ``csv.writer``'s default dialect (``\\r\\n`` line ends, cells
+        quoted where it quotes them), but each column is formatted once per
+        block of rows and the rows are joined in C, so no Python code runs
+        per row, and the memory a write holds does not grow with the table.
         """
+        cols = list(self.columns.values())
+        alone = len(cols) == 1
         own = isinstance(target, (str, Path))
         handle = open(target, "w", newline="") if own else target
         try:
-            writer = csv.writer(handle)
-            writer.writerow(self.names)
-            cols = [self.columns[name] for name in self.names]
-            for row in zip(*cols):
-                writer.writerow(
-                    [repr(float(v)) if isinstance(v, float) else str(v) for v in row]
-                )
+            handle.write(",".join(_csv_cells(self.names, alone)) + "\r\n")
+            for start in range(0, self.n, _BLOCK_ROWS):
+                block = [_csv_cells(col[start : start + _BLOCK_ROWS], alone) for col in cols]
+                handle.write("\r\n".join(map(",".join, zip(*block))) + "\r\n")
         finally:
             if own:
                 handle.close()
+
+
+_BLOCK_ROWS = 1024  # rows formatted and written at a time by Dataset.to_csv
+_QUOTED = ',"\r\n'  # csv.writer quotes a cell holding any of these
+
+
+def _csv_cells(values, alone: bool) -> list[str]:
+    """The cells of a column as ``csv.writer`` writes them: ``repr(float(v))``
+    for a float, ``str(v)`` otherwise, quoted where it quotes, which is for
+    a delimiter, a quote or a line-end character, and for an empty cell
+    ``alone`` on its row."""
+    if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.type is np.float64:
+        cells = list(map(repr, values.tolist()))
+    else:
+        cells = [repr(float(v)) if isinstance(v, float) else str(v) for v in values]
+    if _needs_quotes("".join(cells)) or (alone and "" in cells):
+        cells = [_quote(cell, alone) for cell in cells]
+    return cells
+
+
+def _needs_quotes(text: str) -> bool:
+    return any(ch in text for ch in _QUOTED)
+
+
+def _quote(cell: str, alone: bool) -> str:
+    if _needs_quotes(cell) or (alone and not cell):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
 
 
 def _parse_cell(text: str) -> float | None:
@@ -149,10 +180,11 @@ def _loadtxt_lines(data: bytes, start: int = 0) -> int | None:
         if cut < 0:
             return None
         pos = cut + 1
-    lines = data.count(b"\n", start)
-    if data.find(b"\r", start) >= 0:
-        lines += data.count(b"\r", start) - data.count(b"\r\n", start)
-    return lines + (len(data) > start and not data.endswith((b"\n", b"\r")))  # an unended last line
+    buf = np.frombuffer(data, dtype=np.uint8, offset=start)
+    after_cr = buf[1:][buf[:-1] == ord("\r")]  # the byte after each \r but a last one
+    lines = data.count(b"\n", start) + np.count_nonzero(after_cr != ord("\n"))
+    # the last line ends at the end of the data unless a \n ends it
+    return int(lines) + (len(data) > start and not data.endswith(b"\n"))
 
 
 _LINE_END = re.compile(rb"\r\n?|\n")

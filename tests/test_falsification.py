@@ -188,6 +188,56 @@ def test_poisson_on_a_lattice_is_decided_without_listing_it(monkeypatch):
         never_falsifiable(Poisson(3.0), Evidence.lattice_support(0.0, 2e7, 1.0))
 
 
+_EMPIRICAL_ATOMS = [-1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 2.0**53]
+_PARTS = st.one_of(
+    st.floats(0.01, 100.0).map(Poisson),
+    st.lists(st.sampled_from(_EMPIRICAL_ATOMS), min_size=1, max_size=6).map(Empirical),
+)
+# lattices on the empirical atoms, where a Poisson that decides False (at a
+# negative or fractional lo) shares the mixture with a part that has atoms there
+_ATOM_LATTICES = st.tuples(
+    st.sampled_from([-1.0, -0.5, 0.5]), st.sampled_from([0.5, 1.0, 1.5]), st.integers(1, 4)
+).map(lambda t: (t[0], t[0] + t[1] * (t[2] - 1), t[1]))
+
+
+@st.composite
+def _mixtures(draw):
+    """Discrete mixtures of one to three parts (one may be a mixture itself),
+    some weights zero."""
+    inner = st.lists(_PARTS, min_size=1, max_size=2).map(lambda cs: Mixture(cs, [1.0 / len(cs)] * len(cs)))
+    parts = draw(st.lists(st.one_of(_PARTS, inner), min_size=1, max_size=3))
+    raw = draw(st.lists(st.integers(0, 3), min_size=len(parts), max_size=len(parts)).filter(any))
+    return Mixture(parts, [w / sum(raw) for w in raw])
+
+
+@settings(max_examples=500, deadline=None)
+@given(_mixtures(), st.one_of(_lattices(), _ATOM_LATTICES))
+# a zero weight decides nothing
+@example(Mixture([Poisson(2.0), Empirical([0.5])], [0.0, 1.0]), (0.0, 3.0, 1.0))
+@example(Mixture([Poisson(2.0), Poisson(9.0)], [0.5, 0.5]), (0.5, 3.5, 1.0))
+@example(Mixture([Poisson(2.0), Empirical([0.0, 1.0])], [0.5, 0.5]), (0.0, 1.0, 0.5))
+@example(Mixture([Poisson(2.0), Empirical([-1.0, 0.0])], [0.5, 0.5]), (-1.0, 0.0, 1.0))
+def test_mixture_lattice_verdict_matches_the_enumeration(mix, lattice):
+    try:
+        e = Evidence.lattice_support(*lattice)
+    except ValueError:
+        return
+    assert _decided_verdict(mix, e) == _enumerated_verdict(mix, e), lattice
+
+
+def test_a_poisson_mixture_on_a_lattice_is_decided_without_listing_it(monkeypatch):
+    def refuse(self):
+        raise AssertionError("possible_values was called")
+
+    monkeypatch.setattr(Evidence, "possible_values", refuse)
+    counts = Evidence.lattice_support(0.0, 9e6, 1.0)
+    assert never_falsifiable(Mixture([Poisson(2.0), Poisson(9.0)], [0.5, 0.5]), counts) is True
+    assert never_falsifiable(Mixture([Poisson(2.0), Empirical([0.5])], [0.5, 0.5]), counts) is True
+    assert never_falsifiable(
+        Mixture([Poisson(2.0), Poisson(9.0)], [0.5, 0.5]), Evidence.lattice_support(0.5, 9e6, 1.0)
+    ) is False
+
+
 def test_other_discrete_families_still_enumerate_the_lattice():
     e = Evidence.lattice_support(0.0, 3.0, 1.0)
     assert never_falsifiable(Empirical([0.0, 1.0, 2.0, 3.0]), e) is True

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from probleak import DataError, load_dataset, load_dataset_text
@@ -371,6 +371,36 @@ def test_the_byte_scan_counts_lines_as_newline_empty_splits_them(head, pieces, l
     finally:
         csv.field_size_limit(old)
     assert got == (None if refused else len(lines))
+
+
+def _three_count_lines(data, start):
+    """The line count _loadtxt_lines took from three bytes.count scans, kept
+    as the reference for its one pass."""
+    if data.find(b'"', start) >= 0:
+        return None
+    lines = data.count(b"\n", start)
+    if data.find(b"\r", start) >= 0:
+        lines += data.count(b"\r", start) - data.count(b"\r\n", start)
+    return lines + (len(data) > start and not data.endswith((b"\n", b"\r")))
+
+
+_LINE_BYTES = st.one_of(
+    st.binary(max_size=40),
+    st.lists(st.sampled_from([b"\r", b"\n", b"\r\n", b"\n\r", b"1", b",", b"\x00", b"\xff"]), max_size=30)
+    .map(b"".join),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_LINE_BYTES, st.integers(0, 45))
+@example(b"", 0)
+@example(b"\r", 0)
+@example(b"\r", 1)
+@example(b"a\r\nb\r\n", 2)
+@example(b"a\rb\nc\r\nd", 0)
+def test_the_one_pass_line_count_matches_three_counts(data, start):
+    start = min(start, len(data))
+    assert regression._loadtxt_lines(data, start) == _three_count_lines(data, start)
 
 
 def test_bare_carriage_returns_load_from_text_as_from_a_path(tmp_path):

@@ -1,11 +1,13 @@
 """CSV ingestion, design building, the flat-prior fit, and its predictive."""
 
+import csv
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from probleak import (
@@ -20,6 +22,7 @@ from probleak import (
     load_dataset,
     load_dataset_text,
     predictive_at,
+    regression,
 )
 
 HAND_CSV = "x,y\n0,0\n1,1\n2,3\n"
@@ -110,6 +113,154 @@ def test_to_csv_to_file_object():
     buf = io.StringIO()
     data.to_csv(buf)
     assert buf.getvalue().splitlines()[0] == "x,y"
+
+
+def _reference_text(data):
+    """The text of the per-row writer Dataset.to_csv replaced, kept as the reference."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(data.names)
+    cols = [data.columns[name] for name in data.names]
+    for row in zip(*cols):
+        writer.writerow([repr(float(v)) if isinstance(v, float) else str(v) for v in row])
+    return buf.getvalue()
+
+
+def _assert_same_text(got, want):
+    """Equal texts, or the first difference in a short message (no full diff)."""
+    same = got == want
+    at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    lo = max(at - 20, 0)
+    assert same, f"first difference at {at}: {got[lo:at + 20]!r} != {want[lo:at + 20]!r}"
+
+
+class _ShownFloat(float):
+    """A float whose str is not its value: the writer must take repr(float(v))."""
+
+    def __str__(self):
+        return "shown"
+
+
+_BLOCK = regression._BLOCK_ROWS
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([-0.0, 0.0, 5e-324, -2.2e-308, 1e16, -1e16, 1e22, 3.0, -7.0, 0.1]),
+)
+_TEXT = st.text(st.one_of(st.sampled_from(list(',"\r\n a.-é中')), st.characters()), max_size=6)
+_MIXED = st.one_of(
+    st.integers(-(10**20), 10**20), _FLOATS, _TEXT, _FLOATS.map(_ShownFloat), _FLOATS.map(np.float64),
+)
+
+
+@st.composite
+def _column(draw, n):
+    """One column of n cells, each drawn from a small pool of values."""
+    kind = draw(st.sampled_from(["float64", "float32", "int", "object", "str", "list", "bool"]))
+    if kind == "float64":
+        pool = draw(st.lists(_FLOATS, min_size=1, max_size=8))
+    elif kind == "float32":
+        pool = draw(st.lists(st.floats(width=32, allow_subnormal=True), min_size=1, max_size=8))
+    elif kind == "int":
+        pool = draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=8))
+    elif kind == "str":
+        pool = draw(st.lists(_TEXT, min_size=1, max_size=8))
+    elif kind == "bool":
+        pool = [False, True]
+    else:
+        pool = draw(st.lists(_MIXED, min_size=1, max_size=8))
+    picks = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(len(pool), size=n)
+    cells = [pool[i] for i in picks]
+    if kind == "list":
+        return cells
+    dtype = {"float64": np.float64, "float32": np.float32, "int": np.int64, "str": str, "bool": bool}
+    return np.array(cells, dtype=dtype.get(kind, object))
+
+
+@st.composite
+def _datasets(draw):
+    n = draw(st.one_of(st.integers(0, 6), st.sampled_from([_BLOCK - 1, _BLOCK, _BLOCK + 1])))
+    names = draw(st.lists(_TEXT, min_size=1, max_size=4, unique=True))
+    return Dataset({name: draw(_column(n)) for name in names})
+
+
+@settings(max_examples=300, deadline=None)
+@given(_datasets())
+@example(Dataset({"y": ["", "a", ""]}))  # a lone empty cell is quoted
+@example(Dataset({"": np.array([1.0, 2.0])}))  # and so is a lone empty name
+@example(Dataset({"a,b": ['x"y', "p\rq", "s\nt"], "c": [1, 2.5, "t u"]}))
+@example(Dataset({"x": np.arange(_BLOCK + 1, dtype=float), "y": ["", "z"] * (_BLOCK // 2) + ["w"]}))
+def test_to_csv_writes_the_bytes_of_the_row_writer(data):
+    buf = io.StringIO()
+    data.to_csv(buf)
+    _assert_same_text(buf.getvalue(), _reference_text(data))
+
+
+@pytest.mark.parametrize("n", [0, _BLOCK + 7])
+def test_to_csv_writes_the_same_bytes_to_a_path_a_string_buffer_and_a_file(tmp_path, n):
+    rng = np.random.default_rng(17)
+    data = Dataset({
+        "y": rng.normal(size=n),
+        "k": rng.integers(-5, 5, size=n),
+        "say, \"what\"": np.array(["", "a,b", 'q"', "x\ny", "é 中"] * (n // 5) + ["r\rs"] * (n % 5)),
+    })
+    want = _reference_text(data).encode()
+    path = tmp_path / "by-path.csv"
+    data.to_csv(path)
+    assert path.read_bytes() == want
+    data.to_csv(str(path))
+    assert path.read_bytes() == want
+    buf = io.StringIO()
+    data.to_csv(buf)
+    assert buf.getvalue().encode() == want
+    with open(tmp_path / "by-handle.csv", "w", newline="", encoding="utf-8") as handle:
+        handle.write("before\r\n")
+        data.to_csv(handle)
+        assert not handle.closed
+    assert (tmp_path / "by-handle.csv").read_bytes() == b"before\r\n" + want
+
+
+@pytest.mark.parametrize("categorical", [False, True])
+def test_to_csv_round_trips_bit_for_bit_across_a_block_edge(tmp_path, categorical):
+    n = 2 * _BLOCK + 1
+    rng = np.random.default_rng(23)
+    y = rng.normal(size=n) * 10.0 ** rng.integers(-320, 300, size=n)
+    y[: 6] = [-0.0, 5e-324, 1e16, 2.0**53 + 2, -1.0, 0.0]
+    columns = {"y": y, "x": rng.uniform(0.0, 1.0, size=n)}
+    if categorical:
+        columns["site"] = np.array(["north", "south, east", 'say "a"'])[rng.integers(3, size=n)]
+    data = Dataset(columns)
+    path = tmp_path / "round.csv"
+    data.to_csv(path)
+    back = load_dataset(path)
+    assert back.names == data.names
+    for name in ("y", "x"):
+        assert back.column(name).dtype == np.float64
+        assert back.column(name).tobytes() == data.column(name).tobytes()
+    if categorical:
+        assert list(back.column("site")) == list(data.column("site"))
+
+
+class _Discard:
+    def write(self, text):
+        return len(text)
+
+
+def _traced_write_peak(n):
+    rng = np.random.default_rng(29)
+    data = Dataset({name: rng.normal(size=n) for name in ("y", "x1", "x2")})
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        data.to_csv(_Discard())
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_to_csv_memory_does_not_grow_with_the_table():
+    small, large = _traced_write_peak(20_000), _traced_write_peak(200_000)
+    assert large <= 1.5 * small, (small, large)
 
 
 # ---------------------------------------------------------------------------

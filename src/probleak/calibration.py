@@ -19,6 +19,8 @@ predictive CDF sits strictly above the empirical CDF at the floor.
 All three are averages over cases (Gneiting, Balabdaoui & Raftery 2007,
 JRSS-B 69). A ``ForecastCase`` may hold a whole batch: a predictive with
 array parameters, as ``predictive_rows`` gives, and one outcome per row.
+The exceedance and marginal curves read one (y x case) table of CDF values,
+which a report builds once for both.
 
 CRPS uses the family's closed form where one exists (normal, Student t,
 truncated normal, Poisson), which is exact to rounding, costs O(1) per
@@ -45,6 +47,7 @@ from scipy import special
 
 from .exceptions import ModelError
 from .predictive import Mixture, PredictiveDistribution, StudentT, _batch_shape, _scalar_or_array
+from .predictive import _empirical_quantile  # one order-statistic rule, shared with Empirical
 
 __all__ = [
     "CalibrationReport",
@@ -136,7 +139,7 @@ def pit(cases: Sequence[ForecastCase], seed) -> np.ndarray:
     randomized transform P_i(y_i-) + V_i * pmf_i(y_i) with V_i uniform from
     the seeded generator, which restores exact uniformity under the true
     model. One V_i is consumed per discrete case, in order. Consecutive
-    discrete cases that share one predictive object are scored in one call.
+    cases that share one predictive object are scored in one call.
     """
     if not cases:
         raise ValueError("need at least one forecast case")
@@ -145,12 +148,11 @@ def pit(cases: Sequence[ForecastCase], seed) -> np.ndarray:
     for _, run in itertools.groupby(cases, key=lambda case: id(case.predictive)):
         run = list(run)
         dist = run[0].predictive
-        if dist.kind == "continuous":
-            out.extend(np.ravel(dist.cdf(case.observed)) for case in run)
-        else:
-            y = np.array([case.observed for case in run], dtype=float)
-            left = np.asarray(dist.cdf_left(y), dtype=float)
-            out.append(left + rng.uniform(size=y.size) * np.asarray(dist.density(y), dtype=float))
+        y = np.array([case.observed for case in run], dtype=float)
+        u = np.asarray(dist.cdf_left(y), dtype=float)  # P(y) itself for a continuous one
+        if dist.kind == "discrete":
+            u = u + rng.uniform(size=y.size) * np.asarray(dist.density(y), dtype=float)
+        out.append(np.ravel(u))
     return np.clip(np.concatenate(out), 0.0, 1.0)
 
 
@@ -175,28 +177,26 @@ def probability_calibration(pits, levels=_LEVELS) -> ProbabilityCalibration:
     return ProbabilityCalibration(curve, float(np.max(np.abs(freqs - levels))))
 
 
-def _empirical_quantile(pool: np.ndarray, p) -> np.ndarray:
-    """Order-statistic quantiles of a sorted pool, total on p in [0, 1]."""
-    idx = np.ceil(np.asarray(p) * pool.size - 1e-9).astype(np.int64) - 1
-    return pool[np.clip(idx, 0, pool.size - 1)]
+def _curves(cases: Sequence[ForecastCase], pool: np.ndarray, ys: np.ndarray) -> tuple[list, list]:
+    """The exceedance and the marginal curve at ys, from one table of CDF values.
 
-
-def _mean_over_cases(cases: Sequence[ForecastCase], ys: np.ndarray, of=None) -> np.ndarray:
-    """Mean over cases of P_i(y), or of ``of(P_i(y))``, at each y.
-
-    The CDF values come as (y x case) tables, one per block of consecutive
-    ys, each sized to about 2**20 values however many cases there are.
+    The CDF values P_i(y) come as (y x case) tables, one per block of
+    consecutive ys, each sized to about 2**20 values however many cases
+    there are. Each table gives both means over cases: of P_i(y), and of
+    the sorted ``pool``'s quantile at P_i(y).
     """
-    n = sum(np.size(c.observed) for c in cases)
-    step = max(1, _TABLE_CELLS // n)
-    out = np.empty(ys.size)
+    step = max(1, _TABLE_CELLS // pool.size)
+    mean_cdf, mean_quantile = np.empty(ys.size), np.empty(ys.size)
     for start in range(0, ys.size, step):
         block = ys[start : start + step, None]
         table = np.concatenate(
             [np.reshape(c.predictive.cdf(block), (block.shape[0], -1)) for c in cases], axis=1
         )
-        out[start : start + step] = np.mean(table if of is None else of(table), axis=1)
-    return out
+        mean_cdf[start : start + step] = np.mean(table, axis=1)
+        mean_quantile[start : start + step] = np.mean(_empirical_quantile(pool, table), axis=1)
+    emp = np.searchsorted(pool, ys, side="right") / pool.size
+    ys = ys.tolist()
+    return list(zip(ys, mean_quantile.tolist())), list(zip(ys, mean_cdf.tolist(), emp.tolist()))
 
 
 def exceedance_calibration(cases: Sequence[ForecastCase], levels) -> list:
@@ -205,10 +205,7 @@ def exceedance_calibration(cases: Sequence[ForecastCase], levels) -> list:
     Calibration in exceedance means the curve hugs the identity: the pooled
     outcomes, read back at the model's own CDF level, land near y itself.
     """
-    pool = _pooled(cases)
-    levels = np.sort(np.asarray(levels, dtype=float))
-    means = _mean_over_cases(cases, levels, lambda p: _empirical_quantile(pool, p))
-    return list(zip(levels.tolist(), means.tolist()))
+    return _curves(cases, _pooled(cases), np.sort(np.asarray(levels, dtype=float)))[0]
 
 
 def _default_marginal_grid(pool: np.ndarray) -> np.ndarray:
@@ -228,8 +225,7 @@ def marginal_calibration(cases: Sequence[ForecastCase], y_grid=None) -> list:
         grid = np.asarray(y_grid, dtype=float)
         if np.any(np.diff(grid) < 0):
             raise ValueError("y_grid must be sorted")
-    emp = np.searchsorted(pool, grid, side="right") / pool.size
-    return list(zip(grid.tolist(), _mean_over_cases(cases, grid).tolist(), emp.tolist()))
+    return _curves(cases, pool, grid)[1]
 
 
 def ks_uniform(values) -> float:
@@ -453,24 +449,24 @@ class CalibrationReport:
         return _csv_text(header, zip(*rows))
 
 
-def calibration_report(
-    cases: Sequence[ForecastCase], seed, include_crps: bool = True
-) -> CalibrationReport:
+def calibration_report(cases: Sequence[ForecastCase], seed) -> CalibrationReport:
     """Assemble every diagnostic into one report.
 
     The probability curve is read at the 19 levels p = 0.05, 0.10, ..., 0.95,
     the exceedance and marginal curves at 101 quantiles of the pooled
-    outcomes. CRPS averaging can be switched off for families where the
-    score is undefined.
+    outcomes, both from one table of CDF values. ``mean_crps`` is None when
+    the CRPS is undefined: when some predictive is, or mixes in, a Student t
+    with df <= 1, which has no finite mean.
     """
     pits = pit(cases, seed)
     prob = probability_calibration(pits)
-    grid = _default_marginal_grid(_pooled(cases))
-    exceed = exceedance_calibration(cases, grid)
-    marginal = marginal_calibration(cases, grid)
-    mean_crps = None
-    if include_crps:
+    pool = _pooled(cases)
+    exceed, marginal = _curves(cases, pool, _default_marginal_grid(pool))
+    try:
         scores = [np.ravel(crps(c.predictive, c.observed)) for c in cases]
+    except ModelError:  # raised only by _require_finite_mean
+        mean_crps = None
+    else:
         mean_crps = float(np.mean(np.concatenate(scores)))
     return CalibrationReport(
         pit_values=[float(v) for v in pits],

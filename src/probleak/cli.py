@@ -38,14 +38,15 @@ from .calibration import (
 from .exceptions import DataError, ModelError
 from .falsification import is_falsified
 from .leakage import Evidence, LeakageProfile, leakage, leakage_profile, parse_support
-from .predictive import StudentT
 from .regression import (
     Dataset,
     ModelSpec,
+    _csv_cells,
     _encode_columns,
     _finite_floats,
     fit_model,
     load_dataset,
+    predictive_at,
     predictive_rows,
 )
 from .simulation import (
@@ -162,11 +163,6 @@ def _training_points(data: Dataset, spec: ModelSpec, how: str) -> dict:
     columns = {name: np.full(len(combos), float(summary(data.column(name)))) for name in numeric}
     columns.update((name, np.array(levels)) for name, levels in zip(categorical, zip(*combos)))
     return columns
-
-
-def _row(batch: StudentT, i: int) -> StudentT:
-    """Entry i of a batch of predictives as one predictive."""
-    return StudentT(df=batch.df, loc=float(batch.loc[i]), scale=float(batch.scale[i]))
 
 
 def _fit_summary(spec: ModelSpec, result) -> dict:
@@ -374,7 +370,8 @@ def _density_curves(dists: list, evidence: Evidence, grid_points: int) -> str:
         grid = np.unique(np.concatenate([grid, np.asarray(bounds, dtype=float)]))
     bound_set = set(float(b) for b in bounds)
     marker = ["support_bound" if y in bound_set else "" for y in grid.tolist()]
-    header = "y," + ",".join(f"density_{label}" for label, _ in dists) + ",marker"
+    names = ["y", *(f"density_{label}" for label, _ in dists), "marker"]
+    header = ",".join(_csv_cells(names, alone=False))
     return _csv_text(header, [grid, *(d.density(grid) for _, d in dists)], marker)
 
 
@@ -388,7 +385,7 @@ def _cmd_report(args) -> int:
     data, spec, result = _load_and_fit(args)
     evidence = _parse_support_arg(args.support)
     null_fit = fit_model(data, ModelSpec(spec.response, ()))
-    null_dist = _row(predictive_rows(null_fit, _encode_columns(null_fit, {})), 0)
+    null_dist = predictive_at(null_fit, {})
 
     parts = {f"at_{how}": _training_points(data, spec, how) for how in _AT_KEYWORDS}
     if args.at is not None:
@@ -426,9 +423,9 @@ def _cmd_report(args) -> int:
 
     categorical = [name for name in spec.covariates if not data.is_numeric(name)]
     dists = [("null", null_dist)]
-    for i, report in enumerate(leak_section["at_medians"]):
+    for report, row in zip(leak_section["at_medians"], designs[0]):
         label = "_".join(report["x_star"][name] for name in categorical) or "model"
-        dists.append((label, _row(at_dists, i)))
+        dists.append((label, predictive_at(result, row)))
     Path(args.out_curves).write_text(_density_curves(dists, evidence, args.grid_points))
 
     doc = {

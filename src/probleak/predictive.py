@@ -263,9 +263,10 @@ class Normal(PredictiveDistribution):
 class StudentT(PredictiveDistribution):
     """Location-scale Student t; the predictive family of flat-prior regression.
 
-    ``df`` may be any positive real. The CDF uses the tail form of the
-    regularized incomplete beta function, which keeps relative accuracy deep
-    into the tails where leakage probabilities live.
+    ``df`` may be any positive real. The CDF takes the regularized
+    incomplete beta function in its tail form, which keeps relative accuracy
+    deep into the tails where leakage probabilities live, and in a centre
+    form for t^2 < min(df, 1), where the tail form's argument rounds to 1.
     """
 
     df: float
@@ -539,7 +540,8 @@ class Poisson(PredictiveDistribution):
         return np.isfinite(y) & (np.floor(y) == y) & (y >= 0.0)
 
     def _has_mass(self, lo, hi):
-        return np.ceil(np.maximum(lo, 0.0)) <= np.floor(hi)
+        first = np.ceil(np.maximum(lo, 0.0))  # the first count in the window, if finite
+        return np.isfinite(first) & (first <= np.floor(hi))
 
     def _atoms_on_lattice(self, lo, step, count):
         # The first point is lo itself. With an integer lo >= 0, an integer
@@ -587,6 +589,14 @@ class Poisson(PredictiveDistribution):
         return float(hi)
 
 
+def _empirical_quantile(pool: np.ndarray, p) -> np.ndarray:
+    """Order-statistic quantiles of a sorted pool, elementwise and total on
+    p in [0, 1]: the ceil(p n)-th smallest value, with 1e-9 of slack so that
+    a p n that rounds just above an integer stays on it."""
+    idx = np.ceil(np.asarray(p) * pool.size - 1e-9).astype(np.int64) - 1
+    return pool[np.clip(idx, 0, pool.size - 1)]
+
+
 @dataclass(frozen=True)
 class Empirical(PredictiveDistribution):
     """Step-function distribution of observed values (each atom gets mass 1/n)."""
@@ -629,9 +639,7 @@ class Empirical(PredictiveDistribution):
         return uniq[(uniq >= lo) & (uniq <= hi)]
 
     def _quantile(self, p):
-        n = self._obs.size
-        idx = int(math.ceil(p * n - 1e-9)) - 1
-        return float(self._obs[min(max(idx, 0), n - 1)])
+        return float(_empirical_quantile(self._obs, p))
 
 
 # ---------------------------------------------------------------------------

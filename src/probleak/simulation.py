@@ -313,9 +313,8 @@ def impossibility_experiment(
         freq_star = float(np.mean(pits <= p_star))
         dev_star = abs(freq_star - p_star)
     if truncated:
-        mean_cdf_at_bound = float(np.mean(dist.cdf_left(cfg.support_lower)))
-        emp_below = float(np.mean(y_hold < cfg.support_lower))
-        gap = mean_cdf_at_bound - emp_below
+        # the mean predictive CDF at the bound is the mean leakage below it
+        gap = mean_leak - float(np.mean(y_hold < cfg.support_lower))
 
     crps_model = crps_oracle = None
     if compute_crps:

@@ -1,6 +1,9 @@
 """PIT, the three calibration notions, CRPS, and the KL distance to elicited opinion."""
 
+import itertools
+import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +31,7 @@ from probleak import (
     pit,
     probability_calibration,
 )
+from probleak import calibration
 
 
 def _normal_cases(n, seed, loc=0.0, scale=1.0):
@@ -520,7 +524,7 @@ def test_calibration_report_fields_and_determinism():
 
 def test_calibration_report_can_skip_crps():
     cases = [ForecastCase(StudentT(df=1.0), 0.0)]  # CRPS undefined here
-    rep = calibration_report(cases, seed=0, include_crps=False)
+    rep = calibration_report(cases, seed=0)
     assert rep.mean_crps is None
 
 
@@ -543,3 +547,162 @@ def test_calibration_report_json_and_curves():
     assert rep.curve_csv("marginal").startswith("y,")
     with pytest.raises(ValueError, match="unknown curve"):
         rep.curve_csv("bogus")
+
+
+# ---------------------------------------------------------------------------
+# one pass per report: the code that built each curve's table on its own,
+# kept as the oracle, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _parent_pooled(cases):
+    return np.sort(np.concatenate([np.ravel(c.observed) for c in cases]).astype(float))
+
+
+def _parent_pit(cases, seed):
+    rng = np.random.default_rng(seed)
+    out = []
+    for _, run in itertools.groupby(cases, key=lambda case: id(case.predictive)):
+        run = list(run)
+        dist = run[0].predictive
+        if dist.kind == "continuous":
+            out.extend(np.ravel(dist.cdf(case.observed)) for case in run)
+        else:
+            y = np.array([case.observed for case in run], dtype=float)
+            left = np.asarray(dist.cdf_left(y), dtype=float)
+            out.append(left + rng.uniform(size=y.size) * np.asarray(dist.density(y), dtype=float))
+    return np.clip(np.concatenate(out), 0.0, 1.0)
+
+
+def _parent_empirical_quantile(pool, p):
+    idx = np.ceil(np.asarray(p) * pool.size - 1e-9).astype(np.int64) - 1
+    return pool[np.clip(idx, 0, pool.size - 1)]
+
+
+def _parent_mean_over_cases(cases, ys, of=None):
+    n = sum(np.size(c.observed) for c in cases)
+    step = max(1, calibration._TABLE_CELLS // n)
+    out = np.empty(ys.size)
+    for start in range(0, ys.size, step):
+        block = ys[start : start + step, None]
+        table = np.concatenate(
+            [np.reshape(c.predictive.cdf(block), (block.shape[0], -1)) for c in cases], axis=1
+        )
+        out[start : start + step] = np.mean(table if of is None else of(table), axis=1)
+    return out
+
+
+def _parent_exceedance(cases, levels):
+    pool = _parent_pooled(cases)
+    levels = np.sort(np.asarray(levels, dtype=float))
+    means = _parent_mean_over_cases(cases, levels, lambda p: _parent_empirical_quantile(pool, p))
+    return list(zip(levels.tolist(), means.tolist()))
+
+
+def _parent_default_grid(pool):
+    return np.unique(_parent_empirical_quantile(pool, np.linspace(0.0, 1.0, 101)))
+
+
+def _parent_marginal(cases, y_grid=None):
+    pool = _parent_pooled(cases)
+    grid = _parent_default_grid(pool) if y_grid is None else np.asarray(y_grid, dtype=float)
+    emp = np.searchsorted(pool, grid, side="right") / pool.size
+    return list(zip(grid.tolist(), _parent_mean_over_cases(cases, grid).tolist(), emp.tolist()))
+
+
+def _parent_report(cases, seed, include_crps=True):
+    pits = _parent_pit(cases, seed)
+    prob = probability_calibration(pits)
+    grid = _parent_default_grid(_parent_pooled(cases))
+    mean_crps = None
+    if include_crps:
+        scores = [np.ravel(crps(c.predictive, c.observed)) for c in cases]
+        mean_crps = float(np.mean(np.concatenate(scores)))
+    return CalibrationReport(
+        pit_values=[float(v) for v in pits],
+        probability_curve=prob.curve,
+        exceedance_curve=_parent_exceedance(cases, grid),
+        marginal_curve=_parent_marginal(cases, grid),
+        max_probability_deviation=prob.max_deviation,
+        mean_crps=mean_crps,
+        seed=seed if isinstance(seed, int) else None,
+    )
+
+
+@st.composite
+def _report_case_lists(draw):
+    """Scalar and batch cases of every family, runs sharing one object, and
+    now and then a t with df <= 1, whose CRPS is undefined."""
+    loc, scale = st.floats(-5.0, 5.0), st.floats(0.1, 5.0)
+    size = draw(st.integers(1, 6))
+    locs = st.lists(loc, min_size=size, max_size=size).map(np.array)
+    lower = st.sampled_from([-math.inf, 0.0])
+    pool = [
+        Normal(draw(loc), draw(scale)),
+        StudentT(draw(st.sampled_from([0.5, 1.0, 1.5, 4.0, 60.0])), draw(loc), draw(scale)),
+        TruncatedNormal(draw(st.floats(-1.0, 3.0)), draw(scale), lower=draw(lower)),
+        Mixture([Normal(0.0, 1.0), StudentT(3.0, draw(loc), 0.5)], [0.3, 0.7]),
+        Poisson(draw(st.floats(0.05, 60.0))),
+        Empirical(draw(st.lists(st.integers(-3, 6).map(float), min_size=1, max_size=8))),
+        Mixture([Poisson(1.5), Empirical([0.5, 7.0])], [0.6, 0.4]),
+        StudentT(draw(st.sampled_from([1.0, 2.5])), draw(locs), 1.5),
+        Normal(draw(locs), draw(scale)),
+    ]
+    outcomes = st.lists(st.floats(-10.0, 10.0), min_size=size, max_size=size).map(np.array)
+    cases = []
+    for i in draw(st.lists(st.sampled_from(range(len(pool))), min_size=1, max_size=25)):
+        dist = pool[i]
+        if np.ndim(getattr(dist, "loc", 0.0)):
+            y = draw(outcomes)
+        elif dist.kind == "continuous":
+            y = draw(st.floats(-10.0, 10.0))
+        else:
+            y = draw(st.one_of(st.integers(-2, 80).map(float), st.floats(-2.0, 80.0)))
+        cases.append(ForecastCase(dist, y))
+    return cases
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _report_case_lists(),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 50, 1 << 20]),
+    st.lists(st.floats(-12.0, 12.0), max_size=30),
+)
+def test_one_pass_report_equals_the_two_table_report_bit_for_bit(cases, seed, cells, ys):
+    with mock.patch.object(calibration, "_TABLE_CELLS", cells):
+        try:
+            want = _parent_report(cases, seed)
+        except ModelError:  # a t with df <= 1: the old report was asked to skip the CRPS
+            want = _parent_report(cases, seed, include_crps=False)
+        got = calibration_report(cases, seed)
+        assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+        assert pit(cases, seed).tobytes() == _parent_pit(cases, seed).tobytes()
+        assert repr(exceedance_calibration(cases, ys)) == repr(_parent_exceedance(cases, ys))
+        grid = sorted(ys)
+        assert repr(marginal_calibration(cases, grid)) == repr(_parent_marginal(cases, grid))
+        assert repr(marginal_calibration(cases)) == repr(_parent_marginal(cases))
+
+
+class _CountingT(StudentT):
+    """A t that records the shape of every ``cdf`` call; the report's PIT
+    and CRPS reach the CDF through ``_cdf``, so only the curve tables count."""
+
+    calls: list = []
+
+    def cdf(self, y):
+        _CountingT.calls.append(np.shape(y))
+        return super().cdf(y)
+
+
+@pytest.mark.parametrize("cells", [1 << 20, 2000])
+def test_a_report_builds_one_cdf_table_per_block(monkeypatch, cells):
+    monkeypatch.setattr(calibration, "_TABLE_CELLS", cells)
+    monkeypatch.setattr(_CountingT, "calls", [])
+    rng = np.random.default_rng(31)
+    batch = _CountingT(5.0, rng.normal(size=200), np.full(200, 1.3))
+    rep = calibration_report([ForecastCase(batch, rng.normal(size=200))], seed=32)
+    step = cells // 200
+    blocks = math.ceil(len(rep.marginal_curve) / step)
+    assert len(_CountingT.calls) == blocks
+    assert sum(shape[0] for shape in _CountingT.calls) == len(rep.marginal_curve) == 101

@@ -425,6 +425,21 @@ def test_calibrate_document_and_curves(capsys, tmp_path):
         assert len(text.strip().splitlines()) > 1
 
 
+def test_calibrate_reports_a_null_crps_where_the_t_has_no_mean(capsys, tmp_path):
+    # two training rows and an intercept leave df = 1: the t has no finite
+    # mean, so no CRPS, and every other diagnostic is still reported
+    data = tmp_path / "three.csv"
+    data.write_text("y\n1.0\n2.5\n4.0\n")
+    code, out, err = run(
+        capsys, ["calibrate", "--data", str(data), "--response", "y", "--holdout", "0.34"]
+    )
+    assert code == 0, err
+    doc = check("calibration_report", out)
+    assert (doc["n_train"], doc["n_holdout"]) == (2, 1)
+    assert doc["mean_crps"] is None
+    assert len(doc["pit_values"]) == 1
+
+
 def test_calibrate_seed_changes_split(capsys, toy_csv):
     _, out_a, _ = run(
         capsys,
@@ -584,6 +599,26 @@ def test_report_document_and_curves(capsys, cc_csv, tmp_path):
     assert markers.count("support_bound") == 1
     bound_row = rows[1 + markers.index("support_bound")]
     assert float(bound_row[0]) == 0.0
+
+
+def test_report_curve_header_quotes_levels_with_a_delimiter_or_a_quote(capsys, tmp_path):
+    rng = np.random.default_rng(12)
+    x = rng.uniform(0.0, 2.0, 30)
+    site = np.array(["A,1", 'B"2'] * 15, dtype=object)
+    y = 1.0 + 0.5 * x + (site == "A,1") + rng.normal(0.0, 0.4, 30)
+    data = tmp_path / "sites.csv"
+    Dataset({"y": y, "x": x, "site": site}).to_csv(data)
+    curves = tmp_path / "curves.csv"
+    code, _, err = run(
+        capsys,
+        ["report", "--data", str(data), "--response", "y", "--covariates", "x,site",
+         "--support", "[0,inf)", "--out-curves", str(curves), "--grid-points", "11"],
+    )
+    assert code == 0, err
+    with open(curves, newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert rows[0] == ["y", "density_null", "density_A,1", 'density_B"2', "marker"]
+    assert {len(row) for row in rows} == {5}
 
 
 @pytest.mark.parametrize(

@@ -125,6 +125,30 @@ def test_continuous_families_have_no_atoms(name):
     np.testing.assert_array_equal(dist.cdf_left(_column(GRID, dist)), dist.cdf(_column(GRID, dist)))
 
 
+# the atoms of each discrete case at or below the finite edges: the counts
+# run to past 1e6 and, as every float above 2**53 is an integer, take in the
+# largest float too
+COUNTS = np.append(np.arange(0.0, 1e6 + 2.0), np.finfo(float).max)
+ATOMS = {
+    "poisson": COUNTS,
+    "empirical": np.array([0.5, 1.0, 2.5]),
+    "mixture_discrete": np.union1d(COUNTS, [0.5, 7.0]),
+}
+
+
+@pytest.mark.parametrize("name", DISCRETE)
+def test_discrete_has_mass_is_an_atom_in_the_window(name):
+    # EDGES holds both infinities, so the windows [inf, inf] and [-inf, -inf],
+    # which hold no atom, are among these
+    dist, _ = CASES[name]
+    atoms = ATOMS[name]
+    lo, hi = np.meshgrid(EDGES, EDGES, indexing="ij")
+    want = np.searchsorted(atoms, hi, side="right") > np.searchsorted(atoms, lo, side="left")
+    np.testing.assert_array_equal(dist.has_mass(lo, hi), want)
+    assert [dist.has_mass(a, b) for a, b in zip(lo.ravel(), hi.ravel())] == want.ravel().tolist()
+    assert dist.has_mass(INF, INF) is False
+
+
 @pytest.mark.parametrize("name", DISCRETE)
 def test_discrete_atoms_and_pmf_agree(name):
     dist, _ = CASES[name]

@@ -81,6 +81,13 @@ def test_interval_mode_verdicts():
     assert miss.witness.value == 5.0
 
 
+@pytest.mark.parametrize("dist", [Poisson(3.0), Mixture([Poisson(3.0), Poisson(8.0)], [0.5, 0.5])])
+def test_an_infinite_count_falsifies_in_either_mode(dist):
+    # the window around +inf is [inf, inf], which holds no count
+    assert is_falsified(dist, [math.inf]).falsified
+    assert is_falsified(dist, [math.inf], mode="interval_event", resolution=1.0).falsified
+
+
 def test_bare_numbers_are_accepted():
     v = is_falsified(Normal(0.0, 1.0), [1.5])
     assert v.falsified and isinstance(v.witness, Observation)

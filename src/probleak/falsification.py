@@ -134,16 +134,27 @@ def never_falsifiable(dist: PredictiveDistribution, e: Evidence) -> bool:
     is sure to be a nonnegative integer or the first one is not, and so is
     a mixture that one weighted component decides True, or all decide
     False; other families, finite sets and the remaining lattices are
-    checked point by point. Either way the verdict, and every error
-    (continuous evidence, an unbounded lattice, one above the enumeration
-    limit), is the one the exhaustive check gives. A continuous model is
-    falsifiable by any point observation, so it returns False immediately.
+    checked point by point, a lattice a block of points at a time, so the
+    first block with a point that is no atom ends the check. Either way
+    the verdict, and every error (continuous evidence, an unbounded
+    lattice, one above the enumeration limit), is the one the exhaustive
+    check gives. A continuous model is falsifiable by any point
+    observation, so it returns False immediately.
     """
     if dist.kind == "continuous":
         return False
-    if e.lattice is not None:
-        lo, _, step = e.lattice
-        verdict = dist._atoms_on_lattice(lo, step, e._lattice_count())
-        if verdict is not None:
-            return verdict
-    return bool(np.all(dist.has_atom(e.possible_values())))
+    if e.lattice is None:
+        return bool(np.all(dist.has_atom(e.possible_values())))
+    lo, _, step = e.lattice
+    count = e._lattice_count()
+    verdict = dist._atoms_on_lattice(lo, step, count)
+    if verdict is not None:
+        return verdict
+    # the points of possible_values, lo + step * k, bit for bit
+    return all(
+        np.all(dist.has_atom(lo + step * np.arange(k, min(k + _LATTICE_BLOCK, count))))
+        for k in range(0, count, _LATTICE_BLOCK)
+    )
+
+
+_LATTICE_BLOCK = 1 << 16  # lattice points never_falsifiable checks at a time

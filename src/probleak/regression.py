@@ -161,15 +161,11 @@ def _check_finite(values: np.ndarray, name: str) -> None:
         raise DataError(f"{what} value at row {i + _FIRST_ROW}, column {name!r}")
 
 
-# np.loadtxt opens a path with these suffixes through a decompressor
-_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
-
-
-def _loadtxt_lines(data: bytes, start: int = 0) -> int | None:
+def _line_count(data: bytes, start: int = 0) -> int | None:
     """The number of lines in ``data[start:]`` as ``newline=""`` splits
-    them (at \\n, \\r and \\r\\n), or None where np.loadtxt may read them
-    otherwise than csv: it does not unquote and has no field size limit. It
-    also skips blank lines, which show as a row count short of this one.
+    them (at \\n, \\r and \\r\\n), or None where csv would read them
+    otherwise than as bare cells: it unquotes, and raises for a line past
+    its field size limit.
     """
     if data.find(b'"', start) >= 0:
         return None
@@ -200,37 +196,85 @@ def _past_lines(data: bytes, lines: int) -> int:
     return pos
 
 
-def _numeric_table(source, skiprows: int, first: list | None, width: int) -> np.ndarray | None:
-    """The lines of ``source`` past the first ``skiprows``, parsed in C into
-    one contiguous row per column, or None for the per-cell parser.
+_BLOCK_BYTES = 1 << 16  # body bytes, rounded up to a line end, parsed at a time
+_NUMBER_BYTES = b"0123456789+-.eE \t"  # the bytes of JSON numbers and the blanks around them
+_MINUS_ZERO = re.compile(rb"-0(?![0-9.eE])")  # an integer -0, or the -0 of an exponent
 
-    ``source`` is the path of a regular file, which np.loadtxt reads itself
-    (only its lines past the header are scanned), or a list of lines.
+
+def _numeric_table(source, skiprows: int, first: list | None, width: int) -> np.ndarray | None:
+    """The lines of ``source`` past the first ``skiprows``, parsed as JSON
+    numbers into one contiguous row per column, or None for the per-cell
+    parser.
+
+    ``source`` is the path of a regular file, whose bytes are read again
+    (only its lines past the header are parsed), or a list of lines.
     ``first``, the first data row as csv read it, must hold ``width``
-    numbers: so a categorical table never reaches C, and loadtxt never
-    meets a body of blank lines, on which it warns. None also follows what
-    ``_loadtxt_lines`` refuses, a cell that is not a number to C, a row of
-    another width, a skipped blank line, or a NaN or inf.
+    numbers, so a categorical table is never parsed twice and never loads
+    orjson. The rest goes to ``orjson.loads``, whose number parser rounds
+    as ``float()`` does, a block of lines at a time written as one flat JSON
+    array, into a table allocated once. None also follows what
+    ``_line_count`` refuses, a line of another width or with a byte no
+    number holds, a cell the JSON number grammar refuses (a blank line
+    among them), or a NaN or inf.
     """
     if not first or len(first) != width or any(_parse_cell(cell) is None for cell in first):
         return None
+    import orjson  # here, so that only a table that may be all numbers loads it
+
     if isinstance(source, str):
         data = Path(source).read_bytes()
         start = _past_lines(data, skiprows)
     else:
         data, start = "".join(source).encode("utf-8", "surrogatepass"), 0
-    lines = _loadtxt_lines(data, start)
+    lines = _line_count(data, start)
     if lines is None:
         return None
-    try:
-        table = np.loadtxt(
-            source, skiprows=skiprows, delimiter=",", comments=None, ndmin=2, dtype=float
-        )
-    except ValueError:
+    table, row = np.empty((width, lines)), 0
+    while start < len(data):
+        found = _LINE_END.search(data, start + _BLOCK_BYTES)
+        stop = found.end() if found else len(data)
+        try:
+            block = _json_rows(data[start:stop], width, orjson.loads)
+        except orjson.JSONDecodeError:
+            return None
+        if block is None or row + len(block) > lines:
+            return None
+        table[:, row : row + len(block)] = block.T
+        row, start = row + len(block), stop
+    if row != lines or not np.isfinite(table).all():
         return None
-    if len(table) != lines or table.shape[1] != width or not np.isfinite(table).all():
+    return table
+
+
+def _json_rows(block: bytes, width: int, loads) -> np.ndarray | None:
+    """The lines of ``block``, which ends at a line end or at the end of the
+    data, parsed by ``loads`` as rows of ``width`` numbers, or None for a
+    line of another width or with a byte no number holds.
+
+    The line end is the block's first one; a block that mixes line ends is
+    parsed again with each made a \\n.
+    """
+    found = _LINE_END.search(block)
+    end = found.group() if found else b"\n"
+    # what is left once the numbers are gone: width - 1 commas and a line end a line
+    seps, line = block.translate(None, _NUMBER_BYTES), b"," * (width - 1) + end
+    rows = len(seps) // len(line) + (not block.endswith(end))  # the last line may have no end
+    if seps != (line * rows)[: len(seps)]:
+        plain = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        return None if plain == block else _json_rows(plain, width, loads)
+    text = b"[%s]" % block.removesuffix(end).replace(end[-1:], b",")
+    values = np.array(loads(text), dtype=float)
+    if values.size != rows * width:
         return None
-    return np.ascontiguousarray(table.T)
+    # orjson reads the integer -0 as 0, where float() gives -0.0. A minus
+    # that follows no e or E is a cell's sign; text[0] is its "[".
+    if not values.all() and _MINUS_ZERO.search(text):
+        buf = np.frombuffer(text, dtype=np.uint8)
+        minus = np.flatnonzero(buf == ord("-"))
+        signs = minus[(buf[minus - 1] != ord("e")) & (buf[minus - 1] != ord("E"))]
+        cells = np.searchsorted(np.flatnonzero(buf == ord(",")), signs)
+        values[cells] = -np.abs(values[cells])
+    return values.reshape(rows, width)
 
 
 def load_dataset(source) -> Dataset:
@@ -243,14 +287,15 @@ def load_dataset(source) -> Dataset:
     order; a NaN or inf cell only counts when it comes before the column's
     first non-numeric cell.
 
-    A table whose data lines are all plain finite numbers is parsed in C by
-    ``np.loadtxt``: from the path of a regular file, numpy reads the file
-    itself; from a file object, a pipe or a compressed file's path, it gets
-    the rest of the stream as a list of lines. One scan of the data lines'
-    bytes first refuses quotes and lines past csv's field size limit, and a
-    blank line shows as a missing row. Anything else goes through the
+    A table whose data lines are all plain finite numbers is parsed in C
+    by orjson, whose number parser rounds as ``float()`` does: the data
+    lines' bytes, read again from the path of a regular file or taken from
+    the rest of a file object or pipe, go to it a block of lines at a time.
+    One scan of those bytes first refuses quotes and lines past csv's field
+    size limit; a blank line, a line of another width or a cell outside the
+    JSON number grammar refuses its block. Anything else goes through the
     per-cell parser, which alone decides categorical columns and reports
-    errors; both give the same columns.
+    errors; both give the same columns, signed zeros included.
     """
     own = isinstance(source, (str, Path))
     handle = open(source, "r", newline="") if own else source
@@ -268,10 +313,9 @@ def load_dataset(source) -> Dataset:
             raise DataError("header contains an empty column name")
         if len(set(header)) != len(header):
             raise DataError("header contains duplicate column names")
-        # numpy opens the path again, so only a regular file goes by path:
-        # a pipe or FIFO would be drained, or block, on the second open
-        regular = own and stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
-        if regular and not str(source).endswith(_COMPRESSED):
+        # the body is read by opening the path again, so only a regular file
+        # goes by path: a pipe or FIFO would be drained, or block
+        if own and stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
             body, skiprows = str(source), reader.line_num
         else:
             body, skiprows = handle.readlines(), 0

@@ -1,6 +1,7 @@
 """Strict falsification: only probability-zero events falsify, never small ones."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from probleak import (
     is_falsified,
     never_falsifiable,
 )
+from probleak import falsification
 
 
 def test_observation_window():
@@ -252,6 +254,56 @@ def test_other_discrete_families_still_enumerate_the_lattice():
     mix = Mixture([Poisson(2.0), Empirical([0.5])], [0.5, 0.5])
     assert never_falsifiable(mix, Evidence.lattice_support(0.0, 5.0, 0.5)) is False
     assert never_falsifiable(mix, e) is True
+
+
+_BLOCK = falsification._LATTICE_BLOCK
+
+
+@st.composite
+def _long_lattice_cases(draw):
+    """(dist, lattice, index of the first point with no atom, or inf) on
+    lattices two to four blocks long, which no family hook decides."""
+    count = draw(st.integers(2, 4)) * _BLOCK + draw(st.integers(-1, 1))
+    kind = draw(st.sampled_from(["empirical", "mixture", "poisson"]))
+    if kind == "poisson":
+        # past 2**52 the points lo + 0.5 k round to integers, so every one is a count
+        lo = draw(st.sampled_from([2.0**52, 2.0**52 + 6]))
+        return Poisson(draw(st.floats(0.01, 50.0))), (lo, lo + 0.5 * (count - 1), 0.5), math.inf
+    miss = draw(st.one_of(st.integers(0, count), st.just(count), st.integers(count - _BLOCK, count)))
+    extra = draw(st.lists(st.integers(1, 3 * count), max_size=3))
+    if kind == "empirical":
+        lo = draw(st.sampled_from([-7.0, 0.0, 3.0]))
+        atoms = lo + np.arange(miss, dtype=float)
+        dist = Empirical(np.concatenate([atoms, [lo - 1.5], [lo + miss + x + 0.25 for x in extra]]))
+        return dist, (lo, lo + (count - 1), 1.0), miss
+    # a Poisson holds the integers, an empirical the halves below a cut (and
+    # -1, off the lattice, so that it is never empty)
+    halves = miss // 2
+    empirical = Empirical(np.concatenate([0.5 + np.arange(halves, dtype=float), [-1.0]]))
+    dist = Mixture([Poisson(draw(st.floats(0.01, 50.0))), empirical], [0.5, 0.5])
+    return dist, (0.0, 0.5 * (count - 1), 0.5), min(2 * halves + 1, count)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_long_lattice_cases())
+def test_a_lattice_is_checked_block_by_block_as_the_enumeration_checks_it(case):
+    dist, lattice, miss = case
+    e = Evidence.lattice_support(*lattice)
+    want = bool(np.all(dist.has_atom(e.possible_values())))
+    assert want == (miss >= e._lattice_count())
+    assert never_falsifiable(dist, e) is want
+
+
+def test_an_uncovered_lattice_stops_at_its_first_block():
+    e = Evidence.lattice_support(0.0, 9e6, 1.0)
+    tracemalloc.start()
+    try:
+        verdict = never_falsifiable(Empirical([0.0, 1.0, 2.0]), e)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict is False
+    assert peak < 8e6
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 """The column-wise CSV loader against a per-cell reference parser."""
 
 import csv
+import gzip
 import io
 import math
 import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from probleak import DataError, load_dataset, load_dataset_text
+from probleak import DataError, Dataset, load_dataset, load_dataset_text
 from probleak import regression
 
 
@@ -124,9 +128,11 @@ def test_loader_keeps_cells_after_the_first_non_numeric_one():
     np.testing.assert_array_equal(data.column("b"), [1.0, 2.0, 3.0])
 
 
-# cells on which C's float parser and the csv + float() reference could part
+# cells on which the JSON number grammar and the csv + float() reference could part
 _TRICKY_CELLS = st.sampled_from(
-    ['"1"', '"a,b"', "#1", "0x10", "1e400", "-1e400", "１", "1_000", "", " ", "nan", "abc"]
+    ['"1"', '"a,b"', "#1", "0x10", "1e400", "-1e400", "１", "1_000", "", " ", "nan", "abc",
+     "-0", " -0 ", "-0e0", "-0.0", "01", "+1", ".5", "5.", "1E5", "1e-400", "-1e-400",
+     "9007199254740993", "18446744073709551617", "true", "null", "[1]", "{}"]
 )
 _LONG_DECIMALS = st.builds(
     "{}.{}{}".format,
@@ -181,7 +187,7 @@ def test_numeric_fast_path_matches_the_per_cell_reference(tmp_path_factory, text
     want = _outcome(lambda t: _reference_load(t, newline=""), text)
     got = _outcome(lambda t: load_dataset(io.StringIO(t, newline="")), text)
     _assert_same(want, got)
-    # a path is read by numpy itself, not line by line
+    # a regular file's body is read again by path, as bytes, not line by line
     path = tmp_path_factory.getbasetemp() / "drawn.csv"
     path.write_text(text, newline="")
     _assert_same(want, _outcome(load_dataset, path))
@@ -210,6 +216,94 @@ def test_fast_path_columns_are_contiguous_float64(monkeypatch, tmp_path):
         col = data.column(name)
         assert col.dtype == np.float64 and col.flags.c_contiguous
         assert col.tolist() == want
+
+
+def _float_bits(cells):
+    return np.array([float(cell) for cell in cells]).tobytes()
+
+
+def test_a_zero_heavy_indicator_column_keeps_every_sign_on_the_fast_path(monkeypatch, tmp_path):
+    rng = np.random.default_rng(7)
+    flags = rng.choice(["0.0", "1.0", "0", "1", "-0", "-0.0", " -0", "-0e0", "0e-5"], size=5000)
+    ys = list(map(repr, rng.normal(size=5000).tolist()))
+    text = "y,d\r\n" + "".join(f"{y},{d}\r\n" for y, d in zip(ys, flags))
+    path = tmp_path / "flags.csv"
+    path.write_text(text, newline="")
+    parsed = _spy_on_fast_path(monkeypatch)
+    for data in [load_dataset(path), load_dataset_text(text)]:
+        assert data.column("d").tobytes() == _float_bits(flags)
+        assert data.column("y").tobytes() == _float_bits(ys)
+    assert np.signbit(load_dataset(path).column("d")).sum() == np.isin(flags, ["-0", "-0.0", " -0", "-0e0"]).sum()
+    assert parsed == [True, True, True]
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_WRITTEN_FLOATS = st.one_of(
+    _FINITE.map(repr),
+    _FINITE.map("%.17g".__mod__),
+    _FINITE.map("%.25e".__mod__),
+    st.one_of(
+        _LONG_DECIMALS,
+        st.builds(
+            "{}{}e{}".format,
+            st.sampled_from(["", "-"]),
+            st.integers(1, 10**60 - 1),
+            st.integers(-340, 310),
+        ),
+    ).filter(lambda cell: math.isfinite(float(cell))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_WRITTEN_FLOATS, min_size=1, max_size=40))
+def test_the_fast_number_parser_rounds_as_float_does(cells):
+    # a number parser that rounds otherwise than float() fails here
+    lines = [cell + "\n" for cell in cells]
+    table = regression._numeric_table(lines, 0, [cells[0]], 1)
+    assert table is not None
+    assert table[0].tobytes() == _float_bits(cells)
+
+
+def test_a_plain_text_table_named_like_a_compressed_file_loads_as_text(monkeypatch, tmp_path):
+    parsed = _spy_on_fast_path(monkeypatch)
+    path = tmp_path / "t.csv.gz"
+    path.write_text("y,x\n1.5,2\n-3,4e-3\n", newline="")
+    data = load_dataset(path)
+    assert data.column("y").tolist() == [1.5, -3.0] and data.column("x").tolist() == [2.0, 4e-3]
+    assert parsed == [True]
+    # it is read as the bytes it holds, not decompressed by its name
+    path.write_bytes(gzip.compress(b"y,x\n1.5,2\n"))
+    with pytest.raises((DataError, UnicodeDecodeError, csv.Error)):
+        load_dataset(path)
+
+
+def test_importing_the_cli_or_loading_a_categorical_table_leaves_orjson_unloaded(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("y,site\n1,a\n2,b\n")
+    code = (
+        "import sys, probleak.cli; print('orjson' in sys.modules); "
+        f"probleak.load_dataset({str(path)!r}); print('orjson' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]
+
+
+def test_loading_a_numeric_table_holds_at_most_twice_its_file_and_columns(tmp_path):
+    rng = np.random.default_rng(31)
+    n = 200_000
+    path = tmp_path / "big.csv"
+    Dataset({name: rng.normal(size=n) for name in ("y", "x1", "x2")}).to_csv(path)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        data = load_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert data.n == n
+    assert peak < 2 * (path.stat().st_size + 3 * 8 * n), peak
 
 
 def test_categorical_and_blank_lines_fall_back_to_the_per_cell_parser(monkeypatch):
@@ -243,6 +337,11 @@ def test_categorical_and_blank_lines_fall_back_to_the_per_cell_parser(monkeypatc
         ("y\r\r", False),
         ("y,x\r\n1,2\r\n\r\n", False),
         ("\n\n\n", False),
+        # ragged rows, one short last line with no end, or two whose cells add up
+        ("y,x\n1,2\n3", False),
+        ("y,x\r\n1,2\r\n3", False),
+        ("y,x\n1,2,3\n4\n", False),
+        ("y,x\r1,2\r3\r4,5,6\r", False),
     ],
 )
 def test_line_layouts_load_by_path_as_the_reference_reads_them(monkeypatch, tmp_path, text, fast):
@@ -251,10 +350,18 @@ def test_line_layouts_load_by_path_as_the_reference_reads_them(monkeypatch, tmp_
     path = tmp_path / "t.csv"
     path.write_text(text, newline="")
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # loadtxt warns on a body with no data
+        warnings.simplefilter("error")  # a body with no data loads without a warning
         _assert_same(want, _outcome(load_dataset, path))
         _assert_same(want, _outcome(load_dataset_text, text))
     assert parsed == [fast, fast]
+
+
+@pytest.mark.parametrize("cell", ["true", "false", "null", "[2]", "[]", "{}", "NaN", "Infinity"])
+def test_json_values_that_are_not_numbers_fall_back_to_the_per_cell_parser(monkeypatch, cell):
+    parsed = _spy_on_fast_path(monkeypatch)
+    text = f"y,x\n1,2\n{cell},3\n"
+    _assert_same(_outcome(_reference_load, text), _outcome(load_dataset_text, text))
+    assert parsed == [False]
 
 
 @pytest.mark.parametrize(
@@ -327,7 +434,7 @@ def test_an_unseekable_file_loads_as_a_seekable_one(text):
     _assert_same(want, _outcome(load_dataset, _Unseekable(text)))
 
 
-def test_a_header_only_file_has_no_rows_and_no_loadtxt_warning(tmp_path):
+def test_a_header_only_file_has_no_rows_and_no_warning(tmp_path):
     path = tmp_path / "header.csv"
     for body in ["a,b\n", "a,b"]:
         path.write_text(body)
@@ -367,14 +474,14 @@ def test_the_byte_scan_counts_lines_as_newline_empty_splits_them(head, pieces, l
     refused = '"' in text or any(len(line.rstrip("\r\n")) > limit for line in lines)
     old = csv.field_size_limit(limit)
     try:
-        got = regression._loadtxt_lines(data, len(head))
+        got = regression._line_count(data, len(head))
     finally:
         csv.field_size_limit(old)
     assert got == (None if refused else len(lines))
 
 
 def _three_count_lines(data, start):
-    """The line count _loadtxt_lines took from three bytes.count scans, kept
+    """The line count _line_count took from three bytes.count scans, kept
     as the reference for its one pass."""
     if data.find(b'"', start) >= 0:
         return None
@@ -400,7 +507,7 @@ _LINE_BYTES = st.one_of(
 @example(b"a\rb\nc\r\nd", 0)
 def test_the_one_pass_line_count_matches_three_counts(data, start):
     start = min(start, len(data))
-    assert regression._loadtxt_lines(data, start) == _three_count_lines(data, start)
+    assert regression._line_count(data, start) == _three_count_lines(data, start)
 
 
 def test_bare_carriage_returns_load_from_text_as_from_a_path(tmp_path):

@@ -7,8 +7,9 @@ emit the plot data behind the leakage figure (predictive density curves with
 the support bound marked).
 
 Exit codes: 0 success; 1 usage error (message on stderr); 2 data or model
-error (message on stderr, or a machine-readable {"error": ...} document on
-stdout when --json-errors is set).
+error, or an output file that cannot be written (message on stderr, or a
+machine-readable {"error": ...} document on stdout when --json-errors is
+set).
 """
 
 from __future__ import annotations
@@ -575,7 +576,7 @@ def main(argv=None) -> int:
     except _UsageError as err:
         print(err, file=sys.stderr)
         return 1
-    except (DataError, ModelError) as err:
+    except (DataError, ModelError, OSError) as err:  # OSError: an output file not written
         if getattr(args, "json_errors", False):
             print(json.dumps({"error": str(err)}))
         else:

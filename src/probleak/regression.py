@@ -161,28 +161,6 @@ def _check_finite(values: np.ndarray, name: str) -> None:
         raise DataError(f"{what} value at row {i + _FIRST_ROW}, column {name!r}")
 
 
-def _line_count(data: bytes, start: int = 0) -> int | None:
-    """The number of lines in ``data[start:]`` as ``newline=""`` splits
-    them (at \\n, \\r and \\r\\n), or None where csv would read them
-    otherwise than as bare cells: it unquotes, and raises for a line past
-    its field size limit.
-    """
-    if data.find(b'"', start) >= 0:
-        return None
-    limit, pos = csv.field_size_limit(), start
-    while len(data) - pos > limit:  # each window of limit + 1 bytes holds a line end
-        end = pos + limit + 1
-        cut = max(data.rfind(b"\n", pos, end), data.rfind(b"\r", pos, end))
-        if cut < 0:
-            return None
-        pos = cut + 1
-    buf = np.frombuffer(data, dtype=np.uint8, offset=start)
-    after_cr = buf[1:][buf[:-1] == ord("\r")]  # the byte after each \r but a last one
-    lines = data.count(b"\n", start) + np.count_nonzero(after_cr != ord("\n"))
-    # the last line ends at the end of the data unless a \n ends it
-    return int(lines) + (len(data) > start and not data.endswith(b"\n"))
-
-
 _LINE_END = re.compile(rb"\r\n?|\n")
 
 
@@ -212,10 +190,12 @@ def _numeric_table(source, skiprows: int, first: list | None, width: int) -> np.
     numbers, so a categorical table is never parsed twice and never loads
     orjson. The rest goes to ``orjson.loads``, whose number parser rounds
     as ``float()`` does, a block of lines at a time written as one flat JSON
-    array, into a table allocated once. None also follows what
-    ``_line_count`` refuses, a line of another width or with a byte no
-    number holds, a cell the JSON number grammar refuses (a blank line
-    among them), or a NaN or inf.
+    array; the blocks are copied into the table once the bytes are freed.
+    None also follows a block longer than csv's field size limit, the only
+    kind that can hold a line csv refuses, a line of another width or with
+    a byte no number holds (a quote among them), or a cell that the JSON
+    number grammar refuses (a blank line among them) or that orjson cannot
+    make a finite double (``1e400``), so no NaN or inf is ever parsed.
     """
     if not first or len(first) != width or any(_parse_cell(cell) is None for cell in first):
         return None
@@ -226,24 +206,25 @@ def _numeric_table(source, skiprows: int, first: list | None, width: int) -> np.
         start = _past_lines(data, skiprows)
     else:
         data, start = "".join(source).encode("utf-8", "surrogatepass"), 0
-    lines = _line_count(data, start)
-    if lines is None:
-        return None
-    table, row = np.empty((width, lines)), 0
+    blocks, limit = [], csv.field_size_limit()
+    # at most half the limit, so that a block past it holds a line past half of it
+    step = min(_BLOCK_BYTES, limit // 2)
     while start < len(data):
-        found = _LINE_END.search(data, start + _BLOCK_BYTES)
+        found = _LINE_END.search(data, start + step)
         stop = found.end() if found else len(data)
+        if stop - start > limit:  # it may hold a line past csv's limit
+            return None
         try:
             block = _json_rows(data[start:stop], width, orjson.loads)
         except orjson.JSONDecodeError:
             return None
-        if block is None or row + len(block) > lines:
+        if block is None:
             return None
-        table[:, row : row + len(block)] = block.T
-        row, start = row + len(block), stop
-    if row != lines or not np.isfinite(table).all():
-        return None
-    return table
+        blocks.append(block)
+        start = stop
+    del data
+    rows = sum(map(len, blocks))
+    return np.concatenate([b.T for b in blocks], axis=1, out=np.empty((width, rows)))
 
 
 def _json_rows(block: bytes, width: int, loads) -> np.ndarray | None:
@@ -284,18 +265,18 @@ def load_dataset(source) -> Dataset:
     it is categorical. Empty cells, NaN/inf cells, and ragged rows are
     rejected with the offending row and column named (rows are numbered from
     1 at the header). A ragged row or an empty cell is reported first in row
-    order; a NaN or inf cell only counts when it comes before the column's
-    first non-numeric cell.
+    order, and before a later line that csv refuses; a NaN or inf cell only
+    counts when it comes before the column's first non-numeric cell.
 
     A table whose data lines are all plain finite numbers is parsed in C
     by orjson, whose number parser rounds as ``float()`` does: the data
     lines' bytes, read again from the path of a regular file or taken from
     the rest of a file object or pipe, go to it a block of lines at a time.
-    One scan of those bytes first refuses quotes and lines past csv's field
-    size limit; a blank line, a line of another width or a cell outside the
-    JSON number grammar refuses its block. Anything else goes through the
-    per-cell parser, which alone decides categorical columns and reports
-    errors; both give the same columns, signed zeros included.
+    A quote, a blank line, a line of another width, a cell outside the JSON
+    number grammar or a NaN or inf refuses its block, and so does a block
+    longer than csv's field size limit. A table with a refused block goes
+    through the per-cell parser, which alone decides categorical columns
+    and reports errors; both give the same columns, signed zeros included.
     """
     own = isinstance(source, (str, Path))
     handle = open(source, "r", newline="") if own else source
@@ -324,7 +305,11 @@ def load_dataset(source) -> Dataset:
         table = _numeric_table(body, skiprows, first, len(header))
         if table is not None:
             return Dataset(dict(zip(header, table)))
-        rows = [] if first is None else [first, *reader]
+        rows, error = [] if first is None else [first], None
+        try:
+            rows.extend(reader)
+        except csv.Error as err:  # raised once the rows before it pass
+            error = err
     finally:
         if own:
             handle.close()
@@ -343,6 +328,8 @@ def load_dataset(source) -> Dataset:
         raise DataError(
             f"row {ragged + _FIRST_ROW}: expected {len(header)} fields, got {len(rows[ragged])}"
         )
+    if error is not None:
+        raise error
     if not header or not rows:
         raise DataError("dataset has no rows")
 

@@ -640,7 +640,9 @@ def _report_case_lists(draw):
     pool = [
         Normal(draw(loc), draw(scale)),
         StudentT(draw(st.sampled_from([0.5, 1.0, 1.5, 4.0, 60.0])), draw(loc), draw(scale)),
-        TruncatedNormal(draw(st.floats(-1.0, 3.0)), draw(scale), lower=draw(lower)),
+        # scale >= 0.25 keeps the cut at 0 within 4 sd of loc >= -1, so the
+        # kept mass never falls below the constructor's feasibility floor
+        TruncatedNormal(draw(st.floats(-1.0, 3.0)), draw(st.floats(0.25, 5.0)), lower=draw(lower)),
         Mixture([Normal(0.0, 1.0), StudentT(3.0, draw(loc), 0.5)], [0.3, 0.7]),
         Poisson(draw(st.floats(0.05, 60.0))),
         Empirical(draw(st.lists(st.integers(-3, 6).map(float), min_size=1, max_size=8))),

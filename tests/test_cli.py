@@ -107,6 +107,28 @@ def test_a_cell_past_the_csv_field_limit_is_a_data_error(capsys, tmp_path):
     assert "field larger than field limit" in check("error", out)["error"]
 
 
+def _assert_unwritable_exits_two(capsys, argv, target):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("probleak: error: ") and str(target) in err
+    code, out, err = run(capsys, [*argv, "--json-errors"])
+    assert (code, err) == (2, "")
+    assert str(target) in check("error", out)["error"]
+
+
+def test_an_unwritable_out_file_is_an_error_not_a_traceback(capsys, toy_csv, tmp_path):
+    target = tmp_path / "missing" / "fit.json"
+    argv = ["fit", "--data", toy_csv, "--response", "y", "--out", str(target)]
+    _assert_unwritable_exits_two(capsys, argv, target)
+
+
+def test_an_unwritable_curves_file_is_an_error_not_a_traceback(capsys, toy_csv, tmp_path):
+    target = tmp_path / "missing" / "curves.csv"
+    argv = ["report", "--data", toy_csv, "--response", "y", "--support", "[0,inf)",
+            "--out-curves", str(target)]
+    _assert_unwritable_exits_two(capsys, argv, target)
+
+
 def test_model_error_exits_two(capsys, tmp_path):
     # n = p: no residual degrees of freedom
     path = tmp_path / "tiny.csv"

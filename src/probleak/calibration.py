@@ -48,6 +48,7 @@ from scipy import special
 from .exceptions import ModelError
 from .predictive import Mixture, PredictiveDistribution, StudentT, _batch_shape, _scalar_or_array
 from .predictive import _empirical_quantile  # one order-statistic rule, shared with Empirical
+from .regression import _repr_cells
 
 __all__ = [
     "CalibrationReport",
@@ -403,9 +404,11 @@ def kl_distance(elicited, dist) -> float:
 
 
 def _csv_text(header: str, columns, marker=None) -> str:
-    """CSV text: the header line, then the float columns row by row as ``repr``
-    (which reads back bit for bit), with ``marker`` as an optional last column."""
-    cells = [map(repr, np.asarray(col, dtype=float).tolist()) for col in columns]
+    """CSV text: the header line, then the float columns row by row, each cell
+    as ``repr`` writes it (which reads back bit for bit), with ``marker`` as
+    an optional last column. Each column becomes text in one call of
+    ``_repr_cells``, which writes orjson's shortest digits in repr's layout."""
+    cells = [_repr_cells(np.asarray(col, dtype=float)) for col in columns]
     if marker is not None:
         cells.append(marker)
     return "\n".join([header, *map(",".join, zip(*cells))]) + "\n"

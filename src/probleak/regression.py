@@ -93,12 +93,13 @@ class Dataset:
     def to_csv(self, target) -> None:
         """Write the table in the same CSV dialect ``load_dataset`` reads.
 
-        Floats are written with shortest round-trip repr, so a write/read
-        cycle reproduces the numeric columns bit for bit. The bytes are those
-        of ``csv.writer``'s default dialect (``\\r\\n`` line ends, cells
-        quoted where it quotes them), but each column is formatted once per
-        block of rows and the rows are joined in C, so no Python code runs
-        per row, and the memory a write holds does not grow with the table.
+        Floats are written as ``repr`` writes them, the shortest digits that
+        round-trip, so a write/read cycle reproduces the numeric columns bit
+        for bit. The bytes are those of ``csv.writer``'s default dialect
+        (``\\r\\n`` line ends, cells quoted where it quotes them), but each
+        column is formatted once per block of rows, a float64 one by a single
+        ``orjson.dumps`` call, and the rows are joined in C, so no Python code
+        runs per row, and the memory a write holds does not grow with the table.
         """
         cols = list(self.columns.values())
         alone = len(cols) == 1
@@ -118,13 +119,39 @@ _BLOCK_ROWS = 1024  # rows formatted and written at a time by Dataset.to_csv
 _QUOTED = ',"\r\n'  # csv.writer quotes a cell holding any of these
 
 
+_EXP_ONE_DIGIT = re.compile(rb"e-(?=\d[,\]])")  # orjson writes 1e-7 where repr writes 1e-07
+_EXP_POSITIVE = re.compile(rb"e(?=\d)")  # and 1e16 where repr writes 1e+16
+
+
+def _repr_cells(values: np.ndarray) -> list[str]:
+    """``repr(float(v))`` for every cell of a 1-d float64 array, from one
+    ``orjson.dumps`` call, whose shortest round-trip digits are repr's.
+
+    Two byte substitutions give its exponents repr's spelling. The cells it
+    lays out otherwise, nan and inf (``null``) and 1e-5 <= |v| < 1e-4
+    (``0.00001234``, where repr writes ``1.234e-05``), are dumped as 0.0 and
+    then replaced by their ``repr``.
+    """
+    import orjson  # here, as in the loader, so that importing the package does not load it
+
+    mag = np.abs(values)
+    odd = ((mag >= 1e-5) & (mag < 1e-4)) | ~np.isfinite(mag)
+    text = orjson.dumps(np.where(odd, 0.0, values), option=orjson.OPT_SERIALIZE_NUMPY)
+    text = _EXP_POSITIVE.sub(b"e+", _EXP_ONE_DIGIT.sub(b"e-0", text))
+    cells = text[1:-1].decode("ascii").split(",") if values.size else []
+    where = np.flatnonzero(odd)
+    for i, cell in zip(where.tolist(), map(repr, values[where].tolist())):
+        cells[i] = cell
+    return cells
+
+
 def _csv_cells(values, alone: bool) -> list[str]:
     """The cells of a column as ``csv.writer`` writes them: ``repr(float(v))``
     for a float, ``str(v)`` otherwise, quoted where it quotes, which is for
     a delimiter, a quote or a line-end character, and for an empty cell
     ``alone`` on its row."""
     if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.type is np.float64:
-        cells = list(map(repr, values.tolist()))
+        cells = _repr_cells(values)
     else:
         cells = [repr(float(v)) if isinstance(v, float) else str(v) for v in values]
     if _needs_quotes("".join(cells)) or (alone and "" in cells):
@@ -191,11 +218,11 @@ def _numeric_table(source, skiprows: int, first: list | None, width: int) -> np.
     orjson. The rest goes to ``orjson.loads``, whose number parser rounds
     as ``float()`` does, a block of lines at a time written as one flat JSON
     array; the blocks are copied into the table once the bytes are freed.
-    None also follows a block longer than csv's field size limit, the only
-    kind that can hold a line csv refuses, a line of another width or with
-    a byte no number holds (a quote among them), or a cell that the JSON
-    number grammar refuses (a blank line among them) or that orjson cannot
-    make a finite double (``1e400``), so no NaN or inf is ever parsed.
+    None also follows a line longer than csv's field size limit, which csv
+    may refuse, a line of another width or with a byte no number holds (a
+    quote among them), or a cell that the JSON number grammar refuses (a
+    blank line among them) or that orjson cannot make a finite double
+    (``1e400``), so no NaN or inf is ever parsed.
     """
     if not first or len(first) != width or any(_parse_cell(cell) is None for cell in first):
         return None
@@ -207,12 +234,11 @@ def _numeric_table(source, skiprows: int, first: list | None, width: int) -> np.
     else:
         data, start = "".join(source).encode("utf-8", "surrogatepass"), 0
     blocks, limit = [], csv.field_size_limit()
-    # at most half the limit, so that a block past it holds a line past half of it
-    step = min(_BLOCK_BYTES, limit // 2)
     while start < len(data):
-        found = _LINE_END.search(data, start + step)
+        found = _LINE_END.search(data, start + _BLOCK_BYTES)
         stop = found.end() if found else len(data)
-        if stop - start > limit:  # it may hold a line past csv's limit
+        # only a block past the limit can hold a line past it, which csv may refuse
+        if stop - start > limit and max(map(len, data[start:stop].splitlines())) > limit:
             return None
         try:
             block = _json_rows(data[start:stop], width, orjson.loads)

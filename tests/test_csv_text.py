@@ -3,17 +3,22 @@
 The oracle is the per-row renderer every CSV writer used before:
 ``",".join(repr(float(v)) for v in row)`` per line, and for the density
 curves the whole per-row algorithm of ``cli._density_curves``, copied here.
+Every float cell is written by ``_repr_cells`` from orjson's digits, so
+it is also checked against ``repr`` cell by cell, over arbitrary 64-bit
+patterns (nan payloads, infinities, signed zeros and subnormals among them):
+a version of orjson that lays out a float otherwise fails here.
 """
 
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from probleak import Evidence, Normal, StudentT, TruncatedNormal, calibration_report
 from probleak.calibration import ForecastCase, _csv_text
 from probleak.cli import _density_curves, _finite_bounds
+from probleak.regression import _repr_cells
 
 
 def _lines(text):
@@ -48,12 +53,33 @@ def _density_curves_by_row(dists, evidence, grid_points):
     return "\n".join(lines) + "\n"
 
 
-_EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e-5, 1e16, 0.1, 1.0, -3.0, 2.0**53, 1e300]
+_EDGE_FLOATS = [
+    -0.0, 0.0, 5e-324, -5e-324, 1e-5, 1e16, 0.1, 1.0, -3.0, 2.0**53, 1e300,
+    # the edges of repr's layout: 1e-05, 0.0001, 1e-07 and 1e+16
+    float(np.nextafter(1e-5, 0)), -1.5e-05, 9.999999999999999e-05, 1e-4,
+    float(np.nextafter(1e-4, 0)), 1e-7, float(np.nextafter(1e16, 0)), 1.5e16, -1e22,
+]
 _floats = st.one_of(
     st.sampled_from(_EDGE_FLOATS),
     st.floats(allow_nan=False, allow_infinity=False),
     st.integers(-(10**6), 10**6).map(float),
 )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=40))
+# nan with payloads and a sign, inf, -inf, -0.0, the least and the largest subnormal
+@example([0x7FF8000000000001, 0xFFF0000000000001, 0x7FF0000000000000, 0xFFF0000000000000,
+          0x8000000000000000, 0x0000000000000001, 0x000FFFFFFFFFFFFF])
+def test_repr_cells_is_repr_over_every_bit_pattern(bits):
+    values = np.array(bits, dtype=np.uint64).view(float)
+    assert _repr_cells(values) == list(map(repr, values.tolist()))
+
+
+def test_repr_cells_is_repr_over_a_million_random_bit_patterns():
+    bits = np.random.default_rng(2018).integers(0, 2**64, size=10**6, dtype=np.uint64)
+    values = bits.view(float)
+    assert _repr_cells(values) == list(map(repr, values.tolist()))
 
 
 @settings(max_examples=300, deadline=None)

@@ -504,7 +504,7 @@ def test_quotes_and_long_lines_load_as_the_reference_reads_them(tmp_path_factory
 
 
 def test_a_numeric_table_past_a_lowered_field_limit_stays_on_the_fast_path(monkeypatch):
-    # blocks shrink with the limit, so short lines are not refused with it
+    # only a line past the limit is refused, so short lines stay on the fast path
     parsed = _spy_on_fast_path(monkeypatch)
     text = "y,x\r\n" + "".join(f"{i},{i / 7!r}\r\n" for i in range(2000))
     old = csv.field_size_limit(100)

@@ -144,7 +144,11 @@ class _ShownFloat(float):
 _BLOCK = regression._BLOCK_ROWS
 _FLOATS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
-    st.sampled_from([-0.0, 0.0, 5e-324, -2.2e-308, 1e16, -1e16, 1e22, 3.0, -7.0, 0.1]),
+    st.sampled_from([-0.0, 0.0, 5e-324, -2.2e-308, 1e16, -1e16, 1e22, 3.0, -7.0, 0.1,
+                     # the edges of repr's layout: 1e-05, 0.0001, 1e-07 and 1e+16
+                     float(np.nextafter(1e-5, 0)), 1e-5, -1.5e-05, 9.999999999999999e-05, 1e-4,
+                     float(np.nextafter(1e-4, 0)), 1e-7, float(np.nextafter(1e16, 0)), 1.5e16,
+                     -1e22]),
 )
 _TEXT = st.text(st.one_of(st.sampled_from(list(',"\r\n a.-é中')), st.characters()), max_size=6)
 _MIXED = st.one_of(

@@ -48,7 +48,7 @@ from scipy import special
 from .exceptions import ModelError
 from .predictive import Mixture, PredictiveDistribution, StudentT, _batch_shape, _scalar_or_array
 from .predictive import _empirical_quantile  # one order-statistic rule, shared with Empirical
-from .regression import _repr_cells
+from .regression import _csv_text
 
 __all__ = [
     "CalibrationReport",
@@ -69,16 +69,6 @@ _CRPS_EPSABS = 1e-10  # per-piece quadrature budget, well under the 1e-8 contrac
 _DISCRETE_TAIL = 1e-13  # pmf mass beyond the enumerated atoms, ignored
 _TABLE_CELLS = 1 << 20  # CDF values held at once by the calibration curves
 _LEVELS = np.linspace(0.05, 0.95, 19)  # probability-curve levels of every report
-
-
-def __getattr__(name):
-    # scipy.integrate (which brings scipy.optimize) loads on first use: only
-    # mixture CRPS needs it, and ``calibration.integrate`` still resolves
-    if name == "integrate":
-        from scipy import integrate
-
-        return integrate
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -295,6 +285,17 @@ def crps(dist: PredictiveDistribution, y):
     return float(np.sum(step**2 * np.diff(breaks)))
 
 
+def _mean_crps(cases: Sequence[ForecastCase]) -> float | None:
+    """The mean CRPS over every case, or None where it is undefined: where
+    some predictive is, or mixes in, a Student t with df <= 1, which has no
+    finite mean."""
+    try:
+        scores = [np.ravel(crps(c.predictive, c.observed)) for c in cases]
+    except ModelError:  # raised only by _require_finite_mean
+        return None
+    return float(np.mean(np.concatenate(scores)))
+
+
 # ---------------------------------------------------------------------------
 # KL distance to an elicited density
 # ---------------------------------------------------------------------------
@@ -403,17 +404,6 @@ def kl_distance(elicited, dist) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _csv_text(header: str, columns, marker=None) -> str:
-    """CSV text: the header line, then the float columns row by row, each cell
-    as ``repr`` writes it (which reads back bit for bit), with ``marker`` as
-    an optional last column. Each column becomes text in one call of
-    ``_repr_cells``, which writes orjson's shortest digits in repr's layout."""
-    cells = [_repr_cells(np.asarray(col, dtype=float)) for col in columns]
-    if marker is not None:
-        cells.append(marker)
-    return "\n".join([header, *map(",".join, zip(*cells))]) + "\n"
-
-
 @dataclass(frozen=True)
 class CalibrationReport:
     """PIT values, the three calibration curves, and summary scores."""
@@ -442,14 +432,14 @@ class CalibrationReport:
     def curve_csv(self, which: str) -> str:
         """CSV text for one curve; columns are abscissa then value(s)."""
         if which == "probability":
-            header, rows = "p,frequency", self.probability_curve
+            names, rows = ["p", "frequency"], self.probability_curve
         elif which == "exceedance":
-            header, rows = "y,mean_pooled_quantile", self.exceedance_curve
+            names, rows = ["y", "mean_pooled_quantile"], self.exceedance_curve
         elif which == "marginal":
-            header, rows = "y,mean_predictive_cdf,pooled_empirical_cdf", self.marginal_curve
+            names, rows = ["y", "mean_predictive_cdf", "pooled_empirical_cdf"], self.marginal_curve
         else:
             raise ValueError(f"unknown curve {which!r}")
-        return _csv_text(header, zip(*rows))
+        return _csv_text(names, np.array(rows, dtype=float).T)
 
 
 def calibration_report(cases: Sequence[ForecastCase], seed) -> CalibrationReport:
@@ -457,26 +447,19 @@ def calibration_report(cases: Sequence[ForecastCase], seed) -> CalibrationReport
 
     The probability curve is read at the 19 levels p = 0.05, 0.10, ..., 0.95,
     the exceedance and marginal curves at 101 quantiles of the pooled
-    outcomes, both from one table of CDF values. ``mean_crps`` is None when
-    the CRPS is undefined: when some predictive is, or mixes in, a Student t
-    with df <= 1, which has no finite mean.
+    outcomes, both from one table of CDF values. ``mean_crps`` is None where
+    the CRPS is undefined (see ``_mean_crps``).
     """
     pits = pit(cases, seed)
     prob = probability_calibration(pits)
     pool = _pooled(cases)
     exceed, marginal = _curves(cases, pool, _default_marginal_grid(pool))
-    try:
-        scores = [np.ravel(crps(c.predictive, c.observed)) for c in cases]
-    except ModelError:  # raised only by _require_finite_mean
-        mean_crps = None
-    else:
-        mean_crps = float(np.mean(np.concatenate(scores)))
     return CalibrationReport(
         pit_values=[float(v) for v in pits],
         probability_curve=prob.curve,
         exceedance_curve=exceed,
         marginal_curve=marginal,
         max_probability_deviation=prob.max_deviation,
-        mean_crps=mean_crps,
+        mean_crps=_mean_crps(cases),
         seed=seed if isinstance(seed, int) else None,
     )

@@ -29,9 +29,8 @@ import numpy as np
 from . import __version__
 from .calibration import (
     ForecastCase,
-    _csv_text,
+    _mean_crps,
     calibration_report,
-    crps,
     ks_uniform,
     pit,
     probability_calibration,
@@ -42,7 +41,7 @@ from .leakage import Evidence, LeakageProfile, leakage, leakage_profile, parse_s
 from .regression import (
     Dataset,
     ModelSpec,
-    _csv_cells,
+    _csv_text,
     _encode_columns,
     _finite_floats,
     fit_model,
@@ -82,17 +81,12 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
-def _emit_json(doc: dict, args) -> None:
-    text = json.dumps(doc, indent=2)
-    if getattr(args, "out", None):
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
-
-
-def _emit_text(text: str, out) -> None:
-    if out:
-        Path(out).write_text(text)
+def _emit(output, target) -> None:
+    """Write ``output``, text or a JSON document (indented), to the file
+    ``target``, or to stdout when there is none."""
+    text = output if isinstance(output, str) else json.dumps(output, indent=2) + "\n"
+    if target:
+        Path(target).write_text(text)
     else:
         sys.stdout.write(text)
 
@@ -187,7 +181,7 @@ def _fit_summary(spec: ModelSpec, result) -> dict:
 def _cmd_fit(args) -> int:
     data, spec, result = _load_and_fit(args)
     doc = {"version": __version__, **_fit_summary(spec, result)}
-    _emit_json(doc, args)
+    _emit(doc, args.out)
     return 0
 
 
@@ -201,7 +195,7 @@ def _cmd_leak(args) -> int:
         "support": args.support,
         "reports": leakage_profile(result, evidence, _parse_at(args.at, data, spec)).to_json(),
     }
-    _emit_json(doc, args)
+    _emit(doc, args.out)
     return 0
 
 
@@ -250,7 +244,7 @@ def _cmd_leak_profile(args) -> int:
                 f'via --at, e.g. --at \'{{"{other}": "<level>"}}\''
             )
     profile = leakage_profile(result, evidence, columns)
-    _emit_text(_csv_text(f"{name},leakage", [grid, profile.leakage]), args.out)
+    _emit(_csv_text([name, "leakage"], [grid, profile.leakage]), args.out)
     return 0
 
 
@@ -269,7 +263,7 @@ def _cmd_falsify(args) -> int:
     dist = predictive_rows(result, X)
     verdict = is_falsified(dist, [args.value], mode=mode, resolution=args.resolution)
     doc = {"version": __version__, **verdict.to_json()}
-    _emit_json(doc, args)
+    _emit(doc, args.out)
     return 0
 
 
@@ -301,10 +295,10 @@ def _cmd_calibrate(args) -> int:
         "n_holdout": hold.n,
         **report.to_json(),
     }
-    _emit_json(doc, args)
+    _emit(doc, args.out)
     if args.curves:
         for which in ("probability", "exceedance", "marginal"):
-            Path(f"{args.curves}_{which}.csv").write_text(report.curve_csv(which))
+            _emit(report.curve_csv(which), f"{args.curves}_{which}.csv")
     return 0
 
 
@@ -343,10 +337,7 @@ def _cmd_simulate(args) -> int:
         dataset = gen_truncated_regression(_simulate_config(DEFAULT_TRUNCATED_CONFIG, doc))
     else:
         dataset = gen_callcenter_like(_simulate_config(CallCenterConfig(), doc))
-    if args.out:
-        dataset.to_csv(args.out)
-    else:
-        dataset.to_csv(sys.stdout)
+    dataset.to_csv(args.out or sys.stdout)
     return 0
 
 
@@ -369,11 +360,9 @@ def _density_curves(dists: list, evidence: Evidence, grid_points: int) -> str:
     bounds = _finite_bounds(evidence)
     if bounds:
         grid = np.unique(np.concatenate([grid, np.asarray(bounds, dtype=float)]))
-    bound_set = set(float(b) for b in bounds)
-    marker = ["support_bound" if y in bound_set else "" for y in grid.tolist()]
+    marker = np.where(np.isin(grid, bounds), "support_bound", "")
     names = ["y", *(f"density_{label}" for label, _ in dists), "marker"]
-    header = ",".join(_csv_cells(names, alone=False))
-    return _csv_text(header, [grid, *(d.density(grid) for _, d in dists)], marker)
+    return _csv_text(names, [grid, *(d.density(grid) for _, d in dists), marker])
 
 
 def _cmd_report(args) -> int:
@@ -412,14 +401,15 @@ def _cmd_report(args) -> int:
     batch = predictive_rows(result, _encode_columns(result, data.columns))
     verdict = is_falsified(batch, y_train, mode=mode, resolution=args.resolution)
 
-    pits = pit([ForecastCase(batch, y_train)], args.seed)
+    cases = [ForecastCase(batch, y_train)]
+    pits = pit(cases, args.seed)
     prob = probability_calibration(pits)
     calibration = {
         "seed": args.seed,
         "n_cases": data.n,
         "ks_stat": ks_uniform(pits),
         "max_probability_deviation": prob.max_deviation,
-        "mean_crps": float(np.mean(crps(batch, y_train))),
+        "mean_crps": _mean_crps(cases),
     }
 
     categorical = [name for name in spec.covariates if not data.is_numeric(name)]
@@ -427,7 +417,7 @@ def _cmd_report(args) -> int:
     for report, row in zip(leak_section["at_medians"], designs[0]):
         label = "_".join(report["x_star"][name] for name in categorical) or "model"
         dists.append((label, predictive_at(result, row)))
-    Path(args.out_curves).write_text(_density_curves(dists, evidence, args.grid_points))
+    _emit(_density_curves(dists, evidence, args.grid_points), args.out_curves)
 
     doc = {
         "version": __version__,
@@ -439,7 +429,7 @@ def _cmd_report(args) -> int:
         "calibration": calibration,
         "curves_file": args.out_curves,
     }
-    _emit_json(doc, args)
+    _emit(doc, args.out)
     return 0
 
 

@@ -96,20 +96,17 @@ class Dataset:
         Floats are written as ``repr`` writes them, the shortest digits that
         round-trip, so a write/read cycle reproduces the numeric columns bit
         for bit. The bytes are those of ``csv.writer``'s default dialect
-        (``\\r\\n`` line ends, cells quoted where it quotes them), but each
-        column is formatted once per block of rows, a float64 one by a single
-        ``orjson.dumps`` call, and the rows are joined in C, so no Python code
-        runs per row, and the memory a write holds does not grow with the table.
+        (``\\r\\n`` line ends), written by ``_csv_text`` a block of rows at a
+        time, so the memory a write holds does not grow with the table.
         """
         cols = list(self.columns.values())
-        alone = len(cols) == 1
         own = isinstance(target, (str, Path))
         handle = open(target, "w", newline="") if own else target
         try:
-            handle.write(",".join(_csv_cells(self.names, alone)) + "\r\n")
+            handle.write(_csv_text(self.names, (), "\r\n"))
             for start in range(0, self.n, _BLOCK_ROWS):
-                block = [_csv_cells(col[start : start + _BLOCK_ROWS], alone) for col in cols]
-                handle.write("\r\n".join(map(",".join, zip(*block))) + "\r\n")
+                block = [col[start : start + _BLOCK_ROWS] for col in cols]
+                handle.write(_csv_text((), block, "\r\n"))
         finally:
             if own:
                 handle.close()
@@ -145,13 +142,34 @@ def _repr_cells(values: np.ndarray) -> list[str]:
     return cells
 
 
+def _csv_text(names, columns, end: str = "\n") -> str:
+    """CSV lines: a header of ``names`` (none when it is empty), then one row
+    per entry of ``columns``, each line ended by ``end``.
+
+    This is the one writer of every CSV the package writes, in
+    ``csv.writer``'s default dialect but for the line end. Each column
+    becomes text in one ``_csv_cells`` call and the rows are joined in C,
+    so no Python code runs per row.
+    """
+    alone = (len(names) or len(columns)) == 1
+    cells = [_csv_cells(col, alone) for col in columns]
+    header = [",".join(_csv_cells(names, alone))] if len(names) else []
+    text = end.join([*header, *map(",".join, zip(*cells))])
+    return text + end if text else ""  # no line is empty: a lone empty cell is quoted
+
+
 def _csv_cells(values, alone: bool) -> list[str]:
-    """The cells of a column as ``csv.writer`` writes them: ``repr(float(v))``
-    for a float, ``str(v)`` otherwise, quoted where it quotes, which is for
-    a delimiter, a quote or a line-end character, and for an empty cell
-    ``alone`` on its row."""
-    if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.type is np.float64:
-        cells = _repr_cells(values)
+    """The cells of a column or a row as ``csv.writer`` writes them:
+    ``repr(float(v))`` for a float, ``str(v)`` otherwise, quoted where it
+    quotes, which is for a delimiter, a quote or a line-end character, and
+    for an empty cell ``alone`` on its row. A 1-d float64 or str array is
+    formatted without a Python step per cell, and repr's digits, which hold
+    none of those characters, are never scanned for them."""
+    flat = isinstance(values, np.ndarray) and values.ndim == 1
+    if flat and values.dtype.type is np.float64:
+        return _repr_cells(values)
+    if flat and values.dtype.kind == "U":
+        cells = values.tolist()
     else:
         cells = [repr(float(v)) if isinstance(v, float) else str(v) for v in values]
     if _needs_quotes("".join(cells)) or (alone and "" in cells):

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 from probleak import Empirical, Mixture, Normal, Poisson, StudentT, TruncatedNormal, crps
-from probleak import calibration
 
 DFS = (1.5, 2.0, 3.0, 5.0, 30.0, 100.0, 1998.0, 19997.0)
 LOCS = (-1.3, 0.0, 2.5)
@@ -112,13 +111,13 @@ def test_quadrature_miss_is_pinned():
 
 def test_mixture_stays_on_quadrature(monkeypatch):
     calls = []
-    real_quad = calibration.integrate.quad
+    real_quad = integrate.quad
 
     def counting_quad(*args, **kwargs):
         calls.append(1)
         return real_quad(*args, **kwargs)
 
-    monkeypatch.setattr(calibration.integrate, "quad", counting_quad)
+    monkeypatch.setattr(integrate, "quad", counting_quad)
     mix = Mixture([Normal(0.0, 1.0), StudentT(4.0, 2.0, 0.5)], [0.3, 0.7])
     assert not hasattr(mix, "_crps")
     y = 1.1

@@ -1,12 +1,12 @@
 """The CLI's CSV outputs render by column, byte for byte as the row loops did.
 
-The oracle is the per-row renderer every CSV writer used before:
-``",".join(repr(float(v)) for v in row)`` per line, and for the density
-curves the whole per-row algorithm of ``cli._density_curves``, copied here.
-Every float cell is written by ``_repr_cells`` from orjson's digits, so
-it is also checked against ``repr`` cell by cell, over arbitrary 64-bit
-patterns (nan payloads, infinities, signed zeros and subnormals among them):
-a version of orjson that lays out a float otherwise fails here.
+Every CSV is written by ``regression._csv_text``. The oracle is a per-row
+renderer: ``",".join(repr(float(v)) for v in row)`` per line, and for the
+density curves the whole per-row algorithm of ``cli._density_curves``,
+copied here. Every float cell is written by ``_repr_cells`` from orjson's
+digits, so it is also checked against ``repr`` cell by cell, over arbitrary
+64-bit patterns (nan payloads, infinities, signed zeros and subnormals among
+them): a version of orjson that lays out a float otherwise fails here.
 """
 
 import math
@@ -16,9 +16,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from probleak import Evidence, Normal, StudentT, TruncatedNormal, calibration_report
-from probleak.calibration import ForecastCase, _csv_text
+from probleak.calibration import ForecastCase
 from probleak.cli import _density_curves, _finite_bounds
-from probleak.regression import _repr_cells
+from probleak.regression import _csv_text, _repr_cells
 
 
 def _lines(text):
@@ -86,12 +86,13 @@ def test_repr_cells_is_repr_over_a_million_random_bit_patterns():
 @given(st.integers(1, 4), st.integers(0, 12), st.data())
 def test_csv_text_matches_the_row_renderer(width, n_rows, data):
     rows = [data.draw(st.lists(_floats, min_size=width, max_size=width)) for _ in range(n_rows)]
-    header = ",".join(f"c{j}" for j in range(width))
+    names = [f"c{j}" for j in range(width)]
     columns = [np.array([row[j] for row in rows], dtype=float) for j in range(width)]
     as_lists = [[row[j] for row in rows] for j in range(width)]
-    want = _rows_text(header, rows)
-    assert _csv_text(header, columns) == want
-    assert _csv_text(header, as_lists) == want
+    want = _rows_text(",".join(names), rows)
+    assert _csv_text(names, columns) == want
+    assert _csv_text(names, as_lists) == want
+    assert _csv_text(names, columns, "\r\n") == want.replace("\n", "\r\n")
 
 
 @settings(max_examples=100, deadline=None)
@@ -102,8 +103,9 @@ def test_csv_text_appends_the_marker_column(rows, markers):
     want = ["y,d,marker"] + [
         ",".join([repr(float(a)), repr(float(b)), m]) for (a, b), m in zip(rows, markers)
     ]
-    got = _csv_text("y,d,marker", [[r[0] for r in rows], [r[1] for r in rows]], markers)
-    assert got == "\n".join(want) + "\n"
+    columns = [[r[0] for r in rows], [r[1] for r in rows]]
+    for marker in (markers, np.array(markers, dtype=str)):
+        assert _csv_text(["y", "d", "marker"], [*columns, marker]) == "\n".join(want) + "\n"
 
 
 def _dists():

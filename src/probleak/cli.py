@@ -21,8 +21,8 @@ import functools
 import itertools
 import json
 import math
+import re
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from .regression import (
     _csv_text,
     _encode_columns,
     _finite_floats,
+    _write_text,
     fit_model,
     load_dataset,
     predictive_at,
@@ -82,13 +83,62 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(output, target) -> None:
-    """Write ``output``, text or a JSON document (indented), to the file
-    ``target``, or to stdout when there is none."""
-    text = output if isinstance(output, str) else json.dumps(output, indent=2) + "\n"
-    if target:
-        Path(target).write_text(text)
-    else:
-        sys.stdout.write(text)
+    """Write ``output``, text or a JSON document, to the file ``target``, or
+    to stdout when there is none.
+
+    A document is indented as ``json.dumps(doc, indent=2)`` indents it. A
+    file is rewritten in place (see ``regression._write_text``), so a failed
+    write leaves only what it wrote."""
+    text = output if isinstance(output, str) else _json_text(output)
+    _write_text(target or sys.stdout, (text,))
+
+
+# the ends of the numbers orjson lays out otherwise than repr: an exponent
+# with no sign or no second digit (1e16, 1e-7), and 1e-5 <= |x| < 1e-4
+# written out in full (0.0000123). Each starts with a fixed byte, which re
+# finds fast. Indented JSON ends a number's line after it, bar a comma, and
+# holds no raw line end inside a string, so no match is in a string
+_NOT_REPR = (re.compile(rb"e-?\d+(?=,?\n)"), re.compile(rb"0\.0000\d*(?=,?\n)"))
+_NOT_ASCII = re.compile("[^\x00-\x7e]")  # json escapes these, orjson writes them as they are
+
+
+def _json_text(doc) -> str:
+    """``json.dumps(doc, indent=2) + "\\n"``, byte for byte, from orjson.
+
+    ``json`` indents with its pure-Python encoder, which takes about six
+    times as long on the CLI's documents. orjson's text is given json's
+    layout: a number it writes otherwise than ``repr`` is rewritten as
+    ``repr`` writes it, and a character past ``\\x7e`` is escaped as
+    ``\\uXXXX``, an astral one as its surrogate pair. A document orjson
+    refuses, or whose text does not read back as the document, goes to
+    ``json.dumps``."""
+    import orjson  # here, so that importing the CLI does not load it
+
+    try:
+        text = orjson.dumps(doc, option=orjson.OPT_INDENT_2 | orjson.OPT_APPEND_NEWLINE)
+    except orjson.JSONEncodeError:  # an integer past 64 bits, or a lone surrogate
+        return json.dumps(doc, indent=2) + "\n"
+    if orjson.loads(text) != doc:  # NaN or an infinity, which orjson writes as null
+        return json.dumps(doc, indent=2) + "\n"
+    pieces, done = [], 0
+    for end in sorted(m.end() for pattern in _NOT_REPR for m in pattern.finditer(text)):
+        start = text.rfind(b" ", 0, end) + 1  # a number holds no space
+        pieces += [text[done:start], repr(float(text[start:end])).encode()]
+        done = end
+    text = b"".join([*pieces, text[done:]]).decode()
+    if not text.isascii() or "\x7f" in text:
+        text = _NOT_ASCII.sub(_escape, text)
+    return text
+
+
+def _escape(match) -> str:
+    """A character as ``ensure_ascii`` escapes it: past U+FFFF, as the two
+    halves of its UTF-16 surrogate pair."""
+    code = ord(match[0])
+    if code > 0xFFFF:
+        code -= 0x10000
+        return "\\u%04x\\u%04x" % (0xD800 | code >> 10, 0xDC00 | code & 0x3FF)
+    return "\\u%04x" % code
 
 
 def _load_data(path: str) -> Dataset:
@@ -295,10 +345,12 @@ def _cmd_calibrate(args) -> int:
         "n_holdout": hold.n,
         **report.to_json(),
     }
-    _emit(doc, args.out)
+    # the curves first, as in report: a curve file that cannot be written
+    # then leaves stdout empty for the error
     if args.curves:
         for which in ("probability", "exceedance", "marginal"):
             _emit(report.curve_csv(which), f"{args.curves}_{which}.csv")
+    _emit(doc, args.out)
     return 0
 
 
@@ -438,6 +490,17 @@ def _cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy seeds its generators from any integer >= 0."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = None
+    if seed is None or seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return seed
+
+
 def _add_common(p) -> None:
     p.add_argument("--out", help="write the main output to this file instead of stdout")
     p.add_argument(
@@ -514,7 +577,7 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--holdout", type=float, required=True, help="held-out fraction in (0, 1)"
     )
-    p.add_argument("--seed", type=int, default=0, help="split and PIT seed (default 0)")
+    p.add_argument("--seed", type=_seed, default=0, help="split and PIT seed (default 0)")
     p.add_argument(
         "--curves", help="prefix: also write <prefix>_{probability,exceedance,marginal}.csv"
     )
@@ -524,7 +587,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("simulate", help="generate a dataset from a known truth, as CSV")
     p.add_argument("kind", choices=("truncated", "callcenter"))
     p.add_argument("--config", help="JSON config file (defaults are the shipped configs)")
-    p.add_argument("--seed", type=int, help="override the config seed")
+    p.add_argument("--seed", type=_seed, help="override the config seed")
     _add_common(p)
     p.set_defaults(handler=_cmd_simulate)
 
@@ -545,7 +608,7 @@ def _build_parser() -> _Parser:
         type=float,
         help="observation resolution: falsification uses interval events",
     )
-    p.add_argument("--seed", type=int, default=0, help="PIT randomization seed (default 0)")
+    p.add_argument("--seed", type=_seed, default=0, help="PIT randomization seed (default 0)")
     _add_common(p)
     p.set_defaults(handler=_cmd_report)
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import os
 import re
@@ -91,25 +92,22 @@ class Dataset:
             raise DataError(f"no column named {name!r}") from None
 
     def to_csv(self, target) -> None:
-        """Write the table in the same CSV dialect ``load_dataset`` reads.
+        """Write the table in the same CSV dialect ``load_dataset`` reads, to
+        a path or a file object.
 
         Floats are written as ``repr`` writes them, the shortest digits that
         round-trip, so a write/read cycle reproduces the numeric columns bit
         for bit. The bytes are those of ``csv.writer``'s default dialect
-        (``\\r\\n`` line ends), written by ``_csv_text`` a block of rows at a
-        time, so the memory a write holds does not grow with the table.
+        (``\\r\\n`` line ends), formatted by ``_csv_text`` a block of rows at
+        a time, so the memory a write holds does not grow with the table. A
+        path's file is rewritten in place by ``_write_text``.
         """
         cols = list(self.columns.values())
-        own = isinstance(target, (str, Path))
-        handle = open(target, "w", newline="") if own else target
-        try:
-            handle.write(_csv_text(self.names, (), "\r\n"))
-            for start in range(0, self.n, _BLOCK_ROWS):
-                block = [col[start : start + _BLOCK_ROWS] for col in cols]
-                handle.write(_csv_text((), block, "\r\n"))
-        finally:
-            if own:
-                handle.close()
+        blocks = (
+            _csv_text((), [col[start : start + _BLOCK_ROWS] for col in cols], "\r\n")
+            for start in range(0, self.n, _BLOCK_ROWS)
+        )
+        _write_text(target, itertools.chain([_csv_text(self.names, (), "\r\n")], blocks))
 
 
 _BLOCK_ROWS = 1024  # rows formatted and written at a time by Dataset.to_csv
@@ -175,6 +173,38 @@ def _csv_cells(values, alone: bool) -> list[str]:
     if _needs_quotes("".join(cells)) or (alone and "" in cells):
         cells = [_quote(cell, alone) for cell in cells]
     return cells
+
+
+def _write_text(target, chunks) -> None:
+    """Write the strings ``chunks`` to ``target``: a file object, or a path
+    whose file is rewritten in place.
+
+    The path is opened without truncation, so a new file gets the mode
+    ``open(target, "w")`` gives it and an existing one keeps its own, and a
+    symlink is written through. On a regular file, the text written is then
+    cut from the old file's tail with ``ftruncate``: overwriting a file's
+    blocks and cutting at the end costs the filesystem far less than
+    truncating the file to zero and growing it again. A file that is not
+    regular, such as ``/dev/null``, gets no cut. The cut is made in a
+    ``finally``, so a write that raises leaves only what it wrote, as
+    ``open(target, "w")`` would. A process killed between the write and the
+    cut leaves the old file's tail past the new text; nothing is synced to
+    disk.
+    """
+    if not isinstance(target, (str, os.PathLike)):
+        for chunk in chunks:
+            target.write(chunk)
+        return
+    fd = os.open(target, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        with open(fd, "w", newline="", closefd=False) as handle:
+            handle.writelines(chunks)
+    finally:
+        try:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+        finally:
+            os.close(fd)
 
 
 def _needs_quotes(text: str) -> bool:

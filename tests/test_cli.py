@@ -3,13 +3,19 @@
 import csv
 import dataclasses
 import hashlib
+import importlib.util
 import json
+import os
+import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from probleak import (
     DEFAULT_TRUNCATED_CONFIG,
@@ -20,9 +26,10 @@ from probleak import (
     gen_truncated_regression,
     leakage_profile,
     load_dataset,
+    regression,
     schemas,
 )
-from probleak.cli import main
+from probleak.cli import _json_text, main
 
 
 @pytest.fixture()
@@ -138,6 +145,20 @@ def test_an_unwritable_curves_file_is_an_error_not_a_traceback(capsys, toy_csv, 
     argv = ["report", "--data", toy_csv, "--response", "y", "--support", "[0,inf)",
             "--out-curves", str(target)]
     _assert_unwritable_exits_two(capsys, argv, target)
+
+
+def test_an_unwritable_calibrate_curve_leaves_stdout_one_json_value(capsys, toy_csv, tmp_path):
+    # the curves are written before the document, so the error document is
+    # the only thing on stdout
+    prefix = tmp_path / "missing" / "cal"
+    argv = ["calibrate", "--data", toy_csv, "--response", "y", "--covariates", "x1",
+            "--holdout", "0.25", "--curves", str(prefix)]
+    _assert_unwritable_exits_two(capsys, argv, prefix)
+
+
+def test_a_directory_as_the_out_file_is_an_error_not_a_traceback(capsys, toy_csv, tmp_path):
+    argv = ["fit", "--data", toy_csv, "--response", "y", "--out", str(tmp_path)]
+    _assert_unwritable_exits_two(capsys, argv, tmp_path)
 
 
 def test_model_error_exits_two(capsys, tmp_path):
@@ -839,6 +860,206 @@ def test_report_pipeline_is_deterministic(capsys, tmp_path):
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+# ---------------------------------------------------------------------------
+# --seed
+# ---------------------------------------------------------------------------
+
+
+def _seeded_argv(command, data, tmp_path, seed):
+    model = ["--data", data, "--response", "y", "--covariates", "x1"]
+    return {
+        "report": ["report", *model, "--support", "[0,inf)",
+                   "--out-curves", str(tmp_path / "curves.csv")],
+        "calibrate": ["calibrate", *model, "--holdout", "0.25"],
+        "simulate": ["simulate", "truncated"],
+    }[command] + ["--seed", seed]
+
+
+@pytest.mark.parametrize("command", ["report", "calibrate", "simulate"])
+@pytest.mark.parametrize("seed", ["-1", "1.5", "seven"])
+def test_a_seed_that_is_no_non_negative_integer_is_a_usage_error(capsys, toy_csv, tmp_path, command, seed):
+    code, out, err = run(capsys, _seeded_argv(command, toy_csv, tmp_path, seed))
+    assert (code, out) == (1, "")
+    assert f"argument --seed: expected a non-negative integer, got '{seed}'" in err
+
+
+@pytest.mark.parametrize("command", ["report", "calibrate", "simulate"])
+def test_a_seed_past_64_bits_still_seeds(capsys, toy_csv, tmp_path, command):
+    seed = 2**70 + 3
+    code, out, err = run(capsys, _seeded_argv(command, toy_csv, tmp_path, str(seed)))
+    assert code == 0, err
+    if command == "report":
+        assert json.loads(out)["calibration"]["seed"] == seed
+    elif command == "calibrate":
+        assert check("calibration_report", out)["seed"] == seed
+    else:
+        assert out.startswith("y,x1\r\n")
+
+
+# ---------------------------------------------------------------------------
+# output files: rewritten in place
+# ---------------------------------------------------------------------------
+
+
+def _report_argv(data, out, curves):
+    return ["report", "--data", data, "--response", "y", "--covariates", "x1",
+            "--support", "[0,inf)", "--out-curves", str(curves), "--out", str(out)]
+
+
+@pytest.mark.parametrize("old", [b"", b"{}", b"x" * 10**6], ids=["empty", "shorter", "longer"])
+def test_outputs_over_an_old_file_equal_a_fresh_run(capsys, toy_csv, tmp_path, monkeypatch, old):
+    # relative names, so that the curves_file the report echoes is the same
+    written = {}
+    for run_dir, stale in (("fresh", None), ("over", old)):
+        work = tmp_path / run_dir
+        work.mkdir()
+        monkeypatch.chdir(work)
+        names = ("a.json", "c.csv", "s.csv")
+        if stale is not None:
+            for name in names:
+                Path(name).write_bytes(stale)
+        assert main(_report_argv(toy_csv, "a.json", "c.csv")) == 0
+        assert main(["simulate", "truncated", "--out", "s.csv"]) == 0
+        written[run_dir] = [Path(name).read_bytes() for name in names]
+    assert written["over"] == written["fresh"]
+
+
+def test_an_out_file_behind_a_symlink_is_written_through(capsys, toy_csv, tmp_path):
+    real = tmp_path / "real.json"
+    real.write_text("stale " * 1000)
+    link = tmp_path / "link.json"
+    link.symlink_to(real)
+    assert main(["fit", "--data", toy_csv, "--response", "y", "--out", str(link)]) == 0
+    assert link.is_symlink()
+    check("fit_summary", real.read_text())
+
+
+def test_dev_null_is_an_output_file(capsys, toy_csv):
+    # a character device is written but not truncated, which it refuses
+    assert main(["fit", "--data", toy_csv, "--response", "y", "--out", os.devnull]) == 0
+    assert main(["simulate", "truncated", "--out", os.devnull]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+def test_an_existing_out_file_keeps_its_mode_and_a_new_one_gets_open_w_mode(capsys, toy_csv, tmp_path):
+    kept = tmp_path / "kept.json"
+    kept.write_text("stale")
+    kept.chmod(0o640)
+    assert main(["fit", "--data", toy_csv, "--response", "y", "--out", str(kept)]) == 0
+    assert kept.stat().st_mode & 0o777 == 0o640
+    new, plain = tmp_path / "new.json", tmp_path / "plain.json"
+    assert main(["fit", "--data", toy_csv, "--response", "y", "--out", str(new)]) == 0
+    with open(plain, "w"):
+        pass
+    assert new.stat().st_mode == plain.stat().st_mode
+
+
+def test_a_write_that_raises_leaves_only_what_it_wrote(tmp_path, monkeypatch):
+    n = 3 * regression._BLOCK_ROWS
+    table = Dataset({"y": np.arange(n) / 7.0, "x": np.arange(n) * 1e-5})
+    expected = tmp_path / "expected.csv"
+    table.to_csv(expected)
+    target = tmp_path / "t.csv"
+    target.write_bytes(b"old bytes\r\n" * 10**5)  # longer than the new table
+    formatted = []
+    original = regression._csv_text
+
+    def fails_on_the_third_call(*args):
+        if len(formatted) == 2:  # the header and the first block went out
+            raise RuntimeError("disk gone")
+        formatted.append(original(*args))
+        return formatted[-1]
+
+    monkeypatch.setattr(regression, "_csv_text", fails_on_the_third_call)
+    with pytest.raises(RuntimeError, match="disk gone"):
+        table.to_csv(target)
+    written = "".join(formatted).encode()
+    assert target.read_bytes() == written
+    assert expected.read_bytes().startswith(written) and len(written) < expected.stat().st_size
+
+
+# ---------------------------------------------------------------------------
+# JSON text: json.dumps(doc, indent=2)'s bytes, from orjson
+# ---------------------------------------------------------------------------
+
+
+def _bits_to_float(bits):
+    return struct.unpack("<d", bits.to_bytes(8, "little"))[0]
+
+
+_json_floats = st.one_of(
+    # each layout class of repr's and orjson's: the band orjson writes out in
+    # full, the small and the large exponents, signed zero and subnormals,
+    # then any 64-bit pattern, NaN payloads and infinities among them
+    st.floats(1e-5, 1e-4, exclude_max=True),
+    st.floats(-1e-4, -1e-5, exclude_min=True),
+    st.floats(-1e-5, 1e-5, exclude_min=True, exclude_max=True),
+    st.floats(min_value=1e16, allow_infinity=False),
+    st.floats(max_value=-1e16, allow_infinity=False),
+    st.just(-0.0),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+    st.integers(0, 2**64 - 1).map(_bits_to_float),
+)
+_json_ints = st.one_of(
+    st.integers(-(2**65), 2**65),
+    st.sampled_from([2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 2**64 - 1, 2**64, -(2**64)]),
+)
+_json_strings = st.text(
+    st.one_of(
+        st.sampled_from('"\\\x00\x08\x1f\n\r\t\x7e\x7f\x80é \U0001f600𐏿'),
+        st.characters(exclude_categories=()),  # lone surrogates too
+    ),
+    max_size=8,
+)
+_json_docs = st.recursive(
+    st.none() | st.booleans() | _json_floats | _json_ints | _json_strings,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_json_strings, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_json_docs)
+@example({"nan": float("nan"), "inf": [float("inf"), -float("inf")], "none": None})
+@example({"big": 2**64, "small": 1.23e-05, "exp": [1e-07, 1e16, -0.0, 5e-324]})
+def test_json_text_is_json_dumps_indented(doc):
+    assert _json_text(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+def test_falsify_echoes_an_infinite_value_as_json_does(capsys, toy_csv):
+    # orjson writes null for it, so this document goes to json.dumps
+    code, out, _ = run(capsys, ["falsify", "--data", toy_csv, "--response", "y", "--value", "inf"])
+    assert code == 0
+    assert '"value": Infinity' in out
+
+
+def test_no_default_document_takes_the_json_dumps_path(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "cli_outputs", Path(__file__).parents[1] / "tools" / "cli_outputs.py"
+    )
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    indented, dumps = [], json.dumps
+
+    def spy(*args, **kwargs):
+        if kwargs.get("indent") is not None:
+            indented.append(args[0])
+        return dumps(*args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", spy)
+    monkeypatch.chdir(tmp_path)  # the tool works in its output directory
+    assert tool.write_outputs(tmp_path / "out") == 0
+    assert indented == []
+    configs = {"sim500.json", "sim20000.json"}  # the tool's own inputs
+    documents = [p for p in (tmp_path / "out").glob("*.json") if p.name not in configs]
+    assert len(documents) == 33
+    for path in documents:
+        text = path.read_text()
+        assert text == dumps(json.loads(text), indent=2) + "\n", path.name
 
 
 # ---------------------------------------------------------------------------

@@ -132,19 +132,39 @@ def pit(cases: Sequence[ForecastCase], seed) -> np.ndarray:
     model. One V_i is consumed per discrete case, in order. Consecutive
     cases that share one predictive object are scored in one call.
     """
+    return _pit_and_mean_crps(cases, seed, mean_crps=False)[0]
+
+
+def _pit_and_mean_crps(cases: Sequence[ForecastCase], seed, mean_crps: bool = True):
+    """``pit(cases, seed)`` and, with ``mean_crps``, the mean CRPS over every
+    case, else None.
+
+    The mean is None also where it is undefined: where some predictive is,
+    or mixes in, a Student t with df <= 1, which has no finite mean. A
+    Student t's CRPS takes the F(y) its PIT evaluated, so each batch's t
+    CDF is evaluated once; the scores have the bits ``crps`` gives them.
+    """
     if not cases:
         raise ValueError("need at least one forecast case")
     rng = np.random.default_rng(seed)
-    out = []
+    out, scores = [], [] if mean_crps else None
     for _, run in itertools.groupby(cases, key=lambda case: id(case.predictive)):
         run = list(run)
         dist = run[0].predictive
         y = np.array([case.observed for case in run], dtype=float)
         u = np.asarray(dist.cdf_left(y), dtype=float)  # P(y) itself for a continuous one
+        if scores is not None and isinstance(dist, StudentT) and dist.df > 1.0:
+            scores.append(np.ravel(dist._crps_given_cdf(y, u)))
+        elif scores is not None:
+            try:
+                scores += [np.ravel(crps(case.predictive, case.observed)) for case in run]
+            except ModelError:  # raised only by _require_finite_mean
+                scores = None
         if dist.kind == "discrete":
             u = u + rng.uniform(size=y.size) * np.asarray(dist.density(y), dtype=float)
         out.append(np.ravel(u))
-    return np.clip(np.concatenate(out), 0.0, 1.0)
+    mean = float(np.mean(np.concatenate(scores))) if scores is not None else None
+    return np.clip(np.concatenate(out), 0.0, 1.0), mean
 
 
 class ProbabilityCalibration(NamedTuple):
@@ -283,17 +303,6 @@ def crps(dist: PredictiveDistribution, y):
     breaks = np.unique(np.concatenate([np.asarray(dist.atoms_between(lo, hi)), [y]]))
     step = np.asarray(dist.cdf(breaks[:-1]), dtype=float) - (breaks[:-1] >= y)
     return float(np.sum(step**2 * np.diff(breaks)))
-
-
-def _mean_crps(cases: Sequence[ForecastCase]) -> float | None:
-    """The mean CRPS over every case, or None where it is undefined: where
-    some predictive is, or mixes in, a Student t with df <= 1, which has no
-    finite mean."""
-    try:
-        scores = [np.ravel(crps(c.predictive, c.observed)) for c in cases]
-    except ModelError:  # raised only by _require_finite_mean
-        return None
-    return float(np.mean(np.concatenate(scores)))
 
 
 # ---------------------------------------------------------------------------
@@ -448,9 +457,9 @@ def calibration_report(cases: Sequence[ForecastCase], seed) -> CalibrationReport
     The probability curve is read at the 19 levels p = 0.05, 0.10, ..., 0.95,
     the exceedance and marginal curves at 101 quantiles of the pooled
     outcomes, both from one table of CDF values. ``mean_crps`` is None where
-    the CRPS is undefined (see ``_mean_crps``).
+    the CRPS is undefined (see ``_pit_and_mean_crps``).
     """
-    pits = pit(cases, seed)
+    pits, mean_crps = _pit_and_mean_crps(cases, seed)
     prob = probability_calibration(pits)
     pool = _pooled(cases)
     exceed, marginal = _curves(cases, pool, _default_marginal_grid(pool))
@@ -460,6 +469,6 @@ def calibration_report(cases: Sequence[ForecastCase], seed) -> CalibrationReport
         exceedance_curve=exceed,
         marginal_curve=marginal,
         max_probability_deviation=prob.max_deviation,
-        mean_crps=_mean_crps(cases),
+        mean_crps=mean_crps,
         seed=seed if isinstance(seed, int) else None,
     )

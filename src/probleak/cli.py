@@ -29,10 +29,9 @@ import numpy as np
 from . import __version__
 from .calibration import (
     ForecastCase,
-    _mean_crps,
+    _pit_and_mean_crps,
     calibration_report,
     ks_uniform,
-    pit,
     probability_calibration,
 )
 from .exceptions import DataError, ModelError
@@ -364,11 +363,25 @@ def _simulate_config(base, doc: dict):
     if doc.get("support_lower", 0.0) is None:
         doc = {**doc, "support_lower": -math.inf}
     try:
-        return dataclasses.replace(
-            base, **{name: type(getattr(base, name))(doc[name]) for name in fields if name in doc}
-        )
+        values = {
+            name: _config_value(name, getattr(base, name), doc[name])
+            for name in fields
+            if name in doc
+        }
+        return dataclasses.replace(base, **values)
     except (TypeError, ValueError) as err:
         raise DataError(f"bad simulate config: {err}") from None
+
+
+def _config_value(name: str, default, value):
+    """``value`` as the type of ``default``. An integer field takes no
+    fraction, which int() would drop, and a seed is, as --seed is, >= 0."""
+    if isinstance(default, int) and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    converted = type(default)(value)
+    if name == "seed" and converted < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {value!r}")
+    return converted
 
 
 def _cmd_simulate(args) -> int:
@@ -453,15 +466,13 @@ def _cmd_report(args) -> int:
     batch = predictive_rows(result, _encode_columns(result, data.columns))
     verdict = is_falsified(batch, y_train, mode=mode, resolution=args.resolution)
 
-    cases = [ForecastCase(batch, y_train)]
-    pits = pit(cases, args.seed)
-    prob = probability_calibration(pits)
+    pits, mean_crps = _pit_and_mean_crps([ForecastCase(batch, y_train)], args.seed)
     calibration = {
         "seed": args.seed,
         "n_cases": data.n,
         "ks_stat": ks_uniform(pits),
-        "max_probability_deviation": prob.max_deviation,
-        "mean_crps": _mean_crps(cases),
+        "max_probability_deviation": probability_calibration(pits).max_deviation,
+        "mean_crps": mean_crps,
     }
 
     categorical = [name for name in spec.covariates if not data.is_numeric(name)]
@@ -499,6 +510,17 @@ def _seed(text: str) -> int:
     if seed is None or seed < 0:
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return seed
+
+
+def _finite(text: str) -> float:
+    """A --value: an observation, which no NaN or infinity can be."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _add_common(p) -> None:
@@ -560,7 +582,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("falsify", help="strict falsification verdict for one observation")
     _add_model_args(p)
-    p.add_argument("--value", type=float, required=True, help="observed value")
+    p.add_argument("--value", type=_finite, required=True, help="observed value")
     p.add_argument(
         "--mode",
         choices=("point", "interval"),

@@ -316,11 +316,16 @@ class StudentT(PredictiveDistribution):
         which is built from betaln so nothing overflows at large df. k and
         the ratio B(1/2, v - 1/2) / B(1/2, v/2) come from ``_crps_df_terms``.
         """
+        return self._crps_given_cdf(y, self._cdf(y))
+
+    def _crps_given_cdf(self, y, cdf):
+        """The closed-form CRPS at y, given cdf = F(y), which a batch's PIT
+        has evaluated already."""
         v = self.df
         z = (y - self.loc) / self.scale
         k, ratio = self._crps_df_terms
         decay = np.exp(-0.5 * (v - 1.0) * np.log1p(z * z / v))
-        return self.scale * (z * (2.0 * self._cdf(y) - 1.0) + k * (decay - ratio))
+        return self.scale * (z * (2.0 * cdf - 1.0) + k * (decay - ratio))
 
     @cached_property
     def _crps_df_terms(self) -> tuple[float, float]:
@@ -436,9 +441,13 @@ class TruncatedNormal(PredictiveDistribution):
         return np.maximum(self.loc + self.scale * z, self.lower)
 
 
-def _truncnorm_inverse(u, loc, scale, lower):
-    """Map uniforms to Normal(loc, scale | Y >= lower) by CDF inversion."""
-    fa = 0.0 if math.isinf(lower) else special.ndtr((lower - loc) / scale)
+def _truncnorm_inverse(u, loc, scale, lower, fa=None):
+    """Map uniforms to Normal(loc, scale | Y >= lower) by CDF inversion.
+
+    ``fa`` is Phi((lower - loc) / scale), where the caller has it already.
+    """
+    if fa is None:
+        fa = 0.0 if math.isinf(lower) else special.ndtr((lower - loc) / scale)
     q = fa + u * (1.0 - fa)
     # a generator can emit u = 0 exactly; keep the probit argument interior
     q = np.clip(q, 1e-16, 1.0 - 1e-16)

@@ -16,9 +16,10 @@ with one entry per row, ready for the broadcasting scores downstream.
 ``predictive_at`` is the one-row case of the same encoder.
 
 Fitting goes through a pivoted QR factorization so rank deficiency is
-detected rather than silently absorbed, and categorical covariates are
-expanded to indicator columns against a deterministic baseline (the
-lexicographically smallest level).
+detected rather than silently absorbed: LAPACK's dgeqp3, dorgqr and dtrtrs,
+the routines ``scipy.linalg.qr`` and ``solve_triangular`` call, called
+directly. Categorical covariates are expanded to indicator columns against a
+deterministic baseline (the lexicographically smallest level).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from pathlib import Path
 from typing import Mapping
 
 import numpy as np
-from scipy import linalg
+from scipy.linalg import lapack
 
 from .exceptions import DataError, ModelError
 from .predictive import StudentT
@@ -606,12 +607,29 @@ class FitResult:
         }
 
 
+def _solve_upper(R: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """R^-1 b for an upper-triangular R, by the dtrtrs call that
+    ``scipy.linalg.solve_triangular`` makes: LAPACK reads Fortran order, so
+    a C-ordered R goes in as its transpose, lower and transposed."""
+    if not b.size:  # a design without columns; LAPACK refuses the empty system
+        return b
+    a, flip = (R, 0) if R.flags.f_contiguous else (R.T, 1)
+    return lapack.dtrtrs(a, b, lower=flip, trans=flip)[0]
+
+
 def fit(X: np.ndarray, y: np.ndarray, coding: ColumnCoding | None = None) -> FitResult:
     """OLS by pivoted QR; equals the flat-prior posterior's sufficient statistics.
 
+    LAPACK's dgeqp3 factors X with column pivoting, dorgqr forms Q, and
+    dtrtrs solves with R for beta and for R^-1. These are the routines, and
+    the calls, of ``scipy.linalg.qr(X, mode="economic", pivoting=True)`` and
+    ``scipy.linalg.solve_triangular``, made without their wrappers, so the
+    results have the same bits.
+
     Raises ModelError when n <= p (the posterior would be improper under the
     flat prior) or when the design is rank-deficient at the pivoted-QR
-    tolerance eps * max(n, p) * max|R_ii|.
+    tolerance eps * max(n, p) * max|R_ii|, and ValueError when X or y holds
+    a NaN or an infinity.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -625,7 +643,17 @@ def fit(X: np.ndarray, y: np.ndarray, coding: ColumnCoding | None = None) -> Fit
             f"n={n} <= p={p}: posterior improper under flat prior (need n > p)"
         )
 
-    Q, R, piv = linalg.qr(X, mode="economic", pivoting=True)
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    factor = np.array(X, order="F")  # dgeqp3 overwrites it with R and the reflectors
+    lwork = int(lapack.dgeqp3(factor, lwork=-1, overwrite_a=1)[3][0])
+    _, piv, tau, _, _ = lapack.dgeqp3(factor, lwork=lwork, overwrite_a=1)
+    piv -= 1  # LAPACK counts columns from 1
+    # R before dorgqr overwrites the factor, C-ordered as solve_triangular
+    # gets it; dtrtrs never reads the reflectors below its diagonal
+    R = factor[:p].copy(order="C")
+    lwork = int(lapack.dorgqr(factor, tau, lwork=-1, overwrite_a=1)[1][0])
+    Q = lapack.dorgqr(factor, tau, lwork=lwork, overwrite_a=1)[0]
     diag = np.abs(np.diag(R))
     tol = np.finfo(float).eps * max(n, p) * (diag.max() if diag.size else 0.0)
     rank = int(np.sum(diag > tol))
@@ -637,7 +665,7 @@ def fit(X: np.ndarray, y: np.ndarray, coding: ColumnCoding | None = None) -> Fit
             labels = [f"column {j}" for j in dropped]
         raise ModelError(f"design matrix is rank-deficient; redundant: {labels}")
 
-    z = linalg.solve_triangular(R, Q.T @ y)
+    z = _solve_upper(R, Q.T @ y)
     beta = np.empty(p)
     beta[piv] = z
 
@@ -648,10 +676,10 @@ def fit(X: np.ndarray, y: np.ndarray, coding: ColumnCoding | None = None) -> Fit
         sse = 0.0
     s2 = sse / (n - p)
 
-    r_inv = linalg.solve_triangular(R, np.eye(p))
+    r_inv = _solve_upper(R, np.eye(p))
     a = r_inv @ r_inv.T
     xtx_inv = np.empty((p, p))
-    xtx_inv[np.ix_(piv, piv)] = a
+    xtx_inv[piv[:, None], piv] = a
     xtx_inv = 0.5 * (xtx_inv + xtx_inv.T)
 
     beta.setflags(write=False)

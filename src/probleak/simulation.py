@@ -23,9 +23,9 @@ from scipy import special
 
 from .calibration import (
     ForecastCase,
+    _pit_and_mean_crps,
     crps,
     ks_uniform,
-    pit,
     probability_calibration,
 )
 from .exceptions import DataError
@@ -55,6 +55,7 @@ def _truncated_draws(rng, mu, sd, lower):
 
     Raises when some row's truncation region holds less than 1e-12 mass.
     """
+    fa = None
     if math.isfinite(lower):
         fa = special.ndtr((lower - mu) / sd)
         if 1.0 - float(np.max(fa)) < _MIN_FEASIBLE_MASS:
@@ -63,7 +64,7 @@ def _truncated_draws(rng, mu, sd, lower):
                 f"infeasible config: truncation region has mass < {_MIN_FEASIBLE_MASS} "
                 f"at row {idx} (mean {mu[idx]:.6g}, bound {lower})"
             )
-    return _truncnorm_inverse(rng.uniform(size=mu.size), mu, sd, lower)
+    return _truncnorm_inverse(rng.uniform(size=mu.size), mu, sd, lower, fa)
 
 
 @dataclass(frozen=True)
@@ -284,8 +285,10 @@ def impossibility_experiment(
     mass below the support bound, one ``leakage`` call over the holdout
     batch. The probability curve is read at p = 0.05, 0.10, ..., 0.95. With
     a finite bound the report carries the frequency at p_star = ell_min/2
-    (zero whenever ell_min > 0) and the CRPS of the fitted model next to
-    the true truncated oracle.
+    (zero whenever ell_min > 0). With ``compute_crps`` it carries the mean
+    CRPS of the fitted model, from the same t CDF values as the PITs, next
+    to that of the true truncated oracle; the model's is None where its t
+    has df <= 1, and so no mean.
     """
     train = gen_truncated_regression(cfg)
     spec = ModelSpec("y", cfg.covariate_names)
@@ -298,7 +301,7 @@ def impossibility_experiment(
     y_hold = holdout.column("y")
     leakages = np.broadcast_to(leakage(dist, evidence).leakage, y_hold.shape)
 
-    pits = pit([ForecastCase(dist, y_hold)], seed=cfg.seed + 2)
+    pits, crps_model = _pit_and_mean_crps([ForecastCase(dist, y_hold)], cfg.seed + 2, compute_crps)
     ks = ks_uniform(pits)
     ks_crit = 1.36 / math.sqrt(holdout_n)
     prob = probability_calibration(pits)
@@ -316,9 +319,8 @@ def impossibility_experiment(
         # the mean predictive CDF at the bound is the mean leakage below it
         gap = mean_leak - float(np.mean(y_hold < cfg.support_lower))
 
-    crps_model = crps_oracle = None
+    crps_oracle = None
     if compute_crps:
-        crps_model = float(np.mean(crps(dist, y_hold)))
         x_rows = np.column_stack([holdout.column(nm) for nm in cfg.covariate_names])
         oracle = TruncatedNormal(
             loc=cfg.mean_at(x_rows), scale=cfg.noise_sd, lower=cfg.support_lower

@@ -528,6 +528,32 @@ def test_calibration_report_can_skip_crps():
     assert rep.mean_crps is None
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    df=st.one_of(st.floats(1.0001, 50.0), st.sampled_from([1998.0, 1e5])),
+    size=st.integers(1, 400),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_calibration_report_mean_crps_is_the_mean_of_crps(df, size, seed):
+    # the report takes each t CRPS from the CDF its PIT evaluated; the
+    # scores keep the bits of crps itself
+    rng = np.random.default_rng(seed)
+    batch = StudentT(df=df, loc=rng.normal(size=size), scale=rng.uniform(0.1, 3.0, size=size))
+    y = batch.loc + batch.scale * rng.standard_t(df, size=size) * rng.uniform(0.5, 2.0)
+    cases = [ForecastCase(batch, y)]
+    report = calibration_report(cases, seed=seed)
+    assert report.mean_crps == float(np.mean(crps(batch, y)))
+    assert report.pit_values == pit(cases, seed).tolist()
+
+
+def test_calibration_report_mean_crps_over_cases_sharing_one_t():
+    shared, other = StudentT(df=4.0, loc=0.5, scale=2.0), Normal(0.0, 1.0)
+    ys = np.random.default_rng(3).normal(size=30).tolist()
+    cases = [ForecastCase(shared, y) for y in ys[:20]] + [ForecastCase(other, y) for y in ys[20:]]
+    scores = [crps(case.predictive, case.observed) for case in cases]
+    assert calibration_report(cases, seed=0).mean_crps == float(np.mean(scores))
+
+
 def test_calibration_report_json_and_curves():
     rep = calibration_report(_normal_cases(50, seed=22), seed=23)
     doc = rep.to_json()

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import struct
 import subprocess
@@ -597,7 +598,7 @@ def simulate_with(capsys, tmp_path, kind, doc, *extra):
          "f64d68c863f46c388d2304b7cb0e57652c5182367d71309295a73b2c8f998821"),
         ("truncated", {"support_lower": None, "n": "600"}, (), 601,
          "f22feeca6c8d2c7001d01034d8d1ce1e51ff3c8141da1854dab133810adefd32"),
-        ("truncated", {"support_lower": None, "n": 600.9}, (), 601,
+        ("truncated", {"support_lower": None, "n": 600.0}, (), 601,
          "f22feeca6c8d2c7001d01034d8d1ce1e51ff3c8141da1854dab133810adefd32"),
         ("truncated", {"n": 40, "seed": 4}, ("--seed", "9"), 41,
          "59af5ccdc33e963309fc9d5970fbfad16ec40d6429396542015a4ad80ed634ba"),
@@ -632,6 +633,28 @@ def test_simulate_seed_flag_overrides_the_config_seed(capsys, tmp_path):
 def test_simulate_bad_config_is_a_data_error(capsys, tmp_path, kind, doc, message):
     code, out, err = simulate_with(capsys, tmp_path, kind, doc)
     assert (code, out, err) == (2, "", f"probleak: error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "kind, doc, message",
+    [
+        ("truncated", {"seed": -1}, "seed must be a non-negative integer, got -1"),
+        ("callcenter", {"seed": -7}, "seed must be a non-negative integer, got -7"),
+        ("truncated", {"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ("truncated", {"n": 2.7}, "n must be an integer, got 2.7"),
+        ("truncated", {"n": math.inf}, "n must be an integer, got inf"),
+        ("callcenter", {"per_location_n": 52.5}, "per_location_n must be an integer, got 52.5"),
+    ],
+)
+def test_simulate_config_refuses_what_int_would_truncate_or_numpy_refuse(capsys, tmp_path, kind, doc, message):
+    code, out, err = simulate_with(capsys, tmp_path, kind, doc)
+    assert (code, out, err) == (2, "", f"probleak: error: bad simulate config: {message}\n")
+
+
+def test_simulate_config_takes_an_integral_float_as_its_integer(capsys, tmp_path):
+    _, as_int, _ = simulate_with(capsys, tmp_path, "truncated", {"n": 40, "seed": 9})
+    _, as_float, _ = simulate_with(capsys, tmp_path, "truncated", {"n": 40.0, "seed": 9.0})
+    assert as_float == as_int and len(as_int.splitlines()) == 41
 
 
 # ---------------------------------------------------------------------------
@@ -1030,11 +1053,15 @@ def test_json_text_is_json_dumps_indented(doc):
     assert _json_text(doc) == json.dumps(doc, indent=2) + "\n"
 
 
-def test_falsify_echoes_an_infinite_value_as_json_does(capsys, toy_csv):
-    # orjson writes null for it, so this document goes to json.dumps
-    code, out, _ = run(capsys, ["falsify", "--data", toy_csv, "--response", "y", "--value", "inf"])
-    assert code == 0
-    assert '"value": Infinity' in out
+@pytest.mark.parametrize(
+    "value", [["--value", "nan"], ["--value", "inf"], ["--value=-inf"]], ids=["nan", "inf", "-inf"]
+)
+def test_a_non_finite_falsify_value_is_a_usage_error(capsys, toy_csv, value):
+    # no observation is NaN or infinite, and JSON has no token for either
+    code, out, err = run(capsys, ["falsify", "--data", toy_csv, "--response", "y", *value])
+    assert (code, out) == (1, "")
+    text = value[-1].split("=")[-1]
+    assert f"argument --value: expected a finite number, got '{text}'" in err
 
 
 def test_no_default_document_takes_the_json_dumps_path(tmp_path, monkeypatch):

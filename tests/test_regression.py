@@ -447,6 +447,118 @@ def test_exact_fit_collapses_s2_and_blocks_predictive():
         predictive_at(result, {"x": 1.0})
 
 
+def _scipy_fit(X, y):
+    """The fit through ``scipy.linalg.qr(..., pivoting=True)`` and
+    ``solve_triangular``: the bit-level reference for ``fit``, which makes
+    the same LAPACK calls without the wrappers. Returns (beta, s2,
+    xtx_inverse), or the rank-deficiency message."""
+    from scipy import linalg
+
+    n, p = X.shape
+    eps = np.finfo(float).eps
+    Q, R, piv = linalg.qr(X, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(R))
+    rank = int(np.sum(diag > eps * max(n, p) * diag.max()))
+    if rank < p:
+        return f"design matrix is rank-deficient; redundant: {[f'column {j}' for j in piv[rank:]]}"
+    beta = np.empty(p)
+    beta[piv] = linalg.solve_triangular(R, Q.T @ y)
+    resid = y - X @ beta
+    sse = float(resid @ resid)
+    if sse <= n * eps**2 * max(1.0, float(y @ y)):
+        sse = 0.0
+    r_inv = linalg.solve_triangular(R, np.eye(p))
+    xtx_inv = np.empty((p, p))
+    xtx_inv[np.ix_(piv, piv)] = r_inv @ r_inv.T
+    return beta, sse / (n - p), 0.5 * (xtx_inv + xtx_inv.T)
+
+
+@st.composite
+def _designs(draw, collinear=True, decades=8.0, blocked=True):
+    """(X, y): p from 1 to 40, across LAPACK's block size of 32, with n from
+    p + 1 to 3,000; with ``blocked``, also p from 129 to 160 with n up to
+    600, since past 128 columns LAPACK's blocked QR takes over and the
+    result depends on the workspace size. Columns are scaled by up to
+    10^decades either way, in C or Fortran order; with ``collinear``, a pair
+    is also near-collinear or exactly duplicated. The noise is 1e-3 to 1e3
+    times the signal's spread."""
+    p = draw(st.one_of(st.integers(1, 40), st.integers(129, 160)) if blocked else st.integers(1, 40))
+    n = draw(st.integers(p + 1, 3000 if p <= 40 else 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.standard_normal((n, p))
+    if draw(st.booleans()):
+        X[:, 0] = 1.0  # an intercept
+    spread = draw(st.sampled_from([0.0, 2.0, decades]))  # a wide spread makes most large p singular
+    X *= 10.0 ** rng.uniform(-spread, spread, size=p)
+    pair = draw(st.sampled_from(["none", "near", "duplicate"] if collinear else ["none"]))
+    if p >= 2 and pair != "none":
+        j, k = rng.choice(p, size=2, replace=False)
+        X[:, k] = 3.0 * X[:, j]
+        if pair == "near":
+            X[:, k] += 10.0 ** draw(st.integers(-14, -4)) * np.abs(X[:, j]).max() * rng.standard_normal(n)
+    if draw(st.booleans()):
+        X = np.asfortranarray(X)
+    signal = X @ rng.standard_normal(p)
+    noise = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0)
+    return X, signal + noise * (np.std(signal) or 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_designs())
+def test_fit_has_the_bits_of_scipy_linalg_qr_and_solve_triangular(design):
+    X, y = design
+    expected = _scipy_fit(X, y)
+    if isinstance(expected, str):
+        with pytest.raises(ModelError) as err:
+            fit(X, y)
+        assert str(err.value) == expected
+        return
+    result = fit(X, y)
+    beta, s2, xtx_inverse = expected
+    assert result.beta_hat.tobytes() == beta.tobytes()
+    assert result.s2.hex() == s2.hex()
+    assert result.xtx_inverse.tobytes() == xtx_inverse.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_designs(collinear=False, decades=4.0, blocked=False))
+def test_fit_agrees_with_lstsq(design):
+    # an independent oracle: the SVD solver, on the design with its columns
+    # scaled to unit norm, since its cut-off for small singular values is
+    # relative to the largest and so not invariant to a column's scale.
+    # Columns within 1e8 of each other in scale stay above the fit's own
+    # rank tolerance
+    X, y = design
+    norms = np.linalg.norm(X, axis=0)
+    scaled = np.linalg.lstsq(X / norms, y)[0]
+    result = fit(X, y)
+    np.testing.assert_allclose(
+        result.beta_hat * norms, scaled, rtol=1e-10, atol=1e-10 * np.linalg.norm(scaled)
+    )
+    sse = float(np.sum((y - (X / norms) @ scaled) ** 2))
+    assert result.s2 == pytest.approx(sse / result.df, rel=1e-10)
+
+
+@pytest.mark.parametrize("where", ["X", "y"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_fit_refuses_a_non_finite_design_or_response(where, bad):
+    rng = np.random.default_rng(0)
+    X, y = rng.standard_normal((20, 3)), rng.standard_normal(20)
+    if where == "X":
+        X[7, 1] = bad
+    else:
+        y[7] = bad
+    with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+        fit(X, y)
+
+
+def test_fit_of_a_design_without_columns_is_the_zero_mean_model():
+    y = np.array([1.0, -2.0, 3.0, 0.5])
+    result = fit(np.empty((4, 0)), y)
+    assert result.beta_hat.shape == (0,) and result.xtx_inverse.shape == (0, 0)
+    assert result.s2 == float(y @ y) / 4
+
+
 # ---------------------------------------------------------------------------
 # predictive
 # ---------------------------------------------------------------------------

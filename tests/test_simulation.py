@@ -1,5 +1,6 @@
 """Seeded generators with known truths, and the impossibility experiment."""
 
+import dataclasses
 import math
 
 import mpmath
@@ -14,12 +15,23 @@ from probleak import (
     DEFAULT_TRUNCATED_CONFIG,
     CallCenterConfig,
     DataError,
+    Evidence,
+    ForecastCase,
+    ModelError,
+    ModelSpec,
     Normal,
     SimConfig,
     TruncatedNormal,
+    crps,
+    fit_model,
     gen_callcenter_like,
     gen_truncated_regression,
     impossibility_experiment,
+    ks_uniform,
+    leakage,
+    pit,
+    predictive_rows,
+    probability_calibration,
 )
 from probleak import predictive
 
@@ -331,3 +343,92 @@ def test_impossibility_experiment_control_smoke():
     assert rep.truncated is False
     assert rep.ell_min == 0.0
     assert rep.ks_stat < rep.ks_critical  # well-specified model passes
+
+
+def _assembled_report(cfg, holdout_n):
+    """impossibility_experiment's fields, assembled from the public calls:
+    ``gen_truncated_regression``, ``pit`` and ``crps`` among them."""
+    fit = fit_model(gen_truncated_regression(cfg), ModelSpec("y", cfg.covariate_names))
+    holdout = gen_truncated_regression(dataclasses.replace(cfg, n=holdout_n, seed=cfg.seed + 1))
+    dist = predictive_rows(fit, fit.column_coding.encode_rows(holdout.columns))
+    y = holdout.column("y")
+    leak = leakage(dist, Evidence.interval(cfg.support_lower, math.inf)).leakage
+    leakages = np.broadcast_to(leak, y.shape)
+    pits = pit([ForecastCase(dist, y)], seed=cfg.seed + 2)
+    prob = probability_calibration(pits)
+    truncated = math.isfinite(cfg.support_lower)
+    ell_min, mean_leak = float(np.min(leakages)), float(np.mean(leakages))
+    p_star = freq = dev = gap = None
+    if truncated and ell_min > 0.0:
+        p_star = 0.5 * ell_min
+        freq = float(np.mean(pits <= p_star))
+        dev = abs(freq - p_star)
+    if truncated:
+        gap = mean_leak - float(np.mean(y < cfg.support_lower))
+    try:
+        crps_model = float(np.mean(crps(dist, y)))
+    except ModelError:  # a t with df <= 1 has no CRPS
+        crps_model = None
+    x = np.column_stack([holdout.column(name) for name in cfg.covariate_names])
+    oracle = TruncatedNormal(cfg.mean_at(x), cfg.noise_sd, cfg.support_lower)
+    return {
+        "truncated": truncated,
+        "ell_min": ell_min,
+        "mean_leakage": mean_leak,
+        "pits": tuple(pits.tolist()),
+        "ks_stat": ks_uniform(pits),
+        "ks_critical": 1.36 / math.sqrt(holdout_n),
+        "probability_curve": prob.curve,
+        "max_probability_deviation": prob.max_deviation,
+        "p_star": p_star,
+        "frequency_at_p_star": freq,
+        "deviation_at_p_star": dev,
+        "marginal_gap_at_bound": gap,
+        "mean_crps_model": crps_model,
+        "mean_crps_oracle": float(np.mean(crps(oracle, y))),
+        "fit": fit,
+    }
+
+
+@st.composite
+def _sim_configs(draw):
+    covariates = draw(st.integers(1, 3))
+    floats = st.floats(-2.0, 2.0, allow_nan=False)
+    ranges = []
+    for _ in range(covariates):
+        a = draw(floats)
+        ranges.append((a, a + draw(st.sampled_from([0.0, 0.5, 3.0]))))
+    return SimConfig(
+        n=draw(st.integers(4, 400)),
+        coefficients=tuple(draw(floats) for _ in range(covariates + 1)),
+        noise_sd=draw(st.floats(0.1, 3.0)),
+        covariate_ranges=tuple(ranges),
+        support_lower=draw(st.sampled_from([-math.inf, -1.0, 0.0])),
+        seed=draw(st.integers(0, 2**32)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sim_configs(), st.integers(4, 300))
+@example(  # df = 1: the t has no mean, so the report has no CRPS of the model
+    SimConfig(4, (0.2, 0.3, -0.1), 1.0, ((0.0, 1.0), (0.0, 2.0)), support_lower=0.0, seed=3), 40
+)
+@example(DEFAULT_TRUNCATED_CONFIG, 40)
+@example(DEFAULT_CONTROL_CONFIG, 40)
+def test_impossibility_report_equals_the_one_assembled_from_public_calls(cfg, holdout_n):
+    try:
+        expected = _assembled_report(cfg, holdout_n)
+    except (DataError, ModelError):  # an infeasible floor, a singular design
+        with pytest.raises((DataError, ModelError)):
+            impossibility_experiment(cfg, holdout_n=holdout_n)
+        return
+    report = impossibility_experiment(cfg, holdout_n=holdout_n)
+    assert [f.name for f in dataclasses.fields(report)] == list(expected)
+    for name, value in expected.items():
+        got = getattr(report, name)
+        if name == "fit":
+            for part in ("beta_hat", "xtx_inverse"):
+                assert getattr(got, part).tobytes() == getattr(value, part).tobytes()
+            assert (got.s2, got.n, got.p) == (value.s2, value.n, value.p)
+        else:
+            assert got == value, name

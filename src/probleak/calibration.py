@@ -45,10 +45,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy import special
 
+from ._text import _csv_text
 from .exceptions import ModelError
 from .predictive import Mixture, PredictiveDistribution, StudentT, _batch_shape, _scalar_or_array
 from .predictive import _empirical_quantile  # one order-statistic rule, shared with Empirical
-from .regression import _csv_text
 
 __all__ = [
     "CalibrationReport",

@@ -21,12 +21,12 @@ import functools
 import itertools
 import json
 import math
-import re
 import sys
 
 import numpy as np
 
 from . import __version__
+from ._text import _csv_text, _json_text, _parse_cell, _write_text
 from .calibration import (
     ForecastCase,
     _pit_and_mean_crps,
@@ -40,10 +40,8 @@ from .leakage import Evidence, LeakageProfile, leakage, leakage_profile, parse_s
 from .regression import (
     Dataset,
     ModelSpec,
-    _csv_text,
     _encode_columns,
     _finite_floats,
-    _write_text,
     fit_model,
     load_dataset,
     predictive_at,
@@ -86,58 +84,10 @@ def _emit(output, target) -> None:
     to stdout when there is none.
 
     A document is indented as ``json.dumps(doc, indent=2)`` indents it. A
-    file is rewritten in place (see ``regression._write_text``), so a failed
+    file is rewritten in place (see ``_text._write_text``), so a failed
     write leaves only what it wrote."""
     text = output if isinstance(output, str) else _json_text(output)
     _write_text(target or sys.stdout, (text,))
-
-
-# the ends of the numbers orjson lays out otherwise than repr: an exponent
-# with no sign or no second digit (1e16, 1e-7), and 1e-5 <= |x| < 1e-4
-# written out in full (0.0000123). Each starts with a fixed byte, which re
-# finds fast. Indented JSON ends a number's line after it, bar a comma, and
-# holds no raw line end inside a string, so no match is in a string
-_NOT_REPR = (re.compile(rb"e-?\d+(?=,?\n)"), re.compile(rb"0\.0000\d*(?=,?\n)"))
-_NOT_ASCII = re.compile("[^\x00-\x7e]")  # json escapes these, orjson writes them as they are
-
-
-def _json_text(doc) -> str:
-    """``json.dumps(doc, indent=2) + "\\n"``, byte for byte, from orjson.
-
-    ``json`` indents with its pure-Python encoder, which takes about six
-    times as long on the CLI's documents. orjson's text is given json's
-    layout: a number it writes otherwise than ``repr`` is rewritten as
-    ``repr`` writes it, and a character past ``\\x7e`` is escaped as
-    ``\\uXXXX``, an astral one as its surrogate pair. A document orjson
-    refuses, or whose text does not read back as the document, goes to
-    ``json.dumps``."""
-    import orjson  # here, so that importing the CLI does not load it
-
-    try:
-        text = orjson.dumps(doc, option=orjson.OPT_INDENT_2 | orjson.OPT_APPEND_NEWLINE)
-    except orjson.JSONEncodeError:  # an integer past 64 bits, or a lone surrogate
-        return json.dumps(doc, indent=2) + "\n"
-    if orjson.loads(text) != doc:  # NaN or an infinity, which orjson writes as null
-        return json.dumps(doc, indent=2) + "\n"
-    pieces, done = [], 0
-    for end in sorted(m.end() for pattern in _NOT_REPR for m in pattern.finditer(text)):
-        start = text.rfind(b" ", 0, end) + 1  # a number holds no space
-        pieces += [text[done:start], repr(float(text[start:end])).encode()]
-        done = end
-    text = b"".join([*pieces, text[done:]]).decode()
-    if not text.isascii() or "\x7f" in text:
-        text = _NOT_ASCII.sub(_escape, text)
-    return text
-
-
-def _escape(match) -> str:
-    """A character as ``ensure_ascii`` escapes it: past U+FFFF, as the two
-    halves of its UTF-16 surrogate pair."""
-    code = ord(match[0])
-    if code > 0xFFFF:
-        code -= 0x10000
-        return "\\u%04x\\u%04x" % (0xD800 | code >> 10, 0xDC00 | code & 0x3FF)
-    return "\\u%04x" % code
 
 
 def _load_data(path: str) -> Dataset:
@@ -169,8 +119,8 @@ def _parse_support_arg(text: str) -> Evidence:
 
 
 def _check_resolution(resolution) -> None:
-    if resolution is not None and not resolution > 0.0:
-        raise _UsageError(f"probleak: error: --resolution must be positive, got {resolution}")
+    if resolution is not None and not 0.0 < resolution < math.inf:
+        raise _UsageError(f"probleak: error: --resolution must be positive and finite, got {resolution}")
 
 
 def _parse_at(text: str, data: Dataset, spec: ModelSpec) -> dict:
@@ -257,9 +207,10 @@ def _parse_grid(text: str):
         raise _UsageError(
             f'probleak: error: --grid must look like "x=0:2:21", got {text!r}'
         ) from None
-    if not 2 <= count <= _MAX_GRID_POINTS or not lo < hi:
+    # linspace steps by hi - lo: an infinite end, or a span that overflows, gives NaNs
+    if not 2 <= count <= _MAX_GRID_POINTS or not lo < hi or not math.isfinite(hi - lo):
         raise _UsageError(
-            f"probleak: error: grid needs lo < hi and 2 to {_MAX_GRID_POINTS} points"
+            f"probleak: error: grid needs finite lo < hi and 2 to {_MAX_GRID_POINTS} points"
         )
     return name.strip(), np.linspace(lo, hi, count)
 
@@ -514,11 +465,8 @@ def _seed(text: str) -> int:
 
 def _finite(text: str) -> float:
     """A --value: an observation, which no NaN or infinity can be."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
+    value = _parse_cell(text)
+    if value is None or not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
 

@@ -29,7 +29,6 @@ import io
 import itertools
 import math
 import os
-import re
 import stat
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -38,6 +37,7 @@ from typing import Mapping
 import numpy as np
 from scipy.linalg import lapack
 
+from . import _text
 from .exceptions import DataError, ModelError
 from .predictive import StudentT
 
@@ -99,132 +99,19 @@ class Dataset:
         Floats are written as ``repr`` writes them, the shortest digits that
         round-trip, so a write/read cycle reproduces the numeric columns bit
         for bit. The bytes are those of ``csv.writer``'s default dialect
-        (``\\r\\n`` line ends), formatted by ``_csv_text`` a block of rows at
-        a time, so the memory a write holds does not grow with the table. A
-        path's file is rewritten in place by ``_write_text``.
+        (``\\r\\n`` line ends), formatted by ``_text._csv_text`` a block of
+        rows at a time, so the memory a write holds does not grow with the
+        table. A path's file is rewritten in place by ``_text._write_text``.
         """
         cols = list(self.columns.values())
         blocks = (
-            _csv_text((), [col[start : start + _BLOCK_ROWS] for col in cols], "\r\n")
+            _text._csv_text((), [col[start : start + _BLOCK_ROWS] for col in cols], "\r\n")
             for start in range(0, self.n, _BLOCK_ROWS)
         )
-        _write_text(target, itertools.chain([_csv_text(self.names, (), "\r\n")], blocks))
+        _text._write_text(target, itertools.chain([_text._csv_text(self.names, (), "\r\n")], blocks))
 
 
 _BLOCK_ROWS = 1024  # rows formatted and written at a time by Dataset.to_csv
-_QUOTED = ',"\r\n'  # csv.writer quotes a cell holding any of these
-
-
-_EXP_ONE_DIGIT = re.compile(rb"e-(?=\d[,\]])")  # orjson writes 1e-7 where repr writes 1e-07
-_EXP_POSITIVE = re.compile(rb"e(?=\d)")  # and 1e16 where repr writes 1e+16
-
-
-def _repr_cells(values: np.ndarray) -> list[str]:
-    """``repr(float(v))`` for every cell of a 1-d float64 array, from one
-    ``orjson.dumps`` call, whose shortest round-trip digits are repr's.
-
-    Two byte substitutions give its exponents repr's spelling. The cells it
-    lays out otherwise, nan and inf (``null``) and 1e-5 <= |v| < 1e-4
-    (``0.00001234``, where repr writes ``1.234e-05``), are dumped as 0.0 and
-    then replaced by their ``repr``.
-    """
-    import orjson  # here, as in the loader, so that importing the package does not load it
-
-    mag = np.abs(values)
-    odd = ((mag >= 1e-5) & (mag < 1e-4)) | ~np.isfinite(mag)
-    text = orjson.dumps(np.where(odd, 0.0, values), option=orjson.OPT_SERIALIZE_NUMPY)
-    text = _EXP_POSITIVE.sub(b"e+", _EXP_ONE_DIGIT.sub(b"e-0", text))
-    cells = text[1:-1].decode("ascii").split(",") if values.size else []
-    where = np.flatnonzero(odd)
-    for i, cell in zip(where.tolist(), map(repr, values[where].tolist())):
-        cells[i] = cell
-    return cells
-
-
-def _csv_text(names, columns, end: str = "\n") -> str:
-    """CSV lines: a header of ``names`` (none when it is empty), then one row
-    per entry of ``columns``, each line ended by ``end``.
-
-    This is the one writer of every CSV the package writes, in
-    ``csv.writer``'s default dialect but for the line end. Each column
-    becomes text in one ``_csv_cells`` call and the rows are joined in C,
-    so no Python code runs per row.
-    """
-    alone = (len(names) or len(columns)) == 1
-    cells = [_csv_cells(col, alone) for col in columns]
-    header = [",".join(_csv_cells(names, alone))] if len(names) else []
-    text = end.join([*header, *map(",".join, zip(*cells))])
-    return text + end if text else ""  # no line is empty: a lone empty cell is quoted
-
-
-def _csv_cells(values, alone: bool) -> list[str]:
-    """The cells of a column or a row as ``csv.writer`` writes them:
-    ``repr(float(v))`` for a float, ``str(v)`` otherwise, quoted where it
-    quotes, which is for a delimiter, a quote or a line-end character, and
-    for an empty cell ``alone`` on its row. A 1-d float64 or str array is
-    formatted without a Python step per cell, and repr's digits, which hold
-    none of those characters, are never scanned for them."""
-    flat = isinstance(values, np.ndarray) and values.ndim == 1
-    if flat and values.dtype.type is np.float64:
-        return _repr_cells(values)
-    if flat and values.dtype.kind == "U":
-        cells = values.tolist()
-    else:
-        cells = [repr(float(v)) if isinstance(v, float) else str(v) for v in values]
-    if _needs_quotes("".join(cells)) or (alone and "" in cells):
-        cells = [_quote(cell, alone) for cell in cells]
-    return cells
-
-
-def _write_text(target, chunks) -> None:
-    """Write the strings ``chunks`` to ``target``: a file object, or a path
-    whose file is rewritten in place.
-
-    The path is opened without truncation, so a new file gets the mode
-    ``open(target, "w")`` gives it and an existing one keeps its own, and a
-    symlink is written through. On a regular file, the text written is then
-    cut from the old file's tail with ``ftruncate``: overwriting a file's
-    blocks and cutting at the end costs the filesystem far less than
-    truncating the file to zero and growing it again. A file that is not
-    regular, such as ``/dev/null``, gets no cut. The cut is made in a
-    ``finally``, so a write that raises leaves only what it wrote, as
-    ``open(target, "w")`` would. A process killed between the write and the
-    cut leaves the old file's tail past the new text; nothing is synced to
-    disk.
-    """
-    if not isinstance(target, (str, os.PathLike)):
-        for chunk in chunks:
-            target.write(chunk)
-        return
-    fd = os.open(target, os.O_WRONLY | os.O_CREAT, 0o666)
-    try:
-        with open(fd, "w", newline="", closefd=False) as handle:
-            handle.writelines(chunks)
-    finally:
-        try:
-            if stat.S_ISREG(os.fstat(fd).st_mode):
-                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
-        finally:
-            os.close(fd)
-
-
-def _needs_quotes(text: str) -> bool:
-    return any(ch in text for ch in _QUOTED)
-
-
-def _quote(cell: str, alone: bool) -> str:
-    if _needs_quotes(cell) or (alone and not cell):
-        return '"' + cell.replace('"', '""') + '"'
-    return cell
-
-
-def _parse_cell(text: str) -> float | None:
-    try:
-        return float(text)
-    except ValueError:
-        return None
-
-
 _FIRST_ROW = 2  # data rows are numbered from 1 at the header
 
 
@@ -235,102 +122,6 @@ def _check_finite(values: np.ndarray, name: str) -> None:
         i = int(bad[0])
         what = "missing" if math.isnan(values[i]) else "non-finite"
         raise DataError(f"{what} value at row {i + _FIRST_ROW}, column {name!r}")
-
-
-_LINE_END = re.compile(rb"\r\n?|\n")
-
-
-def _past_lines(data: bytes, lines: int) -> int:
-    """The offset just past the first ``lines`` lines of ``data``, split as
-    ``newline=""`` splits them."""
-    pos = 0
-    for _ in range(lines):
-        found = _LINE_END.search(data, pos)
-        pos = found.end() if found else len(data)
-    return pos
-
-
-_BLOCK_BYTES = 1 << 16  # body bytes, rounded up to a line end, parsed at a time
-_NUMBER_BYTES = b"0123456789+-.eE \t"  # the bytes of JSON numbers and the blanks around them
-_MINUS_ZERO = re.compile(rb"-0(?![0-9.eE])")  # an integer -0, or the -0 of an exponent
-
-
-def _numeric_table(source, skiprows: int, first: list | None, width: int) -> np.ndarray | None:
-    """The lines of ``source`` past the first ``skiprows``, parsed as JSON
-    numbers into one contiguous row per column, or None for the per-cell
-    parser.
-
-    ``source`` is the path of a regular file, whose bytes are read again
-    (only its lines past the header are parsed), or a list of lines.
-    ``first``, the first data row as csv read it, must hold ``width``
-    numbers, so a categorical table is never parsed twice and never loads
-    orjson. The rest goes to ``orjson.loads``, whose number parser rounds
-    as ``float()`` does, a block of lines at a time written as one flat JSON
-    array; the blocks are copied into the table once the bytes are freed.
-    None also follows a line longer than csv's field size limit, which csv
-    may refuse, a line of another width or with a byte no number holds (a
-    quote among them), or a cell that the JSON number grammar refuses (a
-    blank line among them) or that orjson cannot make a finite double
-    (``1e400``), so no NaN or inf is ever parsed.
-    """
-    if not first or len(first) != width or any(_parse_cell(cell) is None for cell in first):
-        return None
-    import orjson  # here, so that only a table that may be all numbers loads it
-
-    if isinstance(source, str):
-        data = Path(source).read_bytes()
-        start = _past_lines(data, skiprows)
-    else:
-        data, start = "".join(source).encode("utf-8", "surrogatepass"), 0
-    blocks, limit = [], csv.field_size_limit()
-    while start < len(data):
-        found = _LINE_END.search(data, start + _BLOCK_BYTES)
-        stop = found.end() if found else len(data)
-        # only a block past the limit can hold a line past it, which csv may refuse
-        if stop - start > limit and max(map(len, data[start:stop].splitlines())) > limit:
-            return None
-        try:
-            block = _json_rows(data[start:stop], width, orjson.loads)
-        except orjson.JSONDecodeError:
-            return None
-        if block is None:
-            return None
-        blocks.append(block)
-        start = stop
-    del data
-    rows = sum(map(len, blocks))
-    return np.concatenate([b.T for b in blocks], axis=1, out=np.empty((width, rows)))
-
-
-def _json_rows(block: bytes, width: int, loads) -> np.ndarray | None:
-    """The lines of ``block``, which ends at a line end or at the end of the
-    data, parsed by ``loads`` as rows of ``width`` numbers, or None for a
-    line of another width or with a byte no number holds.
-
-    The line end is the block's first one; a block that mixes line ends is
-    parsed again with each made a \\n.
-    """
-    found = _LINE_END.search(block)
-    end = found.group() if found else b"\n"
-    # what is left once the numbers are gone: width - 1 commas and a line end a line
-    seps, line = block.translate(None, _NUMBER_BYTES), b"," * (width - 1) + end
-    rows = len(seps) // len(line) + (not block.endswith(end))  # the last line may have no end
-    if seps != (line * rows)[: len(seps)]:
-        plain = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        return None if plain == block else _json_rows(plain, width, loads)
-    text = b"[%s]" % block.removesuffix(end).replace(end[-1:], b",")
-    values = np.array(loads(text), dtype=float)
-    if values.size != rows * width:
-        return None
-    # orjson reads the integer -0 as 0, where float() gives -0.0. A minus
-    # that follows no e or E is a cell's sign; text[0] is its "[".
-    if not values.all() and _MINUS_ZERO.search(text):
-        buf = np.frombuffer(text, dtype=np.uint8)
-        minus = np.flatnonzero(buf == ord("-"))
-        signs = minus[(buf[minus - 1] != ord("e")) & (buf[minus - 1] != ord("E"))]
-        cells = np.searchsorted(np.flatnonzero(buf == ord(",")), signs)
-        values[cells] = -np.abs(values[cells])
-    return values.reshape(rows, width)
 
 
 def load_dataset(source) -> Dataset:
@@ -344,9 +135,10 @@ def load_dataset(source) -> Dataset:
     counts when it comes before the column's first non-numeric cell.
 
     A table whose data lines are all plain finite numbers is parsed in C
-    by orjson, whose number parser rounds as ``float()`` does: the data
-    lines' bytes, read again from the path of a regular file or taken from
-    the rest of a file object or pipe, go to it a block of lines at a time.
+    by ``_text._numeric_table`` through orjson, whose number parser rounds
+    as ``float()`` does: the data lines' bytes, read again from the path of
+    a regular file or taken from the rest of a file object or pipe, go to it
+    a block of lines at a time.
     A quote, a blank line, a line of another width, a cell outside the JSON
     number grammar or a NaN or inf refuses its block, and so does a block
     longer than csv's field size limit. A table with a refused block goes
@@ -377,7 +169,7 @@ def load_dataset(source) -> Dataset:
             body, skiprows = handle.readlines(), 0
             reader = csv.reader(body)
         first = next(reader, None)
-        table = _numeric_table(body, skiprows, first, len(header))
+        table = _text._numeric_table(body, skiprows, first, len(header))
         if table is not None:
             return Dataset(dict(zip(header, table)))
         rows, error = [] if first is None else [first], None
@@ -415,7 +207,7 @@ def load_dataset(source) -> Dataset:
         except ValueError:
             # categorical; only the cells before its first non-numeric one
             # were ever read as numbers
-            stop = next(i for i, cell in enumerate(col) if _parse_cell(cell) is None)
+            stop = next(i for i, cell in enumerate(col) if _text._parse_cell(cell) is None)
             _check_finite(np.fromiter(map(float, col[:stop]), dtype=float, count=stop), name)
             columns[name] = np.array(col, dtype=str)
         else:
@@ -699,20 +491,23 @@ def predictive_rows(fit_result: FitResult, X) -> StudentT:
     """Exact posterior predictives at every row of an encoded design matrix.
 
     Returns one ``StudentT`` whose ``loc`` and ``scale`` are arrays, entry i
-    belonging to row i of ``X`` (shape (rows, p)).
+    belonging to row i of ``X`` (shape (rows, p)). A row whose ``loc`` or
+    ``scale`` is not a finite number, as covariates far too large for the fit
+    give, raises ModelError.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != fit_result.p:
-        raise ModelError(
-            f"dimension mismatch: rows have shape {X.shape}, fit has p={fit_result.p}"
-        )
+        raise ModelError(f"dimension mismatch: rows have shape {X.shape}, fit has p={fit_result.p}")
     if fit_result.s2 == 0.0:
         raise ModelError("degenerate predictive: s2 = 0 (residuals vanish)")
     # einsum rather than BLAS: a row's sums then run in the same order
     # whatever the number of rows, so predictive_at agrees bit for bit
-    loc = np.einsum("ij,j->i", X, fit_result.beta_hat)
-    leverage = (np.einsum("ij,jk->ik", X, fit_result.xtx_inverse) * X).sum(axis=1)
-    scale = np.sqrt(fit_result.s2 * (1.0 + np.maximum(leverage, 0.0)))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        loc = np.einsum("ij,j->i", X, fit_result.beta_hat)
+        leverage = (np.einsum("ij,jk->ik", X, fit_result.xtx_inverse) * X).sum(axis=1)
+        scale = np.sqrt(fit_result.s2 * (1.0 + np.maximum(leverage, 0.0)))
+    if not (np.isfinite(loc) & np.isfinite(scale)).all():
+        raise ModelError("covariates too large for the fit: a predictive is not finite")
     return StudentT(df=float(fit_result.df), loc=loc, scale=scale)
 
 

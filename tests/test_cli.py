@@ -10,6 +10,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -23,6 +24,7 @@ from probleak import (
     Dataset,
     Evidence,
     ModelSpec,
+    _text,
     fit_model,
     gen_truncated_regression,
     leakage_profile,
@@ -30,7 +32,8 @@ from probleak import (
     regression,
     schemas,
 )
-from probleak.cli import _json_text, main
+from probleak._text import _json_text
+from probleak.cli import main
 
 
 @pytest.fixture()
@@ -307,6 +310,19 @@ def test_at_names_outside_the_covariates_are_a_model_error(capsys, cc_csv, tmp_p
     assert json.loads(out) == {"error": "unknown covariate(s) in --at point: ['bogus']"}
 
 
+@pytest.mark.parametrize("value", ["1e200", "-1e308"])
+@pytest.mark.parametrize("command", AT_COMMANDS)
+def test_an_at_point_too_large_for_the_fit_is_a_model_error(capsys, cc_csv, tmp_path, command, value):
+    # the predictive's leverage overflows: an error document, no numpy warning, no traceback
+    point = f'{{"calls": 1500.0, "absentees": {value}, "location": "B"}}'
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, at_argv(command, cc_csv, tmp_path, point, "--json-errors"))
+    assert code == 2 and err == ""
+    assert json.loads(out) == {"error": "covariates too large for the fit: a predictive is not finite"}
+    assert not (tmp_path / "curves.csv").exists()
+
+
 def test_at_point_values_echo_with_their_own_json_text(capsys, tmp_path):
     rng = np.random.default_rng(4)
     columns = {name: rng.normal(size=30) for name in ("y", "a", "b", "c")}
@@ -387,6 +403,19 @@ def test_leak_profile_bad_grid_is_usage_error(capsys, toy_csv):
     assert "grid" in err
 
 
+@pytest.mark.parametrize("grid", ["x1=0:inf:5", "x1=-inf:0:5", "x1=-1e308:1e308:3"])
+def test_leak_profile_grid_without_a_finite_span_is_usage_error(capsys, toy_csv, grid):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(
+            capsys,
+            ["leak-profile", "--data", toy_csv, "--response", "y",
+             "--covariates", "x1", "--support", "[0,inf)", "--grid", grid],
+        )
+    assert code == 1 and out == ""
+    assert err.startswith("probleak: error: grid needs finite lo < hi")
+
+
 def test_leak_profile_unpinned_categorical_is_usage_error(capsys, cc_csv):
     code, _, err = run(
         capsys,
@@ -442,7 +471,8 @@ def test_falsify_interval_without_resolution_is_usage_error(capsys, toy_csv):
 
 @pytest.mark.parametrize(
     "extra",
-    [["--mode", "interval", "--resolution", "0"], ["--resolution", "-1"]],
+    [["--mode", "interval", "--resolution", "0"], ["--resolution", "-1"],
+     ["--mode", "interval", "--resolution", "inf"]],
 )
 def test_falsify_nonpositive_resolution_is_usage_error(capsys, toy_csv, extra):
     code, out, err = run(
@@ -819,7 +849,7 @@ def test_simulate_csv_reads_back_every_generated_value(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--resolution", "-1"), ("--resolution", "0"),
+    [("--resolution", "-1"), ("--resolution", "0"), ("--resolution", "inf"),
      ("--grid-points", "-5"), ("--grid-points", "0"), ("--grid-points", "1")],
 )
 def test_report_bad_resolution_or_grid_points_is_usage_error(
@@ -987,7 +1017,7 @@ def test_a_write_that_raises_leaves_only_what_it_wrote(tmp_path, monkeypatch):
     target = tmp_path / "t.csv"
     target.write_bytes(b"old bytes\r\n" * 10**5)  # longer than the new table
     formatted = []
-    original = regression._csv_text
+    original = _text._csv_text
 
     def fails_on_the_third_call(*args):
         if len(formatted) == 2:  # the header and the first block went out
@@ -995,7 +1025,7 @@ def test_a_write_that_raises_leaves_only_what_it_wrote(tmp_path, monkeypatch):
         formatted.append(original(*args))
         return formatted[-1]
 
-    monkeypatch.setattr(regression, "_csv_text", fails_on_the_third_call)
+    monkeypatch.setattr(_text, "_csv_text", fails_on_the_third_call)
     with pytest.raises(RuntimeError, match="disk gone"):
         table.to_csv(target)
     written = "".join(formatted).encode()

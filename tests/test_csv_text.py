@@ -1,14 +1,17 @@
 """The CLI's CSV outputs render by column, byte for byte as the row loops did.
 
-Every CSV is written by ``regression._csv_text``. The oracle is a per-row
+Every CSV is written by ``_text._csv_text``. The oracle is a per-row
 renderer: ``",".join(repr(float(v)) for v in row)`` per line, and for the
 density curves the whole per-row algorithm of ``cli._density_curves``,
 copied here. Every float cell is written by ``_repr_cells`` from orjson's
 digits, so it is also checked against ``repr`` cell by cell, over arbitrary
 64-bit patterns (nan payloads, infinities, signed zeros and subnormals among
-them): a version of orjson that lays out a float otherwise fails here.
+them): a version of orjson that lays out a float otherwise fails here. The
+CLI's JSON numbers share the cells' exponent rule, so the same patterns are
+checked against ``json.dumps`` through ``_json_text``.
 """
 
+import json
 import math
 
 import numpy as np
@@ -18,7 +21,7 @@ from hypothesis import strategies as st
 from probleak import Evidence, Normal, StudentT, TruncatedNormal, calibration_report
 from probleak.calibration import ForecastCase
 from probleak.cli import _density_curves, _finite_bounds
-from probleak.regression import _csv_text, _repr_cells
+from probleak._text import _csv_text, _json_text, _repr_cells
 
 
 def _lines(text):
@@ -80,6 +83,44 @@ def test_repr_cells_is_repr_over_a_million_random_bit_patterns():
     bits = np.random.default_rng(2018).integers(0, 2**64, size=10**6, dtype=np.uint64)
     values = bits.view(float)
     assert _repr_cells(values) == list(map(repr, values.tolist()))
+
+
+# strings spelled as numbers, as either layout writes them, alone or after a
+# blank, with what follows a number in indented text: no string is rewritten
+_NUMBER_LIKE = st.one_of(
+    st.builds(
+        "{}{}{}".format,
+        st.sampled_from(["", " ", "x ", "-", "e"]),
+        st.sampled_from(["e5", "1e-7", "1e16", "1e+16", "0.00001", "0.0000123", ".0000", "1.00001"])
+        | st.sampled_from(_EDGE_FLOATS).map(repr),
+        st.sampled_from(["", ",", "\n", ",\n", "]"]),
+    ),
+    _floats.map(repr),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=40), st.lists(_NUMBER_LIKE, max_size=6))
+@example([0x7FF8000000000001, 0xFFF0000000000001, 0x7FF0000000000000, 0xFFF0000000000000,
+          0x8000000000000000, 0x0000000000000001, 0x000FFFFFFFFFFFFF], ["e5", "x 0.00001"])
+@example([np.float64(v).view(np.uint64).item() for v in _EDGE_FLOATS], ["1e-7", "0.0000123"])
+def test_csv_cells_and_json_numbers_spell_every_bit_pattern_as_repr(bits, strings):
+    # the one rule for both writers: a CSV cell is repr's text, and a JSON
+    # number json.dumps's, as a list element, an object value and alone
+    values = np.array(bits, dtype=np.uint64).view(float)
+    floats = values.tolist()
+    assert _repr_cells(values) == list(map(repr, floats))
+    for value in floats:  # nan and inf too, which json writes as NaN and Infinity
+        assert _json_text(value) == json.dumps(value, indent=2) + "\n"
+    finite = [v for v in floats if math.isfinite(v)]
+    for doc in ([*finite, *strings], {s: v for s, v in zip(strings, finite)}, [strings, finite]):
+        assert _json_text(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+def test_json_numbers_are_json_dumps_over_a_hundred_thousand_random_bit_patterns():
+    bits = np.random.default_rng(2018).integers(0, 2**64, size=10**5, dtype=np.uint64)
+    doc = [v for v in bits.view(float).tolist() if math.isfinite(v)]
+    assert _json_text(doc) == json.dumps(doc, indent=2) + "\n"
 
 
 @settings(max_examples=300, deadline=None)

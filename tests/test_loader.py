@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from probleak import DataError, Dataset, load_dataset, load_dataset_text
-from probleak import regression
+from probleak import _text
 
 
 def _reference_load(text: str, newline: str = "\n") -> dict:
@@ -190,8 +190,8 @@ def test_numeric_fast_path_matches_the_per_cell_reference(tmp_path_factory, text
     path.write_text(text, newline="")
     # blocks of a few bytes end at almost every line, so a fault in how
     # blocks are checked or joined shows on any line
-    for block_bytes in [regression._BLOCK_BYTES, 1, 7, 64]:
-        with mock.patch.object(regression, "_BLOCK_BYTES", block_bytes):
+    for block_bytes in [_text._BLOCK_BYTES, 1, 7, 64]:
+        with mock.patch.object(_text, "_BLOCK_BYTES", block_bytes):
             got = _outcome(lambda t: load_dataset(io.StringIO(t, newline="")), text)
             _assert_same(want, got)
             # a regular file's body is read again by path, as bytes, not line by line
@@ -200,14 +200,14 @@ def test_numeric_fast_path_matches_the_per_cell_reference(tmp_path_factory, text
 
 def _spy_on_fast_path(monkeypatch):
     parsed = []
-    real = regression._numeric_table
+    real = _text._numeric_table
 
     def spy(*args):
         table = real(*args)
         parsed.append(table is not None)
         return table
 
-    monkeypatch.setattr(regression, "_numeric_table", spy)
+    monkeypatch.setattr(_text, "_numeric_table", spy)
     return parsed
 
 
@@ -264,7 +264,7 @@ _WRITTEN_FLOATS = st.one_of(
 def test_the_fast_number_parser_rounds_as_float_does(cells):
     # a number parser that rounds otherwise than float() fails here
     lines = [cell + "\n" for cell in cells]
-    table = regression._numeric_table(lines, 0, [cells[0]], 1)
+    table = _text._numeric_table(lines, 0, [cells[0]], 1)
     assert table is not None
     assert table[0].tobytes() == _float_bits(cells)
 
@@ -490,7 +490,7 @@ def test_quotes_and_long_lines_load_as_the_reference_reads_them(tmp_path_factory
     # the header, which ends at a line end, is skipped, quotes and all
     head, text = "".join(head) + "\n", "".join(pieces)
     header_lines = len(list(io.StringIO(head, newline="")))
-    assert regression._past_lines((head + text).encode(), header_lines) == len(head)
+    assert _text._past_lines((head + text).encode(), header_lines) == len(head)
     path = tmp_path_factory.getbasetemp() / "pieces.csv"
     path.write_text(head + text, newline="")
     old = csv.field_size_limit(limit)

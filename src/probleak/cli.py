@@ -10,6 +10,11 @@ Exit codes: 0 success; 1 usage error (message on stderr); 2 data or model
 error, or an output file that cannot be written (message on stderr, or a
 machine-readable {"error": ...} document on stdout when --json-errors is
 set).
+
+Every value option has one domain, which the parser checks: a value outside
+it exits 1, before any file is read, with ``argument --X: expected <domain>,
+got '<text>'``. Handlers receive values inside their domains and check only
+what needs two options or the data.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._text import _csv_text, _json_text, _parse_cell, _write_text
+from ._text import _csv_text, _json_text, _write_text
 from .calibration import (
     ForecastCase,
     _pit_and_mean_crps,
@@ -60,6 +65,9 @@ __all__ = ["main"]
 # the most points a --grid or --grid-points curve may have: every point is one
 # float per column and one output row, so a mistyped count is refused up front
 _MAX_GRID_POINTS = 10**6
+# the most cells (rows x columns) simulate writes: each is a float in memory
+# and a CSV field, so a config cannot ask for more memory than this bounds
+_MAX_SIMULATED_CELLS = 10**7
 _AT_KEYWORDS = ("medians", "minima")
 
 
@@ -111,36 +119,16 @@ def _load_and_fit(args):
     return data, spec, fit_model(data, spec)
 
 
-def _parse_support_arg(text: str) -> Evidence:
-    try:
-        return parse_support(text)
-    except ValueError as err:
-        raise _UsageError(f"probleak: error: {err}") from None
-
-
-def _check_resolution(resolution) -> None:
-    if resolution is not None and not 0.0 < resolution < math.inf:
-        raise _UsageError(f"probleak: error: --resolution must be positive and finite, got {resolution}")
-
-
-def _parse_at(text: str, data: Dataset, spec: ModelSpec) -> dict:
+def _at_columns(at, data: Dataset, spec: ModelSpec) -> dict:
     """--at as covariate columns: training medians/minima, or a JSON point as
     one-row object columns, which keep each value as given for the encoder to
     check and ``x_star`` to echo. A name not in --covariates is refused."""
-    if text in _AT_KEYWORDS:
-        return _training_points(data, spec, text)
-    try:
-        point = json.loads(text)
-    except json.JSONDecodeError:
-        raise _UsageError(
-            f"probleak: error: --at must be medians, minima, or a JSON object, got {text!r}"
-        ) from None
-    if not isinstance(point, dict):
-        raise _UsageError("probleak: error: a JSON --at point must be an object")
-    unknown = set(point) - set(spec.covariates)
+    if isinstance(at, str):
+        return _training_points(data, spec, at)
+    unknown = set(at) - set(spec.covariates)
     if unknown:
         raise ModelError(f"unknown covariate(s) in --at point: {sorted(unknown)}")
-    return {name: np.fromiter([value], dtype=object, count=1) for name, value in point.items()}
+    return {name: np.fromiter([value], dtype=object, count=1) for name, value in at.items()}
 
 
 def _training_points(data: Dataset, spec: ModelSpec, how: str) -> dict:
@@ -179,55 +167,31 @@ def _fit_summary(spec: ModelSpec, result) -> dict:
 
 def _cmd_fit(args) -> int:
     data, spec, result = _load_and_fit(args)
-    doc = {"version": __version__, **_fit_summary(spec, result)}
-    _emit(doc, args.out)
+    _emit({"version": __version__, **_fit_summary(spec, result)}, args.out)
     return 0
 
 
 def _cmd_leak(args) -> int:
     data, spec, result = _load_and_fit(args)
-    evidence = _parse_support_arg(args.support)
-    label = args.at if args.at in _AT_KEYWORDS else "point"
     doc = {
         "version": __version__,
-        "at": label,
-        "support": args.support,
-        "reports": leakage_profile(result, evidence, _parse_at(args.at, data, spec)).to_json(),
+        "at": args.at if isinstance(args.at, str) else "point",
+        "support": args.support.description,
+        "reports": leakage_profile(result, args.support, _at_columns(args.at, data, spec)).to_json(),
     }
     _emit(doc, args.out)
     return 0
 
 
-def _parse_grid(text: str):
-    try:
-        name, span = text.split("=", 1)
-        lo_s, hi_s, count_s = span.split(":")
-        lo, hi, count = float(lo_s), float(hi_s), int(count_s)
-    except ValueError:
-        raise _UsageError(
-            f'probleak: error: --grid must look like "x=0:2:21", got {text!r}'
-        ) from None
-    # linspace steps by hi - lo: an infinite end, or a span that overflows, gives NaNs
-    if not 2 <= count <= _MAX_GRID_POINTS or not lo < hi or not math.isfinite(hi - lo):
-        raise _UsageError(
-            f"probleak: error: grid needs finite lo < hi and 2 to {_MAX_GRID_POINTS} points"
-        )
-    return name.strip(), np.linspace(lo, hi, count)
-
-
 def _cmd_leak_profile(args) -> int:
-    name, grid = _parse_grid(args.grid)
+    name, lo, hi, count = args.grid
     data, spec, result = _load_and_fit(args)
-    evidence = _parse_support_arg(args.support)
     if name not in spec.covariates:
         raise _UsageError(f"probleak: error: grid covariate {name!r} is not in --covariates")
     if not data.is_numeric(name):
         raise _UsageError(f"probleak: error: grid covariate {name!r} must be numeric")
-    fixed = {}
-    if args.at is not None:
-        if args.at in _AT_KEYWORDS:
-            raise _UsageError("probleak: error: leak-profile --at takes a JSON object")
-        fixed = _parse_at(args.at, data, spec)
+    grid = np.linspace(lo, hi, count)
+    fixed = {} if args.at is None else _at_columns(args.at, data, spec)
     if name in fixed:  # the grid replaces this value, but a bad one is still refused
         _finite_floats(fixed[name], name, "point")
     columns = {name: grid}
@@ -243,15 +207,14 @@ def _cmd_leak_profile(args) -> int:
                 f"probleak: error: categorical covariate {other!r} must be pinned "
                 f'via --at, e.g. --at \'{{"{other}": "<level>"}}\''
             )
-    profile = leakage_profile(result, evidence, columns)
+    profile = leakage_profile(result, args.support, columns)
     _emit(_csv_text([name, "leakage"], [grid, profile.leakage]), args.out)
     return 0
 
 
 def _cmd_falsify(args) -> int:
-    _check_resolution(args.resolution)
     data, spec, result = _load_and_fit(args)
-    X = _encode_columns(result, _parse_at(args.at, data, spec), "point")
+    X = _encode_columns(result, _at_columns(args.at, data, spec), "point")
     if len(X) != 1:
         raise _UsageError(
             "probleak: error: falsify needs a single covariate point; pin "
@@ -262,8 +225,7 @@ def _cmd_falsify(args) -> int:
         raise _UsageError("probleak: error: --mode interval requires --resolution")
     dist = predictive_rows(result, X)
     verdict = is_falsified(dist, [args.value], mode=mode, resolution=args.resolution)
-    doc = {"version": __version__, **verdict.to_json()}
-    _emit(doc, args.out)
+    _emit({"version": __version__, **verdict.to_json()}, args.out)
     return 0
 
 
@@ -273,13 +235,10 @@ def _subset(data: Dataset, idx: np.ndarray) -> Dataset:
 
 def _cmd_calibrate(args) -> int:
     data, spec = _load_and_spec(args)
-    frac = args.holdout
-    if not 0.0 < frac < 1.0:
-        raise _UsageError("probleak: error: --holdout must be a fraction in (0, 1)")
-    n_hold = int(round(frac * data.n))
+    n_hold = int(round(args.holdout * data.n))
     if n_hold < 1 or data.n - n_hold < 2:
         raise DataError(
-            f"holdout fraction {frac} leaves an unusable split of {data.n} rows"
+            f"holdout fraction {args.holdout} leaves an unusable split of {data.n} rows"
         )
     perm = np.random.default_rng(args.seed).permutation(data.n)
     hold = _subset(data, np.sort(perm[:n_hold]))
@@ -290,7 +249,7 @@ def _cmd_calibrate(args) -> int:
     report = calibration_report([case], seed=args.seed)
     doc = {
         "version": __version__,
-        "holdout_fraction": frac,
+        "holdout_fraction": args.holdout,
         "n_train": train.n,
         "n_holdout": hold.n,
         **report.to_json(),
@@ -320,19 +279,16 @@ def _simulate_config(base, doc: dict):
             if name in doc
         }
         return dataclasses.replace(base, **values)
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:  # OverflowError: a huge JSON integer
         raise DataError(f"bad simulate config: {err}") from None
 
 
 def _config_value(name: str, default, value):
     """``value`` as the type of ``default``. An integer field takes no
-    fraction, which int() would drop, and a seed is, as --seed is, >= 0."""
+    fraction, which int() would drop; the config checks each value's domain."""
     if isinstance(default, int) and isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    converted = type(default)(value)
-    if name == "seed" and converted < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {value!r}")
-    return converted
+    return type(default)(value)
 
 
 def _cmd_simulate(args) -> int:
@@ -343,17 +299,21 @@ def _cmd_simulate(args) -> int:
                 doc = json.load(handle)
         except OSError as err:
             raise DataError(f"cannot read {args.config}: {err}") from None
-        except json.JSONDecodeError as err:
+        except (ValueError, RecursionError) as err:  # not UTF-8, not JSON, or nested too deep
             raise DataError(f"bad JSON in {args.config}: {err}") from None
         if not isinstance(doc, dict):
             raise DataError(f"simulate config must be a JSON object, got {type(doc).__name__}")
     if args.seed is not None:
         doc = {**doc, "seed": args.seed}
     if args.kind == "truncated":
-        dataset = gen_truncated_regression(_simulate_config(DEFAULT_TRUNCATED_CONFIG, doc))
+        cfg = _simulate_config(DEFAULT_TRUNCATED_CONFIG, doc)
+        cells, generate = cfg.n * (len(cfg.covariate_ranges) + 1), gen_truncated_regression
     else:
-        dataset = gen_callcenter_like(_simulate_config(CallCenterConfig(), doc))
-    dataset.to_csv(args.out or sys.stdout)
+        cfg = _simulate_config(CallCenterConfig(), doc)
+        cells, generate = 8 * cfg.per_location_n, gen_callcenter_like  # 2 sites x 4 columns
+    if cells > _MAX_SIMULATED_CELLS:
+        raise DataError(f"simulate writes at most {_MAX_SIMULATED_CELLS} cells, got {cells}")
+    generate(cfg).to_csv(args.out or sys.stdout)
     return 0
 
 
@@ -382,22 +342,14 @@ def _density_curves(dists: list, evidence: Evidence, grid_points: int) -> str:
 
 
 def _cmd_report(args) -> int:
-    _check_resolution(args.resolution)
-    if not 2 <= args.grid_points <= _MAX_GRID_POINTS:
-        raise _UsageError(
-            f"probleak: error: --grid-points needs at least 2 points and at most "
-            f"{_MAX_GRID_POINTS}, got {args.grid_points}"
-        )
     data, spec, result = _load_and_fit(args)
-    evidence = _parse_support_arg(args.support)
+    evidence = args.support
     null_fit = fit_model(data, ModelSpec(spec.response, ()))
     null_dist = predictive_at(null_fit, {})
 
     parts = {f"at_{how}": _training_points(data, spec, how) for how in _AT_KEYWORDS}
     if args.at is not None:
-        if args.at in _AT_KEYWORDS:
-            raise _UsageError("probleak: error: report --at takes a JSON object")
-        parts["at_point"] = _parse_at(args.at, data, spec)
+        parts["at_point"] = _at_columns(args.at, data, spec)
     # one batch for every part: design rows are stacked, since the one point
     # of a model without covariates is an empty mapping, which has no length
     designs = [_encode_columns(result, columns, key) for key, columns in parts.items()]
@@ -436,7 +388,7 @@ def _cmd_report(args) -> int:
     doc = {
         "version": __version__,
         "model": _fit_summary(spec, result),
-        "support": args.support,
+        "support": evidence.description,
         "evidence": evidence.to_json(),
         "leakage": leak_section,
         "falsification": verdict.to_json(),
@@ -452,23 +404,54 @@ def _cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _seed(text: str) -> int:
-    """A --seed value: numpy seeds its generators from any integer >= 0."""
-    try:
-        seed = int(text)
-    except ValueError:
-        seed = None
-    if seed is None or seed < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return seed
+def _domain(parse, accept, what: str):
+    """The argparse ``type=`` of one value option: the value ``parse`` reads
+    from the option's text, refused unless ``accept`` holds for it. argparse
+    prefixes the refusal with the option and exits through ``_Parser.error``."""
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+            if accept(value):
+                return value
+        except (ValueError, RecursionError):  # RecursionError: JSON nested too deep
+            pass
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+
+    return convert
 
 
-def _finite(text: str) -> float:
-    """A --value: an observation, which no NaN or infinity can be."""
-    value = _parse_cell(text)
-    if value is None or not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
+def _grid_spec(text: str) -> tuple:
+    name, span = text.split("=", 1)
+    lo, hi, count = span.split(":")
+    return name.strip(), float(lo), float(hi), int(count)
+
+
+def _json_object(text: str) -> dict | None:
+    point = json.loads(text)
+    return point if isinstance(point, dict) else None
+
+
+_FINITE = _domain(float, math.isfinite, "a finite number")  # an observation
+_RESOLUTION = _domain(float, lambda v: 0.0 < v < math.inf, "a positive finite number")
+_FRACTION = _domain(float, lambda v: 0.0 < v < 1.0, "a fraction in (0, 1)")
+_SEED = _domain(int, lambda v: v >= 0, "a non-negative integer")  # what numpy seeds from
+_GRID_POINTS = _domain(
+    int, lambda v: 2 <= v <= _MAX_GRID_POINTS, f"an integer from 2 to {_MAX_GRID_POINTS}"
+)
+# linspace steps by hi - lo: an infinite end, or a span that overflows, gives NaNs
+_GRID = _domain(
+    _grid_spec,
+    lambda g: g[1] < g[2] and math.isfinite(g[2] - g[1]) and 2 <= g[3] <= _MAX_GRID_POINTS,
+    f"name=lo:hi:count with finite lo < hi and 2 to {_MAX_GRID_POINTS} points",
+)
+_SUPPORT = _domain(parse_support, lambda _: True, "a support such as [0,inf) or lattice(0,inf,1)")
+_AT = _domain(
+    lambda text: text if text in _AT_KEYWORDS else _json_object(text),
+    lambda at: at is not None,
+    "medians, minima or a JSON object",
+)
+_AT_OBJECT = _domain(_json_object, lambda at: at is not None, "a JSON object")
 
 
 def _add_common(p) -> None:
@@ -508,9 +491,10 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("leak", help="probability leakage at covariate points")
     _add_model_args(p)
-    p.add_argument("--support", required=True, help='evidence, e.g. "[0,inf)"')
+    p.add_argument("--support", type=_SUPPORT, required=True, help='evidence, e.g. "[0,inf)"')
     p.add_argument(
         "--at",
+        type=_AT,
         default="medians",
         help="medians, minima, or a JSON covariate point (categorical covariates "
         "expand medians/minima to one report per level)",
@@ -520,34 +504,36 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("leak-profile", help="leakage along a covariate grid, as CSV")
     _add_model_args(p)
-    p.add_argument("--support", required=True, help='evidence, e.g. "[0,inf)"')
-    p.add_argument("--grid", required=True, help='grid spec "name=lo:hi:count"')
+    p.add_argument("--support", type=_SUPPORT, required=True, help='evidence, e.g. "[0,inf)"')
+    p.add_argument("--grid", type=_GRID, required=True, help='grid spec "name=lo:hi:count"')
     p.add_argument(
-        "--at", help="JSON object pinning the non-grid covariates (numeric default: medians)"
+        "--at",
+        type=_AT_OBJECT,
+        help="JSON object pinning the non-grid covariates (numeric default: medians)",
     )
     _add_common(p)
     p.set_defaults(handler=_cmd_leak_profile)
 
     p = sub.add_parser("falsify", help="strict falsification verdict for one observation")
     _add_model_args(p)
-    p.add_argument("--value", type=_finite, required=True, help="observed value")
+    p.add_argument("--value", type=_FINITE, required=True, help="observed value")
     p.add_argument(
         "--mode",
         choices=("point", "interval"),
         default="point",
         help="point: exact observation; interval: value +- resolution/2",
     )
-    p.add_argument("--resolution", type=float, help="measurement resolution (interval mode)")
-    p.add_argument("--at", default="medians", help="covariate point (medians or JSON)")
+    p.add_argument("--resolution", type=_RESOLUTION, help="measurement resolution (interval mode)")
+    p.add_argument("--at", type=_AT, default="medians", help="covariate point (medians or JSON)")
     _add_common(p)
     p.set_defaults(handler=_cmd_falsify)
 
     p = sub.add_parser("calibrate", help="calibration diagnostics on a held-out split")
     _add_model_args(p)
     p.add_argument(
-        "--holdout", type=float, required=True, help="held-out fraction in (0, 1)"
+        "--holdout", type=_FRACTION, required=True, help="held-out fraction in (0, 1)"
     )
-    p.add_argument("--seed", type=_seed, default=0, help="split and PIT seed (default 0)")
+    p.add_argument("--seed", type=_SEED, default=0, help="split and PIT seed (default 0)")
     p.add_argument(
         "--curves", help="prefix: also write <prefix>_{probability,exceedance,marginal}.csv"
     )
@@ -557,7 +543,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("simulate", help="generate a dataset from a known truth, as CSV")
     p.add_argument("kind", choices=("truncated", "callcenter"))
     p.add_argument("--config", help="JSON config file (defaults are the shipped configs)")
-    p.add_argument("--seed", type=_seed, help="override the config seed")
+    p.add_argument("--seed", type=_SEED, help="override the config seed")
     _add_common(p)
     p.set_defaults(handler=_cmd_simulate)
 
@@ -565,20 +551,20 @@ def _build_parser() -> _Parser:
         "report", help="full audit document plus predictive density curve CSV"
     )
     _add_model_args(p)
-    p.add_argument("--support", required=True, help='evidence, e.g. "[0,inf)"')
+    p.add_argument("--support", type=_SUPPORT, required=True, help='evidence, e.g. "[0,inf)"')
     p.add_argument(
         "--out-curves", required=True, help="write density curves CSV to this file"
     )
     p.add_argument(
-        "--grid-points", type=int, default=2001, help="curve grid size (default 2001)"
+        "--grid-points", type=_GRID_POINTS, default=2001, help="curve grid size (default 2001)"
     )
-    p.add_argument("--at", help="extra JSON covariate point to audit")
+    p.add_argument("--at", type=_AT_OBJECT, help="extra JSON covariate point to audit")
     p.add_argument(
         "--resolution",
-        type=float,
+        type=_RESOLUTION,
         help="observation resolution: falsification uses interval events",
     )
-    p.add_argument("--seed", type=_seed, default=0, help="PIT randomization seed (default 0)")
+    p.add_argument("--seed", type=_SEED, default=0, help="PIT randomization seed (default 0)")
     _add_common(p)
     p.set_defaults(handler=_cmd_report)
 
@@ -589,16 +575,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as err:
+        return args.handler(args)
+    except _UsageError as err:  # from the parser or a handler
         print(err, file=sys.stderr)
         return 1
     except SystemExit:  # --help / --version; usage errors raise _UsageError
         return 0
-    try:
-        return args.handler(args)
-    except _UsageError as err:
-        print(err, file=sys.stderr)
-        return 1
     except (DataError, ModelError, OSError) as err:  # OSError: an output file not written
         if getattr(args, "json_errors", False):
             print(json.dumps({"error": str(err)}))

@@ -80,6 +80,7 @@ def _as_arrays(obs, resolution):
     return values, np.full(values.size, resolution, dtype=float), None
 
 
+@np.errstate(over="ignore")  # a window end value +- resolution/2 past float64's range is infinite
 def is_falsified(
     dist: PredictiveDistribution,
     obs: Sequence,

@@ -67,8 +67,8 @@ class Evidence:
             if not self.intervals:
                 raise ValueError("continuous evidence needs at least one interval")
             ivals = tuple((float(a), float(b)) for a, b in self.intervals)
-            for a, b in ivals:
-                if math.isnan(a) or math.isnan(b) or a > b:
+            for a, b in ivals:  # each interval holds at least one real number
+                if not (a <= b and a < math.inf and b > -math.inf):
                     raise ValueError(f"malformed interval ({a}, {b})")
             for (_, b0), (a1, _) in zip(ivals, ivals[1:]):
                 if a1 <= b0:
@@ -86,7 +86,7 @@ class Evidence:
                 lo, hi, step = (float(v) for v in self.lattice)
                 if not (step > 0.0 and math.isfinite(step) and math.isfinite(lo)):
                     raise ValueError("lattice needs finite lower and step > 0")
-                if hi < lo:
+                if not hi >= lo:  # a NaN upper bound bounds nothing
                     raise ValueError("lattice upper bound below lower bound")
                 object.__setattr__(self, "lattice", (lo, hi, step))
         else:

@@ -285,6 +285,7 @@ class StudentT(PredictiveDistribution):
         if not np.all(np.isfinite(self.loc)):
             raise ValueError("location must be finite")
 
+    @np.errstate(over="ignore")  # a t past float64's range is infinite, and F is 0 or 1 there
     def _cdf(self, y):
         # The tail P(T > |t|) is betainc(df/2, 1/2, df / (df + t^2)), but near
         # the centre that argument rounds to 1. For t^2 < min(df, 1), where the
@@ -335,6 +336,7 @@ class StudentT(PredictiveDistribution):
         k = math.exp(math.log(2.0) + 0.5 * math.log(v) - math.log(v - 1.0) - log_b)
         return k, math.exp(float(special.betaln(0.5, v - 0.5)) - log_b)
 
+    @np.errstate(over="ignore")  # a t past float64's range is infinite, and f is 0 there
     def _logdensity(self, y):
         t = (y - self.loc) / self.scale
         lognorm = (

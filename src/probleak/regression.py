@@ -320,13 +320,13 @@ def _finite_floats(col: np.ndarray, name: str, label: str) -> np.ndarray:
         values = np.asarray(col, dtype=float)
         if values.ndim == 1 and np.isfinite(values).all():
             return values
-    except (TypeError, ValueError):  # text, or sequences among the entries
+    except (TypeError, ValueError, OverflowError):  # text, sequences, or ints past float64
         pass
     for i, value in enumerate(col.tolist()):
         try:
             if np.ndim(value) == 0 and math.isfinite(float(value)):
                 continue
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             pass
         raise ModelError(f"{label} {i}: covariate {name!r} needs a finite number, got {value!r}")
     raise ModelError(f"covariate {name!r} needs one finite number per {label}")

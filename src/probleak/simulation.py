@@ -53,7 +53,9 @@ __all__ = [
 def _truncated_draws(rng, mu, sd, lower):
     """One Normal(mu_i, sd | Y >= lower) draw per mean, from one uniform each.
 
-    Raises when some row's truncation region holds less than 1e-12 mass.
+    Raises when some row's truncation region holds less than 1e-12 mass, or
+    when a draw is not finite (a mean or sd that overflowed float64), since
+    ``load_dataset`` would refuse such a table.
     """
     fa = None
     if math.isfinite(lower):
@@ -64,7 +66,27 @@ def _truncated_draws(rng, mu, sd, lower):
                 f"infeasible config: truncation region has mass < {_MIN_FEASIBLE_MASS} "
                 f"at row {idx} (mean {mu[idx]:.6g}, bound {lower})"
             )
-    return _truncnorm_inverse(rng.uniform(size=mu.size), mu, sd, lower, fa)
+    y = _truncnorm_inverse(rng.uniform(size=mu.size), mu, sd, lower, fa)
+    if not np.isfinite(y).all():  # the covariates are finite by the configs' domains
+        raise DataError("simulated values are not finite: the config's scales overflow float64")
+    return y
+
+
+def _range(what: str, pair) -> tuple:
+    """``pair`` as floats ``lo <= hi``, both finite and ``hi - lo`` finite,
+    as a uniform draw over the range needs."""
+    lo, hi = (float(v) for v in pair)
+    if not (lo <= hi and math.isfinite(hi - lo)):
+        raise ValueError(f"malformed {what} ({lo}, {hi})")
+    return lo, hi
+
+
+def _check_seed_and_floor(seed, name: str, floor: float) -> None:
+    """numpy seeds its generators from an integer >= 0; a NaN floor bounds nothing."""
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    if math.isnan(floor):
+        raise ValueError(f"{name} must be a number or -inf, got nan")
 
 
 @dataclass(frozen=True)
@@ -86,10 +108,10 @@ class SimConfig:
     def __post_init__(self):
         if self.n < 4:
             raise ValueError(f"need n >= 4, got {self.n}")
-        if not self.noise_sd > 0.0:
-            raise ValueError(f"noise_sd must be positive, got {self.noise_sd}")
+        if not 0.0 < self.noise_sd < math.inf:
+            raise ValueError(f"noise_sd must be positive and finite, got {self.noise_sd}")
         coefs = tuple(float(c) for c in self.coefficients)
-        ranges = tuple((float(a), float(b)) for a, b in self.covariate_ranges)
+        ranges = tuple(_range("covariate range", pair) for pair in self.covariate_ranges)
         if not ranges:
             raise ValueError("need at least one covariate range")
         if len(coefs) != len(ranges) + 1:
@@ -97,9 +119,9 @@ class SimConfig:
                 f"{len(ranges)} covariates need {len(ranges) + 1} coefficients "
                 f"(intercept first), got {len(coefs)}"
             )
-        for a, b in ranges:
-            if not (math.isfinite(a) and math.isfinite(b) and a <= b):
-                raise ValueError(f"malformed covariate range ({a}, {b})")
+        if not all(map(math.isfinite, coefs)):
+            raise ValueError(f"coefficients must be finite, got {coefs}")
+        _check_seed_and_floor(self.seed, "support_lower", self.support_lower)
         object.__setattr__(self, "coefficients", coefs)
         object.__setattr__(self, "covariate_ranges", ranges)
 
@@ -113,12 +135,14 @@ class SimConfig:
         return _scalar_or_array(self.coefficients[0] + np.asarray(x) @ slopes)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow reaches y, which _truncated_draws refuses
 def gen_truncated_regression(cfg: SimConfig) -> Dataset:
     """Draw a dataset from the config's truncated-regression truth.
 
     Draw order is fixed (each covariate column in turn, then the uniforms
     feeding the inversion), so equal configs give equal datasets. Raises
-    when some row's truncation region holds less than 1e-12 mass.
+    when some row's truncation region holds less than 1e-12 mass, or when a
+    value is not finite.
     """
     rng = np.random.default_rng(cfg.seed)
     cols: dict = {}
@@ -169,10 +193,13 @@ class CallCenterConfig:
     def __post_init__(self):
         if self.per_location_n < 2:
             raise ValueError("need at least two rows per location")
-        if not (self.calls_range[0] <= self.calls_range[1]):
-            raise ValueError("malformed calls range")
-        if not (self.absentee_range[0] <= self.absentee_range[1]):
-            raise ValueError("malformed absentee range")
+        calls = _range("calls range", self.calls_range)
+        absentees = _range("absentee range", self.absentee_range)
+        if not all(v.is_integer() and abs(v) <= 2**53 for v in absentees):
+            raise ValueError(f"absentee range needs whole numbers within 2**53, got {absentees}")
+        _check_seed_and_floor(self.seed, "y_floor", self.y_floor)
+        object.__setattr__(self, "calls_range", calls)
+        object.__setattr__(self, "absentee_range", absentees)
 
 
 def _draw_covariates(cfg: CallCenterConfig, rng) -> tuple:
@@ -196,6 +223,7 @@ def _draw_covariates(cfg: CallCenterConfig, rng) -> tuple:
     return calls, absentees, is_b
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow reaches y, which _truncated_draws refuses
 def _gen_callcenter(cfg: CallCenterConfig, coefs: CallCenterCoefs) -> Dataset:
     rng = np.random.default_rng(cfg.seed)
     calls, absentees, is_b = _draw_covariates(cfg, rng)

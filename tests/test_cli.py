@@ -1,9 +1,11 @@
 """End-to-end CLI behavior, run in-process through main(argv)."""
 
+import contextlib
 import csv
 import dataclasses
 import hashlib
 import importlib.util
+import io
 import json
 import math
 import os
@@ -33,8 +35,11 @@ from probleak import (
     schemas,
 )
 from probleak._text import _json_text
-from probleak.cli import main
+from probleak.cli import _MAX_GRID_POINTS, main
 
+# the domains that --grid and --grid-points name when they refuse a value
+GRID_DOMAIN = f"name=lo:hi:count with finite lo < hi and 2 to {_MAX_GRID_POINTS} points"
+GRID_POINTS_DOMAIN = f"an integer from 2 to {_MAX_GRID_POINTS}"
 
 @pytest.fixture()
 def toy_csv(tmp_path):
@@ -413,7 +418,7 @@ def test_leak_profile_grid_without_a_finite_span_is_usage_error(capsys, toy_csv,
              "--covariates", "x1", "--support", "[0,inf)", "--grid", grid],
         )
     assert code == 1 and out == ""
-    assert err.startswith("probleak: error: grid needs finite lo < hi")
+    assert f"argument --grid: expected {GRID_DOMAIN}, got '{grid}'" in err
 
 
 def test_leak_profile_unpinned_categorical_is_usage_error(capsys, cc_csv):
@@ -481,7 +486,7 @@ def test_falsify_nonpositive_resolution_is_usage_error(capsys, toy_csv, extra):
          "--value", "-0.5", *extra],
     )
     assert code == 1 and out == ""
-    assert err.startswith("probleak: error: --resolution must be positive")
+    assert f"argument --resolution: expected a positive finite number, got '{extra[-1]}'" in err
 
 
 # ---------------------------------------------------------------------------
@@ -681,6 +686,29 @@ def test_simulate_config_refuses_what_int_would_truncate_or_numpy_refuse(capsys,
     assert (code, out, err) == (2, "", f"probleak: error: bad simulate config: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "kind, doc, message",
+    [
+        ("truncated", {"n": 1e15}, "simulate writes at most 10000000 cells, got 2000000000000000"),
+        ("callcenter", {"per_location_n": 1e15},
+         "simulate writes at most 10000000 cells, got 8000000000000000"),
+        ("truncated", {"covariate_ranges": [[-1e308, 1e308]]},
+         "bad simulate config: malformed covariate range (-1e+308, 1e+308)"),
+        ("truncated", {"support_lower": math.nan},
+         "bad simulate config: support_lower must be a number or -inf, got nan"),
+        ("truncated", {"noise_sd": 1e308, "coefficients": [1e308, 1e308]},
+         "simulated values are not finite: the config's scales overflow float64"),
+    ],
+)
+def test_simulate_config_outside_its_domain_is_a_data_error(capsys, tmp_path, kind, doc, message):
+    # no MemoryError or OverflowError traceback, no numpy warning, and no
+    # table written that load_dataset would refuse
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = simulate_with(capsys, tmp_path, kind, doc)
+    assert (code, out, err) == (2, "", f"probleak: error: {message}\n")
+
+
 def test_simulate_config_takes_an_integral_float_as_its_integer(capsys, tmp_path):
     _, as_int, _ = simulate_with(capsys, tmp_path, "truncated", {"n": 40, "seed": 9})
     _, as_float, _ = simulate_with(capsys, tmp_path, "truncated", {"n": 40.0, "seed": 9.0})
@@ -861,22 +889,20 @@ def test_report_bad_resolution_or_grid_points_is_usage_error(
         ["report", "--data", toy_csv, "--response", "y", "--covariates", "x1",
          "--support", "[0,inf)", "--out-curves", str(curves), flag, value],
     )
-    rule = {"--resolution": "must be positive", "--grid-points": "needs at least 2 points"}
+    rule = {"--resolution": "a positive finite number", "--grid-points": GRID_POINTS_DOMAIN}
     assert code == 1 and out == ""
-    assert err.startswith(f"probleak: error: {flag} {rule[flag]}")
+    assert f"argument {flag}: expected {rule[flag]}, got '{value}'" in err
     assert not curves.exists()
 
 
 def test_grid_sizes_past_the_cap_are_usage_errors(capsys, toy_csv, tmp_path):
-    from probleak.cli import _MAX_GRID_POINTS
-
     out = tmp_path / "profile.csv"
     code, _, err = run(
         capsys,
         ["leak-profile", "--data", toy_csv, "--response", "y", "--covariates", "x1",
          "--support", "[0,inf)", "--grid", f"x1=0:1:{_MAX_GRID_POINTS + 1}", "--out", str(out)],
     )
-    assert code == 1 and err.startswith("probleak: error: grid")
+    assert code == 1 and f"argument --grid: expected {GRID_DOMAIN}, got " in err
     assert not out.exists()
     curves, doc = tmp_path / "curves.csv", tmp_path / "report.json"
     code, _, err = run(
@@ -885,18 +911,64 @@ def test_grid_sizes_past_the_cap_are_usage_errors(capsys, toy_csv, tmp_path):
          "--support", "[0,inf)", "--out-curves", str(curves), "--out", str(doc),
          "--grid-points", str(_MAX_GRID_POINTS + 1)],
     )
-    assert code == 1 and err.startswith("probleak: error: --grid-points")
+    assert code == 1 and f"argument --grid-points: expected {GRID_POINTS_DOMAIN}, got " in err
     assert not curves.exists() and not doc.exists()
 
 
-def test_grid_size_is_checked_before_the_data_are_read(capsys, tmp_path):
+def _argv_with(command, data, tmp_path, flag, value):
+    """``command`` with a valid value for each option it requires, then
+    ``flag`` given ``value``, which argparse takes over an earlier one."""
+    model = ["--data", data, "--response", "y", "--covariates", "x1"]
+    needs = {
+        "leak": [*model, "--support", "[0,inf)"],
+        "leak-profile": [*model, "--support", "[0,inf)", "--grid", "x1=0:1:5"],
+        "falsify": [*model, "--value", "0.5"],
+        "calibrate": [*model, "--holdout", "0.25"],
+        "simulate": ["truncated", "--config", data],
+        "report": [*model, "--support", "[0,inf)", "--out-curves", str(tmp_path / "curves.csv")],
+    }[command]
+    return [command, *needs, "--out", str(tmp_path / "out"), flag, value]
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("leak", "--support", "[inf,inf]"),
+        ("leak", "--at", "[1, 2]"),
+        ("leak-profile", "--support", "bogus"),
+        ("leak-profile", "--grid", "x1=0:1:2001000000"),
+        ("leak-profile", "--grid", "x1=-1e308:1e308:3"),
+        ("leak-profile", "--at", "medians"),
+        ("falsify", "--value", "nan"),
+        ("falsify", "--resolution", "0"),
+        ("falsify", "--at", "{"),
+        ("calibrate", "--holdout", "1"),
+        ("calibrate", "--seed", "-1"),
+        ("simulate", "--seed", "1.5"),
+        ("report", "--support", "(-inf,-inf)"),
+        ("report", "--grid-points", "1"),
+        ("report", "--at", "minima"),
+        ("report", "--resolution", "inf"),
+        ("report", "--seed", "seven"),
+    ],
+)
+def test_a_value_outside_its_domain_is_refused_before_the_data_are_read(capsys, tmp_path, command, flag, value):
     missing = str(tmp_path / "missing.csv")
-    code, _, err = run(
+    code, out, err = run(capsys, _argv_with(command, missing, tmp_path, flag, value))
+    assert (code, out) == (1, "")
+    assert f"argument {flag}: expected " in err and f", got {value!r}" in err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "curves.csv").exists()
+
+
+@pytest.mark.parametrize("support", ["[inf,inf]", "(-inf,-inf)", "[inf,-inf]"])
+def test_evidence_with_no_real_point_is_a_usage_error(capsys, toy_csv, support):
+    # every outcome is impossible under such evidence: refused, not scored 0
+    code, out, err = run(
         capsys,
-        ["leak-profile", "--data", missing, "--response", "y", "--covariates", "x1",
-         "--support", "[0,inf)", "--grid", "x1=0:1:2001000000"],
+        ["leak", "--data", toy_csv, "--response", "y", "--covariates", "x1", "--support", support],
     )
-    assert code == 1 and err.startswith("probleak: error: grid")
+    assert (code, out) == (1, "")
+    assert f"argument --support: expected a support such as [0,inf) or lattice(0,inf,1), got {support!r}" in err
 
 
 def test_report_pipeline_is_deterministic(capsys, tmp_path):
@@ -1117,6 +1189,213 @@ def test_no_default_document_takes_the_json_dumps_path(tmp_path, monkeypatch):
     for path in documents:
         text = path.read_text()
         assert text == dumps(json.loads(text), indent=2) + "\n", path.name
+
+
+# ---------------------------------------------------------------------------
+# every value option, fed values from the edges of its domain
+# ---------------------------------------------------------------------------
+
+# numbers as a user may type them: NaN, infinities, signed zeros, negatives,
+# subnormals, the ends of float64, integers past 64 bits, and non-numbers
+_NUMBER_TEXTS = [
+    "nan", "-nan", "inf", "-inf", "Infinity", "0", "-0", "0.0", "-0.0", "-1", "-2.5",
+    "5e-324", "-5e-324", "2.2250738585072014e-308", "1e-300", "1e308", "-1e308",
+    "1.7976931348623157e308", "1e309", str(2**64 + 1), str(-(2**70)), "", " ", "abc",
+    "1_0", "0x10", "1,2", "0.01", "0.25", "0.5", "1", "2", "7", "100",
+]
+_INTEGER_TEXTS = [
+    "0", "1", "7", "-1", "-0", "1.5", "1e3", str(2**64 + 1), str(2**70), "abc", "", " 3 ",
+    "nan", "inf", "1_000",
+]
+_GRID_POINT_TEXTS = ["2", "3", "50", "1", "0", "-5", "2.5", "1e3", "abc", "", "nan",
+                     str(_MAX_GRID_POINTS + 1), str(2**70)]
+_BOUND_TEXTS = ["0", "-1", "1", "-0.0", "inf", "-inf", "nan", "1e308", "-1e308", "5e-324", "abc"]
+_COUNT_TEXTS = ["2", "5", "1", "0", "-3", "1.5", "abc", str(_MAX_GRID_POINTS + 1), str(2**70)]
+# JSON values for --at covariates and --config fields
+_JSON_TEXTS = [
+    "0", "-1", "1", "4", "40", "2.5", "0.5", "1e308", "-1e308", "5e-324", "1e400", "-1e400",
+    "NaN", "Infinity", "-Infinity", "null", "true", '"abc"', '"600"', "[]", "[0, 1]",
+    "[[0, 1]]", "[[-1e308, 1e308]]", "[[0, 1, 2]]", "[[0, 1], [2, 3]]", "[1e308, 1e308]",
+    "[1, 0.5]", "[0, 1e300]", "[1.5, 4]", "{}", str(2**64 + 1), "10000000", "1" + "0" * 400,
+]
+_ODD_JSON = ["[]", "1", "null", '"medians"', "{", "", "Medians", "[" * 5000, '{"x1": ' * 2000,
+             "1" * 5000, '{"x1": 1} {}']
+_CONFIG_KEYS = ["n", "coefficients", "noise_sd", "covariate_ranges", "support_lower", "seed",
+                "per_location_n", "calls_range", "absentee_range", "y_floor", "bogus"]
+
+_numbers = st.sampled_from(_NUMBER_TEXTS)
+_supports = st.one_of(
+    st.sampled_from(["[0,inf)", "(-inf,inf)", "[-1,2]", "bogus", "", "[1 2]", "lattice(1,2)"]),
+    st.builds("[{},{}]".format, st.sampled_from(_BOUND_TEXTS), st.sampled_from(_BOUND_TEXTS)),
+    st.builds("lattice({},{},{})".format, *[st.sampled_from(_BOUND_TEXTS)] * 3),
+)
+_grids = st.one_of(
+    st.sampled_from(["x1=0:1:5", "x1", "x1=0:1", "x1=0:1:2:3", "=0:1:5", "x1=0-1-5", ""]),
+    st.builds("{}={}:{}:{}".format, st.sampled_from(["x1", " x1 ", "bogus", ""]),
+              st.sampled_from(_BOUND_TEXTS), st.sampled_from(_BOUND_TEXTS),
+              st.sampled_from(_COUNT_TEXTS)),
+)
+_at_objects = st.one_of(
+    st.sampled_from(["{}", '{"x1": 0.5}', '{"bogus": 1}', *_ODD_JSON]),
+    st.builds('{{"x1": {}}}'.format, st.sampled_from(_JSON_TEXTS)),
+)
+_at_any = st.one_of(st.sampled_from(["medians", "minima"]), _at_objects)
+_configs = st.one_of(
+    st.sampled_from(["{}", *_ODD_JSON, "\udcff"]),
+    st.dictionaries(st.sampled_from(_CONFIG_KEYS), st.sampled_from(_JSON_TEXTS), max_size=3).map(
+        lambda doc: "{" + ", ".join(f'"{key}": {value}' for key, value in doc.items()) + "}"
+    ),
+)
+# the value options of each subcommand, each with the texts it is fed
+_VALUE_OPTIONS = {
+    "fit": {},
+    "leak": {"--support": _supports, "--at": _at_any},
+    "leak-profile": {"--support": _supports, "--grid": _grids, "--at": _at_objects},
+    "falsify": {"--value": _numbers, "--mode": st.sampled_from(["point", "interval"]),
+                "--resolution": _numbers, "--at": _at_any},
+    "calibrate": {"--holdout": _numbers, "--seed": st.sampled_from(_INTEGER_TEXTS)},
+    "simulate": {"--seed": st.sampled_from(_INTEGER_TEXTS), "--config": _configs},
+    "report": {"--support": _supports, "--grid-points": st.sampled_from(_GRID_POINT_TEXTS),
+               "--at": _at_objects, "--resolution": _numbers,
+               "--seed": st.sampled_from(_INTEGER_TEXTS)},
+}
+_JSON_COMMANDS = {"fit", "leak", "falsify", "calibrate", "report"}
+
+
+def _number(text):
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
+def _integer(text):
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
+def _json(text):
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError):
+        return None
+
+
+def _support_in_domain(text):
+    """The evidence holds a real number: [a,b] with a <= b, a < inf and
+    b > -inf, or lattice(lo,hi,step) with finite lo <= hi and finite step > 0."""
+    if text.startswith("lattice(") and text.endswith(")") and text.count(",") == 2:
+        lo, hi, step = map(_number, text[8:-1].split(","))
+        return math.isfinite(lo) and hi >= lo and 0.0 < step < math.inf
+    if text[:1] in "[(" and text[-1:] in "])" and text.count(",") == 1:
+        lo, hi = map(_number, text[1:-1].split(","))
+        return lo <= hi and lo < math.inf and hi > -math.inf
+    return False
+
+
+def _grid_in_domain(text):
+    bounds = text.partition("=")[2].split(":")
+    if len(bounds) != 3 or _integer(bounds[2]) is None:
+        return False
+    lo, hi = _number(bounds[0]), _number(bounds[1])
+    return lo < hi and math.isfinite(hi - lo) and 2 <= _integer(bounds[2]) <= _MAX_GRID_POINTS
+
+
+_IN_DOMAIN = {
+    "--value": lambda text: math.isfinite(_number(text)),
+    "--resolution": lambda text: 0.0 < _number(text) < math.inf,
+    "--holdout": lambda text: 0.0 < _number(text) < 1.0,
+    "--seed": lambda text: _integer(text) is not None and _integer(text) >= 0,
+    "--grid-points": lambda text: 2 <= (_integer(text) or 0) <= _MAX_GRID_POINTS,
+    "--grid": _grid_in_domain,
+    "--support": _support_in_domain,
+    "--at": lambda text: text in ("medians", "minima") or isinstance(_json(text), dict),
+    "--config": lambda text: isinstance(_json(text), dict),
+    "--mode": lambda text: True,
+}
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["leak", "--support", "[0,1e308]"], 0),  # the t CDF at a bound past its range
+        (["report", "--support", "[0,1e308]"], 0),  # and the density curve there
+        (["falsify", "--value", "1e308", "--mode", "interval", "--resolution=1.7976931348623157e308"], 0),
+        (["leak", "--support", "[0,inf)", "--at", '{"x1": 1%s}' % ("0" * 400)], 2),
+    ],
+    ids=["leak-support-1e308", "report-support-1e308", "falsify-window-past-1e308", "at-int-past-float64"],
+)
+def test_values_past_float64s_range_give_an_answer_or_an_error_not_a_warning(capsys, toy_csv, tmp_path, argv, code):
+    # each of these ended in a numpy RuntimeWarning or an OverflowError traceback
+    command, *rest = argv
+    model = ["--data", toy_csv, "--response", "y", "--covariates", "x1"]
+    curves = ["--out-curves", str(tmp_path / "curves.csv")] if command == "report" else []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, out, err = run(capsys, [command, *model, *rest, *curves])
+    assert got == code, err
+    if code == 2:
+        assert out == "" and "covariate 'x1' needs a finite number, got 1000" in err
+
+
+@pytest.fixture(scope="module")
+def domain_dir(tmp_path_factory):
+    work = tmp_path_factory.mktemp("domains")
+    rng = np.random.default_rng(9)
+    x = rng.uniform(0.0, 1.0, 40)
+    Dataset({"y": 0.2 + 0.3 * x + rng.normal(0.0, 0.5, 40), "x1": x}).to_csv(work / "toy.csv")
+    return work
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from(sorted(_VALUE_OPTIONS)), st.booleans())
+def test_every_value_option_keeps_to_its_domain(domain_dir, data, command, json_errors):
+    # each option is left out or fed a text from the edges of its domain, and
+    # the options a subcommand requires get a valid value unless fed one
+    given_texts = {}
+    for flag, texts in _VALUE_OPTIONS[command].items():
+        if data.draw(st.booleans(), label=f"give {flag}"):
+            given_texts[flag] = data.draw(texts, label=flag)
+    values = dict(given_texts)
+    if "--config" in values:  # the text is the file's content
+        config = domain_dir / "config.json"
+        config.write_bytes(values["--config"].encode("utf-8", "surrogateescape"))
+        values["--config"] = str(config)
+    model = ["--data", str(domain_dir / "toy.csv"), "--response", "y", "--covariates", "x1"]
+    needs = {
+        "fit": model,
+        "leak": [*model, "--support", "[0,inf)"],
+        "leak-profile": [*model, "--support", "[0,inf)", "--grid", "x1=0:1:5"],
+        "falsify": [*model, "--value", "0.5"],
+        "calibrate": [*model, "--holdout", "0.25"],
+        "simulate": ["truncated"],
+        "report": [*model, "--support", "[0,inf)", "--out-curves", str(domain_dir / "curves.csv")],
+    }[command]
+    # flag=value, so that argparse takes a text such as "-inf" as the value
+    argv = [command, *needs, *(f"{flag}={value}" for flag, value in values.items())]
+    argv += ["--json-errors"] if json_errors else []
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning fails the example
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err
+    if code == 0:
+        outside = [flag for flag, text in given_texts.items() if not _IN_DOMAIN[flag](text)]
+        assert outside == [], argv
+        if command in _JSON_COMMANDS:
+            json.loads(out)  # exactly one JSON value
+        if command == "simulate":  # the loader reads back what simulate writes
+            table = regression.load_dataset_text(out)
+            assert all(table.is_numeric(name) for name in table.names)
+    elif code == 1 or not json_errors:
+        assert out == "" and err.startswith("probleak"), argv
+    else:
+        assert set(json.loads(out)) == {"error"} and err == "", argv
 
 
 # ---------------------------------------------------------------------------

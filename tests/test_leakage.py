@@ -53,6 +53,22 @@ def test_interval_union_must_be_disjoint_and_ordered():
         Evidence.interval(3.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "lower, upper",
+    [(math.nan, 1.0), (0.0, math.nan), (math.inf, math.inf), (-math.inf, -math.inf),
+     (math.inf, -math.inf)],
+)
+def test_an_interval_with_no_real_point_is_malformed(lower, upper):
+    # evidence that holds no real number rules out every outcome, so it is
+    # refused rather than scored with a leakage of 0
+    with pytest.raises(ValueError, match="malformed interval"):
+        Evidence.interval(lower, upper)
+    with pytest.raises(ValueError, match="malformed interval"):
+        Evidence.interval_union([(-5.0, -4.0), (lower, upper)])
+    with pytest.raises(ValueError, match="malformed interval"):
+        parse_support(f"[{lower},{upper}]")
+
+
 def test_finite_set_evidence():
     e = Evidence.finite_set([3.0, 1.0, 2.0])
     assert e.kind == "discrete_support"
@@ -78,6 +94,11 @@ def test_lattice_evidence():
         Evidence.lattice_support(0.0, 10.0, -1.0)
     with pytest.raises(ValueError):
         Evidence.lattice_support(10.0, 0.0, 1.0)
+
+
+def test_a_lattice_with_a_nan_upper_bound_is_refused():
+    with pytest.raises(ValueError, match="upper bound"):
+        Evidence.lattice_support(0.0, math.nan, 1.0)
 
 
 def test_lattice_membership_tolerates_float_noise():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -257,6 +258,63 @@ def test_callcenter_config_validation():
         CallCenterConfig(calls_range=(100, 50))
     with pytest.raises(ValueError, match="absentee range"):
         CallCenterConfig(absentee_range=(5, 1))
+
+
+_SIM = dict(n=10, coefficients=(0.0, 1.0), noise_sd=1.0, covariate_ranges=((0.0, 1.0),))
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("coefficients", (0.0, math.inf), "coefficients must be finite"),
+        ("coefficients", (math.nan, 1.0), "coefficients must be finite"),
+        ("noise_sd", math.inf, "noise_sd must be positive and finite"),
+        ("noise_sd", math.nan, "noise_sd must be positive and finite"),
+        ("covariate_ranges", ((0.0, math.inf),), "malformed covariate range"),
+        ("covariate_ranges", ((math.nan, 1.0),), "malformed covariate range"),
+        ("covariate_ranges", ((-1e308, 1e308),), "malformed covariate range"),
+        ("support_lower", math.nan, "support_lower must be a number or -inf"),
+        ("seed", -1, "seed must be a non-negative integer"),
+        ("seed", 1.5, "seed must be a non-negative integer"),
+        ("seed", "7", "seed must be a non-negative integer"),
+    ],
+)
+def test_sim_config_refuses_values_outside_their_domains(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        SimConfig(**{**_SIM, field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("calls_range", (0.0, math.inf), "malformed calls range"),
+        ("calls_range", (-1e308, 1e308), "malformed calls range"),
+        ("absentee_range", (math.nan, 3), "malformed absentee range"),
+        ("absentee_range", (1.5, 4), "absentee range needs whole numbers"),
+        ("absentee_range", (0, 1e300), "absentee range needs whole numbers"),
+        ("y_floor", math.nan, "y_floor must be a number or -inf"),
+        ("seed", -7, "seed must be a non-negative integer"),
+    ],
+)
+def test_callcenter_config_refuses_values_outside_their_domains(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        CallCenterConfig(**{field: value})
+
+
+def test_a_numpy_integer_seeds_as_its_int():
+    cfg = SimConfig(**_SIM, seed=np.int64(5))
+    a, b = gen_truncated_regression(cfg), gen_truncated_regression(dataclasses.replace(cfg, seed=5))
+    np.testing.assert_array_equal(a.column("y"), b.column("y"))
+
+
+def test_a_table_that_overflows_is_a_data_error_not_a_warning():
+    # every value of the config is finite, but x.beta and the noise overflow
+    # float64: the table would hold infinities that load_dataset refuses
+    cfg = SimConfig(n=10, coefficients=(1e308, 1e308), noise_sd=1e308, covariate_ranges=((0.5, 1.0),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="not finite"):
+            gen_truncated_regression(cfg)
 
 
 def test_callcenter_dataset_shape():

@@ -11,6 +11,10 @@ fields that echo a path (``curves_file`` in a report) compare too. The inputs
 are ``simulate`` outputs and part of the set: the call-center table and two
 truncated-regression tables of 500 and 20,000 rows. ``exit_codes.txt`` holds
 each command's exit code and anything it wrote to stderr.
+
+BLAS gets one thread, as in perfbench, so that the file set does not depend
+on the core count: a least-squares fit of a large table gives other last
+digits with another number of BLAS threads.
 """
 
 import contextlib
@@ -20,7 +24,10 @@ import os
 import sys
 from pathlib import Path
 
-from probleak.cli import main
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")  # before numpy is first imported
+
+from probleak.cli import main  # noqa: E402
 
 TRUNCATED = {
     "coefficients": [1.0, 0.5, -0.3],

@@ -7,8 +7,15 @@ the shortest digits that round-trip, and they differ only in layout. orjson
 spells an exponent ``1e-7`` or ``1e16`` where repr spells ``1e-07`` and
 ``1e+16``, and writes 1e-5 <= |x| < 1e-4 out in full (``0.0000123``) where
 repr writes ``1.23e-05``. ``_repr_exponents`` is the one rule for the
-exponents, on orjson's indented text, where a number ends its line. CSV
-and JSON each find their numbers in the band and give them to ``repr``.
+exponents, given where a number ends: at a line end, bar a comma, in
+orjson's indented text, and at a comma or the closing bracket in its flat
+dump of a float array. The band, and NaN and inf, which orjson writes as
+``null``, are found and given to ``repr``.
+
+A CSV table of 1-d float64 columns none of whose cells lies in the band or
+is not finite is one flat dump of its rows, one after another, whose every
+``width``-th comma becomes a line end; every other table is dumped a column
+at a time and joined row by row.
 
 orjson is imported where it is used, so that importing the package, or
 loading a categorical table, does not load it.
@@ -19,6 +26,7 @@ import json
 import os
 import re
 import stat
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -27,33 +35,45 @@ import numpy as np
 # floats as repr writes them
 # ---------------------------------------------------------------------------
 
-# In indented text a number ends its line, bar a comma. A string does not: it
-# ends with its quote, and holds no raw line end, so no match is in a string
-_EXP_NEGATIVE = re.compile(rb"e-(?=\d,?\n)")  # orjson writes 1e-7 where repr writes 1e-07
-_EXP_POSITIVE = re.compile(rb"e(?=\d+,?\n)")  # and 1e16 where repr writes 1e+16
+# Where a number ends in orjson's text. In indented text it ends its line,
+# bar a comma; a string ends with its quote and holds no raw line end, so no
+# match is in a string, though a string may hold "e-5]". A flat dump of a
+# float array holds no string, and a number there ends at a comma or at the
+# closing bracket.
+_INDENTED_END = rb",?\n"
+_FLAT_END = rb"[,\]]"
 
 
-def _repr_exponents(text: bytes) -> bytes:
-    """orjson's indented ``text`` with each number's exponent spelled as
-    ``repr`` spells it. A text without an "e", as a column of numbers often
-    is, is found by a byte search, far faster than re's scan."""
-    return _EXP_POSITIVE.sub(b"e+", _EXP_NEGATIVE.sub(b"e-0", text)) if b"e" in text else text
+def _repr_exponents(text: bytes, number_end: bytes) -> bytes:
+    """orjson's ``text`` with each number's exponent spelled as ``repr``
+    spells it: ``1e-7`` as ``1e-07`` and ``1e16`` as ``1e+16``, for a number
+    followed by ``number_end``. A text without an "e", as a column of
+    numbers often is, is found by a byte search, far faster than re's scan."""
+    if b"e" not in text:
+        return text
+    text = re.sub(rb"e-(?=\d%s)" % number_end, b"e-0", text)
+    return re.sub(rb"e(?=\d+%s)" % number_end, b"e+", text)
+
+
+def _odd_cells(values: np.ndarray) -> np.ndarray:
+    """Where orjson lays a float out otherwise than repr but for its
+    exponent: nan and inf (``null``) and 1e-5 <= |v| < 1e-4."""
+    mag = np.abs(values)
+    return ((mag >= 1e-5) & (mag < 1e-4)) | ~np.isfinite(mag)
 
 
 def _repr_cells(values: np.ndarray) -> list[str]:
     """``repr(float(v))`` for every cell of a 1-d float64 array, from one
     indented ``orjson.dumps`` call.
 
-    The cells orjson lays out otherwise but for their exponents, nan and inf
-    (``null``) and 1e-5 <= |v| < 1e-4, are dumped as 0.0 and then replaced
-    by their ``repr``.
+    The ``_odd_cells`` are dumped as 0.0 and then replaced by their
+    ``repr``.
     """
     import orjson
 
-    mag = np.abs(values)
-    odd = ((mag >= 1e-5) & (mag < 1e-4)) | ~np.isfinite(mag)
+    odd = _odd_cells(values)
     option = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_INDENT_2
-    text = _repr_exponents(orjson.dumps(np.where(odd, 0.0, values), option=option))
+    text = _repr_exponents(orjson.dumps(np.where(odd, 0.0, values), option=option), _INDENTED_END)
     # "[\n  1.0,\n  2.5\n]": the cells lie between "[\n  " and "\n]"
     cells = text[4:-2].decode("ascii").split(",\n  ") if values.size else []
     where = np.flatnonzero(odd)
@@ -74,15 +94,51 @@ def _csv_text(names, columns, end: str = "\n") -> str:
     per entry of ``columns``, each line ended by ``end``.
 
     This is the one writer of every CSV the package writes, in
-    ``csv.writer``'s default dialect but for the line end. Each column
-    becomes text in one ``_csv_cells`` call and the rows are joined in C,
-    so no Python code runs per row.
+    ``csv.writer``'s default dialect but for the line end. A table of 1-d
+    float64 columns with no ``_odd_cells`` is written by ``_float_lines``
+    from one flat dump. Any other table becomes text a column at a time, in
+    one ``_csv_cells`` call each, and the rows are joined in C. Either way
+    no Python code runs per row.
     """
     alone = (len(names) or len(columns)) == 1
-    cells = [_csv_cells(col, alone) for col in columns]
     header = [",".join(_csv_cells(names, alone))] if len(names) else []
+    body = _float_lines(columns, end)
+    if body is not None:
+        return "".join(line + end for line in header) + body
+    cells = [_csv_cells(col, alone) for col in columns]
     text = end.join([*header, *map(",".join, zip(*cells))])
     return text + end if text else ""  # no line is empty: a lone empty cell is quoted
+
+
+def _float_lines(columns, end: str) -> str | None:
+    """The rows of ``columns`` as CSV lines, each ended by ``end``, or None
+    unless every column is a 1-d float64 array and no cell is one of the
+    ``_odd_cells``.
+
+    The rows, one after another, are one flat ``orjson.dumps``
+    (``[1.0,2.5,...]``) whose exponents are spelled as ``repr`` spells them;
+    then every ``width``-th comma, and the closing bracket, becomes the line
+    end, in one numpy step over the text's bytes.
+    """
+    columns = list(columns)
+    if not columns or not all(
+        isinstance(col, np.ndarray) and col.ndim == 1 and col.dtype == np.float64 for col in columns
+    ):
+        return None
+    if any(_odd_cells(col).any() for col in columns):
+        return None
+    flat = np.column_stack(columns).ravel()
+    if not flat.size:
+        return ""
+    import orjson
+
+    text = _repr_exponents(orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY), _FLAT_END)
+    buf = np.frombuffer(text, dtype=np.uint8).copy()
+    commas = np.flatnonzero(buf == ord(","))
+    buf[commas[len(columns) - 1 :: len(columns)]] = ord("\n")
+    buf[-1] = ord("\n")  # the closing bracket
+    lines = buf[1:].tobytes()  # its only \n are the line ends set here
+    return (lines if end == "\n" else lines.replace(b"\n", end.encode())).decode("ascii")
 
 
 def _csv_cells(values, alone: bool) -> list[str]:
@@ -138,7 +194,7 @@ def _json_text(doc) -> str:
         return json.dumps(doc, indent=2) + "\n"
     if orjson.loads(text) != doc:  # NaN or an infinity, which orjson writes as null
         return json.dumps(doc, indent=2) + "\n"
-    text = _repr_exponents(text)
+    text = _repr_exponents(text, _INDENTED_END)
     # a match may be the fraction of a number such as 1.00001, which repr
     # writes as orjson does
     pieces, done = [], 0
@@ -230,7 +286,9 @@ def _numeric_table(source, skiprows: int, first: list | None, width: int) -> np.
     numbers, so a categorical table is never parsed twice and never loads
     orjson. The rest goes to ``orjson.loads``, whose number parser rounds
     as ``float()`` does, a block of lines at a time written as one flat JSON
-    array; the blocks are copied into the table once the bytes are freed.
+    array, whose numbers become doubles in one ``struct.pack`` (see
+    ``_json_rows``); the blocks are copied into the table once the bytes are
+    freed, the one copy of each block.
     None also follows a line longer than csv's field size limit, which csv
     may refuse, a line of another width or with a byte no number holds (a
     quote among them), or a cell that the JSON number grammar refuses (a
@@ -272,7 +330,11 @@ def _json_rows(block: bytes, width: int, loads) -> np.ndarray | None:
     line of another width or with a byte no number holds.
 
     The line end is the block's first one; a block that mixes line ends is
-    parsed again with each made a \\n.
+    parsed again with each made a \\n. The Python ints and floats ``loads``
+    returns become doubles in one ``struct.pack``, which converts each as
+    ``float()`` does, at less than half the cost of ``np.array``'s
+    conversion object by object. The packed bytes are viewed, not copied,
+    unless an integer -0 must be given its sign.
     """
     found = _LINE_END.search(block)
     end = found.group() if found else b"\n"
@@ -283,15 +345,17 @@ def _json_rows(block: bytes, width: int, loads) -> np.ndarray | None:
         plain = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         return None if plain == block else _json_rows(plain, width, loads)
     text = b"[%s]" % block.removesuffix(end).replace(end[-1:], b",")
-    values = np.array(loads(text), dtype=float)
-    if values.size != rows * width:
+    cells = loads(text)
+    if len(cells) != rows * width:
         return None
+    values = np.frombuffer(struct.pack(f"{len(cells)}d", *cells))
     # orjson reads the integer -0 as 0, where float() gives -0.0. A minus
     # that follows no e or E is a cell's sign; text[0] is its "[".
     if not values.all() and _MINUS_ZERO.search(text):
+        values = values.copy()  # the packed bytes are read-only
         buf = np.frombuffer(text, dtype=np.uint8)
         minus = np.flatnonzero(buf == ord("-"))
         signs = minus[(buf[minus - 1] != ord("e")) & (buf[minus - 1] != ord("E"))]
-        cells = np.searchsorted(np.flatnonzero(buf == ord(",")), signs)
-        values[cells] = -np.abs(values[cells])
+        where = np.searchsorted(np.flatnonzero(buf == ord(",")), signs)
+        values[where] = -np.abs(values[where])
     return values.reshape(rows, width)

@@ -173,11 +173,14 @@ def _cmd_fit(args) -> int:
 
 def _cmd_leak(args) -> int:
     data, spec, result = _load_and_fit(args)
+    columns = _at_columns(args.at, data, spec)
+    # encoded here, not by leakage_profile, so that an error names a "point", as falsify's does
+    batch = predictive_rows(result, _encode_columns(result, columns, "point"))
     doc = {
         "version": __version__,
         "at": args.at if isinstance(args.at, str) else "point",
         "support": args.support.description,
-        "reports": leakage_profile(result, args.support, _at_columns(args.at, data, spec)).to_json(),
+        "reports": LeakageProfile(batch, args.support, columns).to_json(),
     }
     _emit(doc, args.out)
     return 0

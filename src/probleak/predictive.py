@@ -236,9 +236,11 @@ class Normal(PredictiveDistribution):
         if np.any(np.asarray(self.scale) <= 0.0):
             raise ValueError(f"scale must be positive, got {self.scale}")
 
+    @np.errstate(over="ignore")  # a z past float64's range is infinite, and F is 0 or 1 there
     def _cdf(self, y):
         return special.ndtr((y - self.loc) / self.scale)
 
+    @np.errstate(over="ignore")  # a z past float64's range is infinite, and f is 0 there
     def _logdensity(self, y):
         z = (y - self.loc) / self.scale
         return -0.5 * z * z - np.log(self.scale * math.sqrt(2.0 * math.pi))
@@ -388,6 +390,7 @@ class TruncatedNormal(PredictiveDistribution):
         """Kept mass Q(a) = Phi(-a), which keeps its relative accuracy however deep."""
         return special.ndtr(-self._standard_lower())
 
+    @np.errstate(over="ignore")  # a z past float64's range is infinite, and F is 0 or 1 there
     def _cdf(self, y):
         # (Phi(z) - Phi(a)) / Q(a) cancels to nothing when both are near 1,
         # so a truncation point above the mean takes (Q(a) - Q(z)) / Q(a)
@@ -421,6 +424,7 @@ class TruncatedNormal(PredictiveDistribution):
         )
         return self.scale * std + np.maximum(self.lower - y, 0.0)
 
+    @np.errstate(over="ignore")  # a z past float64's range is infinite, and f is 0 there
     def _logdensity(self, y):
         z = (y - self.loc) / self.scale
         log_base = -0.5 * z * z - np.log(self.scale * math.sqrt(2.0 * math.pi) * self._tail_mass())

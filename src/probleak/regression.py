@@ -315,16 +315,20 @@ class ColumnCoding:
 
 def _finite_floats(col: np.ndarray, name: str, label: str) -> np.ndarray:
     """A numeric covariate column as floats; ModelError names the first row
-    whose entry is not a finite number."""
+    whose entry is not a finite number. In an object column, such as a JSON
+    ``--at`` point's, a bool or a str is no number, though ``float`` takes
+    ``True`` and ``"3"``."""
+    not_numbers = (bool, str) if col.dtype == object else ()  # isinstance(v, ()) is False
     try:
         values = np.asarray(col, dtype=float)
         if values.ndim == 1 and np.isfinite(values).all():
-            return values
+            if col.dtype != object or not any(isinstance(value, not_numbers) for value in col.flat):
+                return values
     except (TypeError, ValueError, OverflowError):  # text, sequences, or ints past float64
         pass
     for i, value in enumerate(col.tolist()):
         try:
-            if np.ndim(value) == 0 and math.isfinite(float(value)):
+            if np.ndim(value) == 0 and not isinstance(value, not_numbers) and math.isfinite(float(value)):
                 continue
         except (TypeError, ValueError, OverflowError):
             pass

@@ -274,20 +274,23 @@ def at_argv(command, cc_csv, tmp_path, point, *extra):
     return [command, "--data", cc_csv, *model, *needs, "--at", point, *extra]
 
 
-@pytest.mark.parametrize("bad", ["null", '"abc"', "[1, 2]", "1e400"])
+@pytest.mark.parametrize("bad", ["null", '"abc"', "[1, 2]", "1e400", "true", "false", '"3"'])
 @pytest.mark.parametrize("command", AT_COMMANDS)
 def test_at_value_that_is_no_finite_number_is_a_model_error(capsys, cc_csv, tmp_path, command, bad):
+    # a JSON bool or numeric string is no number, though float() takes both;
+    # leak names its point as falsify does
     point = '{"calls": 1500.0, "absentees": %s, "location": "B"}' % bad
-    want = "covariate 'absentees' needs a finite number, got "
+    label = {"report": "at_point", "leak-profile": "grid point"}.get(command, "point")
+    want = f"{label} 0: covariate 'absentees' needs a finite number, got "
     code, out, err = run(capsys, at_argv(command, cc_csv, tmp_path, point))
     assert (code, out) == (2, "")
-    assert err.startswith("probleak: error: ") and want in err
+    assert err.startswith("probleak: error: " + want)
     code, out, err = run(capsys, at_argv(command, cc_csv, tmp_path, point, "--json-errors"))
     assert (code, err) == (2, "")
-    assert want in json.loads(out)["error"]
+    assert json.loads(out)["error"].startswith(want)
 
 
-@pytest.mark.parametrize("bad", ["null", '"abc"', "[1, 2]", "1e400"])
+@pytest.mark.parametrize("bad", ["null", '"abc"', "[1, 2]", "1e400", "true", '"3"'])
 def test_leak_profile_refuses_a_bad_at_value_for_the_grid_covariate(capsys, cc_csv, tmp_path, bad):
     point = '{"calls": %s, "absentees": 5.0, "location": "B"}' % bad
     code, out, err = run(capsys, at_argv("leak-profile", cc_csv, tmp_path, point))
@@ -333,12 +336,12 @@ def test_at_point_values_echo_with_their_own_json_text(capsys, tmp_path):
     columns = {name: rng.normal(size=30) for name in ("y", "a", "b", "c")}
     path = tmp_path / "mixed.csv"
     Dataset({**columns, "site": np.array(["A", "B"] * 15)}).to_csv(path)
-    point = '{"a": 3, "b": 2.5, "c": true, "site": "B"}'
+    point = '{"a": 3, "b": 2.5, "c": 1e-05, "site": "B"}'
     code, out, _ = run(capsys, ["leak", "--data", str(path), "--response", "y", "--covariates",
                                 "a,b,c,site", "--support", "[0,inf)", "--at", point])
     assert code == 0
     assert json.dumps(json.loads(out)["reports"][0]["x_star"]) == point
-    assert '"a": 3,' in out and '"c": true' in out
+    assert '"a": 3,' in out and '"c": 1e-05' in out
     # the library gives x_star entries as Python scalars, so json needs no default
     result = fit_model(load_dataset(path), ModelSpec("y", ("a", "b", "c", "site")))
     profile = leakage_profile(result, Evidence.interval(0.0, np.inf), {
@@ -347,7 +350,7 @@ def test_at_point_values_echo_with_their_own_json_text(capsys, tmp_path):
     })
     for report in profile:
         assert [type(v) for v in report.x_star.values()] == [int, float, bool, str]
-    assert json.dumps(profile[0].x_star) == point
+    assert json.dumps(profile[0].x_star) == '{"a": 3, "b": 2.5, "c": true, "site": "B"}'
 
 
 def test_intercept_only_model_scores_its_one_empty_point(capsys, toy_csv, tmp_path):
@@ -1167,6 +1170,10 @@ def test_a_non_finite_falsify_value_is_a_usage_error(capsys, toy_csv, value):
 
 
 def test_no_default_document_takes_the_json_dumps_path(tmp_path, monkeypatch):
+    # the tool pins BLAS threads in os.environ; teardown restores them, so that
+    # later tests' subprocesses run as they would alone
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
     spec = importlib.util.spec_from_file_location(
         "cli_outputs", Path(__file__).parents[1] / "tools" / "cli_outputs.py"
     )

@@ -3,7 +3,9 @@
 Every CSV is written by ``_text._csv_text``. The oracle is a per-row
 renderer: ``",".join(repr(float(v)) for v in row)`` per line, and for the
 density curves the whole per-row algorithm of ``cli._density_curves``,
-copied here. Every float cell is written by ``_repr_cells`` from orjson's
+copied here. A table of float64 columns with no nan, inf or cell in
+1e-5 <= |v| < 1e-4 is written from one flat dump, and any other table a
+column at a time; the oracle tests feed both. Every float cell is written by ``_repr_cells`` from orjson's
 digits, so it is also checked against ``repr`` cell by cell, over arbitrary
 64-bit patterns (nan payloads, infinities, signed zeros and subnormals among
 them): a version of orjson that lays out a float otherwise fails here. The
@@ -21,7 +23,7 @@ from hypothesis import strategies as st
 from probleak import Evidence, Normal, StudentT, TruncatedNormal, calibration_report
 from probleak.calibration import ForecastCase
 from probleak.cli import _density_curves, _finite_bounds
-from probleak._text import _csv_text, _json_text, _repr_cells
+from probleak._text import _csv_text, _float_lines, _json_text, _repr_cells
 
 
 def _lines(text):
@@ -30,11 +32,11 @@ def _lines(text):
     return text.splitlines(keepends=True)
 
 
-def _rows_text(header, rows):
-    lines = [header]
+def _rows_text(header, rows, end="\n"):
+    lines = [header] if header else []
     for row in rows:
         lines.append(",".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
+    return "".join(line + end for line in lines)
 
 
 def _density_curves_by_row(dists, evidence, grid_points):
@@ -79,10 +81,25 @@ def test_repr_cells_is_repr_over_every_bit_pattern(bits):
     assert _repr_cells(values) == list(map(repr, values.tolist()))
 
 
+def _flat(values):
+    """Whether a table of float64 columns takes ``_float_lines``'s flat dump:
+    no cell is nan, inf or in 1e-5 <= |v| < 1e-4, where orjson's layout is
+    not repr's but for the exponent."""
+    return all(math.isfinite(v) and not 1e-5 <= abs(v) < 1e-4 for v in values)
+
+
 def test_repr_cells_is_repr_over_a_million_random_bit_patterns():
     bits = np.random.default_rng(2018).integers(0, 2**64, size=10**6, dtype=np.uint64)
     values = bits.view(float)
-    assert _repr_cells(values) == list(map(repr, values.tolist()))
+    cells = list(map(repr, values.tolist()))
+    assert _repr_cells(values) == cells
+    # the same cells, bar the odd ones, as a table of four columns from the flat dump
+    kept = [cell for cell, v in zip(cells, values.tolist()) if _flat([v])]
+    rows = [kept[i : i + 4] for i in range(0, len(kept) - len(kept) % 4, 4)]
+    columns = list(np.array(rows, dtype=float).T)
+    assert _float_lines(columns, "\n") is not None
+    want = "".join(",".join(row) + "\r\n" for row in rows)
+    assert _lines(_csv_text([], columns, "\r\n")) == _lines(want)
 
 
 # strings spelled as numbers, as either layout writes them, alone or after a
@@ -110,6 +127,11 @@ def test_csv_cells_and_json_numbers_spell_every_bit_pattern_as_repr(bits, string
     values = np.array(bits, dtype=np.uint64).view(float)
     floats = values.tolist()
     assert _repr_cells(values) == list(map(repr, floats))
+    # a column, and a table of two, through the flat dump when no cell is odd
+    assert (_float_lines([values], "\n") is not None) == _flat(floats)
+    assert _csv_text(["v"], [values]) == _rows_text("v", [[v] for v in floats])
+    pairs = values[: values.size // 2 * 2].reshape(-1, 2)
+    assert _csv_text([], list(pairs.T), "\r\n") == _rows_text(None, pairs.tolist(), "\r\n")
     for value in floats:  # nan and inf too, which json writes as NaN and Infinity
         assert _json_text(value) == json.dumps(value, indent=2) + "\n"
     finite = [v for v in floats if math.isfinite(v)]
@@ -123,17 +145,27 @@ def test_json_numbers_are_json_dumps_over_a_hundred_thousand_random_bit_patterns
     assert _json_text(doc) == json.dumps(doc, indent=2) + "\n"
 
 
+# the cells that send a float table to the per-column path
+_ODD_FLOATS = [math.nan, -math.nan, math.inf, -math.inf, 1e-5, -3e-5, float(np.nextafter(1e-4, 0))]
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 4), st.integers(0, 12), st.data())
-def test_csv_text_matches_the_row_renderer(width, n_rows, data):
+@given(st.integers(1, 4), st.integers(0, 12), st.booleans(), st.data())
+def test_csv_text_matches_the_row_renderer(width, n_rows, header, data):
+    # float64 columns take the flat dump, or the per-column path once one
+    # cell is odd; lists always take the per-column path
     rows = [data.draw(st.lists(_floats, min_size=width, max_size=width)) for _ in range(n_rows)]
-    names = [f"c{j}" for j in range(width)]
+    if rows and data.draw(st.booleans(), label="one odd cell"):
+        i, j = data.draw(st.integers(0, n_rows - 1)), data.draw(st.integers(0, width - 1))
+        rows[i][j] = data.draw(st.sampled_from(_ODD_FLOATS))
+    names = [f"c{j}" for j in range(width)] if header else []
     columns = [np.array([row[j] for row in rows], dtype=float) for j in range(width)]
     as_lists = [[row[j] for row in rows] for j in range(width)]
-    want = _rows_text(",".join(names), rows)
-    assert _csv_text(names, columns) == want
-    assert _csv_text(names, as_lists) == want
-    assert _csv_text(names, columns, "\r\n") == want.replace("\n", "\r\n")
+    assert (_float_lines(columns, "\n") is not None) == _flat(v for row in rows for v in row)
+    for end in ("\n", "\r\n"):
+        want = _rows_text(",".join(names), rows, end)
+        assert _csv_text(names, columns, end) == want
+        assert _csv_text(names, as_lists, end) == want
 
 
 @settings(max_examples=100, deadline=None)

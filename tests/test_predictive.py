@@ -1,12 +1,13 @@
 """Distribution families: CDFs against closed forms, quantile inversion, sampling."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from probleak import Empirical, Mixture, Normal, Poisson, StudentT
+from probleak import Empirical, Evidence, Mixture, Normal, Poisson, StudentT, TruncatedNormal, leakage
 
 
 def test_normal_cdf_matches_error_function():
@@ -136,6 +137,18 @@ def test_quantile_rejects_endpoints():
         d.quantile(0.0)
     with pytest.raises(ValueError):
         d.quantile(1.0)
+
+
+@pytest.mark.parametrize(
+    "dist", [Normal(0.0, 0.5), TruncatedNormal(0.0, 0.5, 0.0), StudentT(5.0, 0.0, 0.5)], ids=lambda d: d.family
+)
+def test_continuous_families_answer_past_float64s_range_without_a_warning(dist):
+    # (y - loc) / scale overflows at a finite y far from loc, where F is 0 or 1 and f is 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dist.cdf(1e308) == 1.0 and dist.cdf(-1e308) == 0.0
+        assert dist.density(1e308) == 0.0 and dist.density(-1e308) == 0.0
+        assert leakage(dist, Evidence.interval(0.0, 1e308)).leakage == pytest.approx(float(dist.cdf(0.0)))
 
 
 def test_continuous_has_no_atoms():

@@ -391,15 +391,18 @@ def test_encode_rejects_bad_points():
         predictive_at(fit(X, y, coding), {"x": 1.0, "site": "a", "bogus": 2.0})
     with pytest.raises(ModelError, match="row 0: unknown level 'z'"):
         coding.encode_rows({"x": [1.0], "site": ["z"]})
-    for bad, shown in ((None, "None"), ("abc", "'abc'"), ([1, 2], r"\[1, 2\]"), (math.inf, "inf")):
+    # in an object column, as a JSON --at point gives, a bool or a str is no
+    # number, though float() takes True and "1500"
+    for bad, shown in ((None, "None"), ("abc", "'abc'"), ([1, 2], r"\[1, 2\]"), (math.inf, "inf"),
+                       (True, "True"), ("1500", "'1500'")):
         column = np.array([0.5, None], dtype=object)
         column[1] = bad
         with pytest.raises(ModelError, match=rf"row 1: covariate 'x' needs a finite number, got {shown}$"):
             coding.encode_rows({"x": column, "site": ["a", "b"]})
-    # anything that converts to a finite float is a number
+    # ints and floats are numbers
     np.testing.assert_array_equal(
-        coding.encode_rows({"x": np.array(["1500", 5, True], dtype=object), "site": ["a", "b", "a"]}),
-        [[1.0, 1500.0, 0.0], [1.0, 5.0, 1.0], [1.0, 1.0, 0.0]],
+        coding.encode_rows({"x": np.array([1500, 5, 2.5], dtype=object), "site": ["a", "b", "a"]}),
+        [[1.0, 1500.0, 0.0], [1.0, 5.0, 1.0], [1.0, 2.5, 0.0]],
     )
 
 

@@ -62,16 +62,26 @@ def _odd_cells(values: np.ndarray) -> np.ndarray:
     return ((mag >= 1e-5) & (mag < 1e-4)) | ~np.isfinite(mag)
 
 
-def _repr_cells(values: np.ndarray) -> list[str]:
+def _odd_masks(columns) -> list:
+    """``_odd_cells`` of each column that is a 1-d float64 array, and None
+    for any other column."""
+    return [
+        _odd_cells(col) if isinstance(col, np.ndarray) and col.ndim == 1 and col.dtype == np.float64 else None
+        for col in columns
+    ]
+
+
+def _repr_cells(values: np.ndarray, odd: np.ndarray | None = None) -> list[str]:
     """``repr(float(v))`` for every cell of a 1-d float64 array, from one
     indented ``orjson.dumps`` call.
 
-    The ``_odd_cells`` are dumped as 0.0 and then replaced by their
-    ``repr``.
+    The ``_odd_cells``, ``odd`` when the caller has them, are dumped as 0.0
+    and then replaced by their ``repr``.
     """
     import orjson
 
-    odd = _odd_cells(values)
+    if odd is None:
+        odd = _odd_cells(values)
     option = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_INDENT_2
     text = _repr_exponents(orjson.dumps(np.where(odd, 0.0, values), option=option), _INDENTED_END)
     # "[\n  1.0,\n  2.5\n]": the cells lie between "[\n  " and "\n]"
@@ -98,22 +108,25 @@ def _csv_text(names, columns, end: str = "\n") -> str:
     float64 columns with no ``_odd_cells`` is written by ``_float_lines``
     from one flat dump. Any other table becomes text a column at a time, in
     one ``_csv_cells`` call each, and the rows are joined in C. Either way
-    no Python code runs per row.
+    no Python code runs per row, and each float column's ``_odd_cells`` are
+    found once.
     """
     alone = (len(names) or len(columns)) == 1
     header = [",".join(_csv_cells(names, alone))] if len(names) else []
-    body = _float_lines(columns, end)
+    odd = _odd_masks(columns)
+    body = _float_lines(columns, end, odd)
     if body is not None:
         return "".join(line + end for line in header) + body
-    cells = [_csv_cells(col, alone) for col in columns]
+    cells = [_csv_cells(col, alone, mask) for col, mask in zip(columns, odd)]
     text = end.join([*header, *map(",".join, zip(*cells))])
     return text + end if text else ""  # no line is empty: a lone empty cell is quoted
 
 
-def _float_lines(columns, end: str) -> str | None:
+def _float_lines(columns, end: str, odd: list | None = None) -> str | None:
     """The rows of ``columns`` as CSV lines, each ended by ``end``, or None
     unless every column is a 1-d float64 array and no cell is one of the
-    ``_odd_cells``.
+    ``_odd_cells``; ``odd`` is the columns' ``_odd_masks`` when the caller
+    has them.
 
     The rows, one after another, are one flat ``orjson.dumps``
     (``[1.0,2.5,...]``) whose exponents are spelled as ``repr`` spells them;
@@ -121,11 +134,9 @@ def _float_lines(columns, end: str) -> str | None:
     end, in one numpy step over the text's bytes.
     """
     columns = list(columns)
-    if not columns or not all(
-        isinstance(col, np.ndarray) and col.ndim == 1 and col.dtype == np.float64 for col in columns
-    ):
-        return None
-    if any(_odd_cells(col).any() for col in columns):
+    if odd is None:
+        odd = _odd_masks(columns)
+    if not columns or any(mask is None or mask.any() for mask in odd):
         return None
     flat = np.column_stack(columns).ravel()
     if not flat.size:
@@ -141,16 +152,17 @@ def _float_lines(columns, end: str) -> str | None:
     return (lines if end == "\n" else lines.replace(b"\n", end.encode())).decode("ascii")
 
 
-def _csv_cells(values, alone: bool) -> list[str]:
+def _csv_cells(values, alone: bool, odd: np.ndarray | None = None) -> list[str]:
     """The cells of a column or a row as ``csv.writer`` writes them:
     ``repr(float(v))`` for a float, ``str(v)`` otherwise, quoted where it
     quotes, which is for a delimiter, a quote or a line-end character, and
     for an empty cell ``alone`` on its row. A 1-d float64 or str array is
     formatted without a Python step per cell, and repr's digits, which hold
-    none of those characters, are never scanned for them."""
+    none of those characters, are never scanned for them; ``odd`` is a float
+    column's ``_odd_cells`` when the caller has them."""
     flat = isinstance(values, np.ndarray) and values.ndim == 1
     if flat and values.dtype.type is np.float64:
-        return _repr_cells(values)
+        return _repr_cells(values, odd)
     if flat and values.dtype.kind == "U":
         cells = values.tolist()
     else:

@@ -315,25 +315,34 @@ class ColumnCoding:
 
 def _finite_floats(col: np.ndarray, name: str, label: str) -> np.ndarray:
     """A numeric covariate column as floats; ModelError names the first row
-    whose entry is not a finite number. In an object column, such as a JSON
-    ``--at`` point's, a bool or a str is no number, though ``float`` takes
-    ``True`` and ``"3"``."""
-    not_numbers = (bool, str) if col.dtype == object else ()  # isinstance(v, ()) is False
+    whose entry is not a finite number. A bool or a text is no number,
+    though ``float`` takes ``True``, ``"3"`` and ``b"3"``: neither in a bool,
+    str or bytes column nor in an object column, such as a JSON ``--at``
+    point's. numpy makes every entry of a list that holds a text a text, so
+    in a str or bytes column the row named is the first whose text is not a
+    finite number, or else the first row."""
+    text = col.dtype.kind in "US"
+    not_numbers = () if text else (bool, str, bytes)
     try:
         values = np.asarray(col, dtype=float)
-        if values.ndim == 1 and np.isfinite(values).all():
+        if values.ndim == 1 and np.isfinite(values).all() and col.dtype.kind not in "bUS":
             if col.dtype != object or not any(isinstance(value, not_numbers) for value in col.flat):
                 return values
     except (TypeError, ValueError, OverflowError):  # text, sequences, or ints past float64
         pass
-    for i, value in enumerate(col.tolist()):
+    rows = col.tolist()
+    for i, value in enumerate(rows):
         try:
             if np.ndim(value) == 0 and not isinstance(value, not_numbers) and math.isfinite(float(value)):
                 continue
         except (TypeError, ValueError, OverflowError):
             pass
-        raise ModelError(f"{label} {i}: covariate {name!r} needs a finite number, got {value!r}")
-    raise ModelError(f"covariate {name!r} needs one finite number per {label}")
+        break
+    else:
+        if not (text and rows):
+            raise ModelError(f"covariate {name!r} needs one finite number per {label}")
+        i, value = 0, rows[0]  # each text reads as a finite number, but is text
+    raise ModelError(f"{label} {i}: covariate {name!r} needs a finite number, got {value!r}")
 
 
 def build_design(data: Dataset, spec: ModelSpec):

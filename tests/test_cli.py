@@ -346,11 +346,11 @@ def test_at_point_values_echo_with_their_own_json_text(capsys, tmp_path):
     result = fit_model(load_dataset(path), ModelSpec("y", ("a", "b", "c", "site")))
     profile = leakage_profile(result, Evidence.interval(0.0, np.inf), {
         "a": np.array([3, 4]), "b": np.array([2.5, 1.0]),
-        "c": np.array([True, False]), "site": np.array(["B", "A"]),
+        "c": np.array([1e-05, 0.5]), "site": np.array(["B", "A"]),
     })
     for report in profile:
-        assert [type(v) for v in report.x_star.values()] == [int, float, bool, str]
-    assert json.dumps(profile[0].x_star) == '{"a": 3, "b": 2.5, "c": true, "site": "B"}'
+        assert [type(v) for v in report.x_star.values()] == [int, float, float, str]
+    assert json.dumps(profile[0].x_star) == point
 
 
 def test_intercept_only_model_scores_its_one_empty_point(capsys, toy_csv, tmp_path):
@@ -1243,7 +1243,7 @@ _grids = st.one_of(
               st.sampled_from(_COUNT_TEXTS)),
 )
 _at_objects = st.one_of(
-    st.sampled_from(["{}", '{"x1": 0.5}', '{"bogus": 1}', *_ODD_JSON]),
+    st.sampled_from(["{}", '{"x1": 0.5}', '{"x1": false}', '{"x1": "0.5"}', '{"bogus": 1}', *_ODD_JSON]),
     st.builds('{{"x1": {}}}'.format, st.sampled_from(_JSON_TEXTS)),
 )
 _at_any = st.one_of(st.sampled_from(["medians", "minima"]), _at_objects)
@@ -1302,6 +1302,18 @@ def _support_in_domain(text):
     return False
 
 
+def _at_in_domain(text):
+    """medians, minima, or a JSON object whose every value is a number, not a
+    bool, that is finite as a float."""
+    if text in ("medians", "minima"):
+        return True
+    doc = _json(text)
+    return isinstance(doc, dict) and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(_number(str(v)))
+        for v in doc.values()
+    )
+
+
 def _grid_in_domain(text):
     bounds = text.partition("=")[2].split(":")
     if len(bounds) != 3 or _integer(bounds[2]) is None:
@@ -1318,7 +1330,7 @@ _IN_DOMAIN = {
     "--grid-points": lambda text: 2 <= (_integer(text) or 0) <= _MAX_GRID_POINTS,
     "--grid": _grid_in_domain,
     "--support": _support_in_domain,
-    "--at": lambda text: text in ("medians", "minima") or isinstance(_json(text), dict),
+    "--at": _at_in_domain,
     "--config": lambda text: isinstance(_json(text), dict),
     "--mode": lambda text: True,
 }

@@ -406,6 +406,21 @@ def test_encode_rejects_bad_points():
     )
 
 
+def test_bool_and_text_columns_are_no_numbers():
+    # numpy gives a bool, a str or a bytes value a column of its own kind,
+    # which np.asarray(dtype=float) still reads as 1.0 or 3.0
+    from probleak import Evidence, leakage_profile
+
+    result = hand_fit()
+    for bad, shown in ((True, "True"), (np.False_, "False"), ("3", "'3'"), (b"3", "b'3'")):
+        want = f"0: covariate 'x' needs a finite number, got {shown}$"
+        with pytest.raises(ModelError, match="^point " + want):
+            predictive_at(result, {"x": bad})
+        with pytest.raises(ModelError, match="^grid point " + want):
+            leakage_profile(result, Evidence.interval(0.0, math.inf), {"x": np.array([bad, bad])})
+    assert predictive_at(result, {"x": 3}).loc == predictive_at(result, {"x": 3.0}).loc
+
+
 # ---------------------------------------------------------------------------
 # fitting
 # ---------------------------------------------------------------------------

@@ -42,10 +42,13 @@ since one draw count cannot serve every row.
 
 All objects are immutable after construction and safe to share across
 threads. The memos, the CRPS terms that depend on Poisson's rate or Student
-t's df alone, are computed on first use from those immutable fields and
-stored on that instance only; two threads that race to fill one store equal
-values. Sampling takes its generator (or an integer seed) explicitly; there
-is no global random state anywhere in the package.
+t's df alone and the Poisson CDF F(k) at each count its scalar paths read,
+are computed on first use from those immutable fields and stored on that
+instance only; two threads that race to fill one store equal values. The
+F(k) memo keeps the first ``_POISSON_CDF_MEMO`` counts (threads that race
+at the cap can add one each past it) and computes any later count without
+keeping it. Sampling takes its generator (or an integer seed) explicitly;
+there is no global random state anywhere in the package.
 """
 
 from __future__ import annotations
@@ -72,6 +75,7 @@ __all__ = [
 
 _QUANTILE_PROB_TOL = 1e-12  # stop Newton polish below this CDF error
 _MIN_FEASIBLE_MASS = 1e-12  # least kept mass of a truncated normal
+_POISSON_CDF_MEMO = 4096  # most F(k) values one Poisson keeps
 
 
 def _scalar_or_array(values):
@@ -483,6 +487,9 @@ class Poisson(PredictiveDistribution):
     def __post_init__(self):
         if not (self.rate > 0.0 and np.isfinite(self.rate)):
             raise ValueError(f"rate must be positive, got {self.rate}")
+        # {count: F(count)} for _cdf_at; made here, where a cached_property's
+        # first read would cost about a microsecond more
+        object.__setattr__(self, "_cdf_memo", {})
 
     def _cdf(self, y):
         k = np.floor(y)
@@ -513,17 +520,16 @@ class Poisson(PredictiveDistribution):
         ``_crps_rate_terms``, which this instance computes once.
 
         One outcome as a Python float takes a float branch with the same
-        bits: F(k - 1) and F(k) come from one pdtr call on two points when
-        k >= 1, F(0) alone when k = 0 and no call below, and the rest is the
-        same arithmetic in the same order on floats.
+        bits: F(k - 1) and F(k) come from ``_cdf_at``, which keeps each F(k)
+        this instance has computed, so a count that outcomes repeat costs a
+        dict lookup; F below count 0 is 0.0 with no call, and the rest is
+        the same arithmetic in the same order on floats.
         """
         rate = self.rate
         if type(y) is float:
             k = float(math.floor(y))
-            if k >= 1.0:
-                below, at = special.pdtr([k - 1.0, k], rate).tolist()
-            else:
-                below, at = 0.0, (float(special.pdtr(0.0, rate)) if k == 0.0 else 0.0)
+            at = self._cdf_at(k) if k >= 0.0 else 0.0
+            below = self._cdf_at(k - 1.0) if k >= 1.0 else 0.0
         else:
             k = np.floor(y)
             at = special.pdtr(np.maximum(k, 0.0), rate) * (k >= 0.0)
@@ -547,6 +553,21 @@ class Poisson(PredictiveDistribution):
         if rate < 0.05:
             return float(rate * rate * np.polyval(_POISSON_EXCESS_SERIES, rate)), 0.0
         return rate, float(rate * (special.i0e(2.0 * rate) + special.i1e(2.0 * rate)))
+
+    def _cdf_at(self, k) -> float:
+        """F(k) at one count k >= 0 as a Python float: the bits of ``cdf(k)``.
+
+        The first ``_POISSON_CDF_MEMO`` counts asked for are kept on this
+        instance; a count past that is computed on every call, so no input
+        grows the memo without bound.
+        """
+        memo = self._cdf_memo
+        value = memo.get(k)
+        if value is None:
+            value = float(special.pdtr(float(k), self.rate))
+            if len(memo) < _POISSON_CDF_MEMO:
+                memo[k] = value
+        return value
 
     def _sample(self, n, rng):
         return rng.poisson(self.rate, size=n).astype(float)
@@ -582,22 +603,23 @@ class Poisson(PredictiveDistribution):
         # calls confirm it. Where it is off (pdtrik gives up from rates near
         # 1e11, and the CDF gets coarse there), a galloping search brackets
         # cdf(lo) < p <= cdf(hi) and bisection finishes, so the result is
-        # always the smallest k with cdf(k) >= p.
+        # always the smallest k with cdf(k) >= p. Every probe is a count
+        # k >= 0, read through _cdf_at.
         seed = special.pdtrik(p, self.rate)
         if not math.isfinite(seed):
             seed = self.rate + math.sqrt(self.rate) * special.ndtri(p)
         hi = max(math.ceil(seed), 0)
         lo, step = hi - 1, 1
-        while lo >= 0 and self.cdf(lo) >= p:
+        while lo >= 0 and self._cdf_at(lo) >= p:
             hi, lo = lo, lo - step
             step *= 2
         lo = max(lo, -1)  # cdf(-1) = 0 < p
-        while self.cdf(hi) < p:
+        while self._cdf_at(hi) < p:
             lo, hi = hi, hi + step
             step *= 2
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if self.cdf(mid) >= p:
+            if self._cdf_at(mid) >= p:
                 hi = mid
             else:
                 lo = mid

@@ -294,7 +294,12 @@ class ColumnCoding:
             if term[0] == "intercept":
                 X[:, j] = 1.0
             elif term[0] == "numeric":
-                X[:, j] = _finite_floats(cols[term[1]], term[1], label)
+                col = cols[term[1]]
+                if col.dtype.kind in "US" and not isinstance(columns[term[1]], np.ndarray):
+                    # numpy made every entry of a list that holds one text a
+                    # text: check the entries as the caller gave them
+                    col = np.asarray(columns[term[1]], dtype=object)
+                X[:, j] = _finite_floats(col, term[1], label)
             else:  # indicator
                 name, col = term[1], cols[term[1]].astype(str)
                 if col.ndim != 1:
@@ -318,9 +323,8 @@ def _finite_floats(col: np.ndarray, name: str, label: str) -> np.ndarray:
     whose entry is not a finite number. A bool or a text is no number,
     though ``float`` takes ``True``, ``"3"`` and ``b"3"``: neither in a bool,
     str or bytes column nor in an object column, such as a JSON ``--at``
-    point's. numpy makes every entry of a list that holds a text a text, so
-    in a str or bytes column the row named is the first whose text is not a
-    finite number, or else the first row."""
+    point's. A str or bytes column is an array of texts, so the row named
+    is the first whose text is not a finite number, or else the first row."""
     text = col.dtype.kind in "US"
     not_numbers = () if text else (bool, str, bytes)
     try:

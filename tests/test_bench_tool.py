@@ -50,7 +50,7 @@ class _Clock:
         return self.now
 
 
-def test_median_times_alternates_the_first_side_and_gives_one_median_per_side(monkeypatch):
+def test_quartile_times_alternates_the_first_side_and_gives_each_sides_quartiles(monkeypatch):
     clock, order = _Clock(), []
     monkeypatch.setattr(bench, "time", clock)
     head_costs = iter([3.0, 3.0, 100.0, 3.0, 3.0, 3.0])  # one slow call in round 1
@@ -63,9 +63,9 @@ def test_median_times_alternates_the_first_side_and_gives_one_median_per_side(mo
         order.append("head")
         clock.now += next(head_costs)
 
-    medians = bench.median_times(base, head, rounds=3, reps=2)
+    quartiles = bench.quartile_times(base, head, rounds=3, reps=2)
     assert order == ["base", "base", "head", "head", "head", "head", "base", "base",
                      "base", "base", "head", "head"]
-    # seconds per call, the median of each side's three timings: head's
-    # were 3.0, 51.5 and 3.0
-    assert medians == (1.0, 3.0)
+    # seconds per call, q1, median and q3 of each side's three timings:
+    # head's were 3.0, 51.5 and 3.0
+    assert quartiles == ([1.0, 1.0, 1.0], [3.0, 3.0, 27.25])

@@ -554,6 +554,37 @@ def test_calibration_report_mean_crps_over_cases_sharing_one_t():
     assert calibration_report(cases, seed=0).mean_crps == float(np.mean(scores))
 
 
+def test_calibration_report_mean_crps_over_runs_is_the_per_case_mean():
+    # a run of cases sharing a closed form is scored in one crps call over
+    # its outcomes, an empirical one case by case; the mean keeps the bits
+    # of one call per case
+    rng = np.random.default_rng(5)
+    runs = {
+        Poisson(17.5): [-2.0, 0.0, 3.5, 1e9, *rng.poisson(17.5, size=40).astype(float).tolist()],
+        TruncatedNormal(1.0, 2.0, lower=0.0): rng.uniform(0.0, 5.0, size=30).tolist(),
+        Empirical([0.0, 2.0, 2.0, 7.5]): [0.0, 2.0, 4.5],
+    }
+    cases = [ForecastCase(dist, y) for dist, ys in runs.items() for y in ys]
+    want = float(np.mean([crps(case.predictive, case.observed) for case in cases]))
+    with mock.patch.object(calibration, "crps", wraps=calibration.crps) as spy:
+        assert calibration_report(cases, seed=0).mean_crps == want
+    assert spy.call_count == 2 + 3
+
+
+def test_forecast_case_refuses_an_outcome_that_is_not_finite_or_misses_the_batch():
+    # the fast path for one finite float against one predictive leaves these
+    # to the full checks, with their messages
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"^observed value must be finite, got {bad}$"):
+            ForecastCase(Poisson(3.0), bad)
+    batch = Normal(np.zeros(3), 1.0)
+    with pytest.raises(ValueError, match=r"^observed has shape \(\), the predictive's batch has shape \(3,\)$"):
+        ForecastCase(batch, 0.5)
+    for dist in (Poisson(3.0), Normal(0.0, 1.0)):
+        for y in (0.5, np.float64(0.5), 1, np.array(0.5)):
+            assert type(ForecastCase(dist, y).observed) is float
+
+
 def test_calibration_report_json_and_curves():
     rep = calibration_report(_normal_cases(50, seed=22), seed=23)
     doc = rep.to_json()

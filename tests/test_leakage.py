@@ -339,6 +339,10 @@ def test_leakage_profile_labels_failing_point():
     e = Evidence.interval(0.0, math.inf)
     with pytest.raises(ModelError, match="grid point 1:"):
         leakage_profile(result, e, {"x": [0.0, "bogus"]})
+    # numpy makes every entry of a list that holds one text a text; the
+    # number 0.5 is still no text
+    with pytest.raises(ModelError, match="^grid point 1: covariate 'x' needs a finite number, got '3'$"):
+        leakage_profile(result, e, {"x": [0.5, "3"]})
 
 
 def test_mc_leakage_agrees_with_analytic():

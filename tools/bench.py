@@ -12,10 +12,12 @@ environment, as a user runs the CLI.
 import ast
 import gc
 import json
+import math
 import os
 import re
 import shutil
 import statistics
+import struct
 import subprocess
 import sys
 import tempfile
@@ -39,11 +41,11 @@ def code_lines(text: str) -> int:
                if i not in doc and line.strip() and not line.lstrip().startswith("#"))
 
 
-def median_times(base, head, rounds: int, reps: int = 1) -> tuple[float, float]:
-    """The median seconds per call of ``base()`` and of ``head()`` over
-    ``rounds`` interleaved rounds: each round times ``reps`` calls of one
-    side after a ``gc.collect()``, then the other's, and the side that goes
-    first alternates, base first in round 0."""
+def quartile_times(base, head, rounds: int, reps: int = 1) -> tuple[list, list]:
+    """The quartiles [q1, median, q3] of the seconds per call of ``base()``
+    and of ``head()`` over ``rounds`` interleaved rounds: each round times
+    ``reps`` calls of one side after a ``gc.collect()``, then the other's,
+    and the side that goes first alternates, base first in round 0."""
     calls, times = (base, head), ([], [])
     for i in range(rounds):
         for side in (0, 1) if i % 2 == 0 else (1, 0):
@@ -52,7 +54,7 @@ def median_times(base, head, rounds: int, reps: int = 1) -> tuple[float, float]:
             for _ in range(reps):
                 calls[side]()
             times[side].append((time.perf_counter() - start) / reps)
-    return statistics.median(times[0]), statistics.median(times[1])
+    return tuple(statistics.quantiles(side, n=4, method="inclusive") for side in times)
 
 
 def table(title: str, header, rows) -> None:
@@ -67,14 +69,18 @@ def table(title: str, header, rows) -> None:
 
 def timing_table(title, unit, rounds, calls, base, head, reps=None) -> None:
     """Time each row of ``calls(pkg)``, {row: call}, on both packages with
-    ``median_times``, ``reps[row]`` calls at a time, and print the medians
-    in ``unit`` and their ratio."""
+    ``quartile_times``, ``reps[row]`` calls at a time, and print each side's
+    median in ``unit`` with its quartiles, and the ratio of the medians."""
     scale, digits = {"ms": (1e3, 3), "µs": (1e6, 1)}[unit]
+
+    def cell(q1, median, q3):
+        return f"{median * scale:.{digits}f} ({q1 * scale:.{digits}f}–{q3 * scale:.{digits}f})"
+
     rows, head_calls = [], calls(head)
     for what, call in calls(base).items():
-        b, h = median_times(call, head_calls[what], rounds, (reps or {}).get(what, 1))
-        rows.append([what, f"{b * scale:.{digits}f}", f"{h * scale:.{digits}f}", f"{h / b:.3f}"])
-    table(f"{title}: median of {rounds} interleaved timings per call",
+        b, h = quartile_times(call, head_calls[what], rounds, (reps or {}).get(what, 1))
+        rows.append([what, cell(*b), cell(*h), f"{h[1] / b[1]:.3f}"])
+    table(f"{title}: median (q1–q3) of {rounds} interleaved timings per call",
           ["call", f"base, {unit}", f"head, {unit}", "head / base"], rows)
 
 
@@ -178,11 +184,31 @@ def input_and_output(base, head, work: Path) -> None:
     ])
 
 
+def poisson_values(pkg, counts) -> bytes:
+    """The bits of Poisson scores, quantiles and lattice leakages, over
+    rates on both sides of the CRPS's small-rate series and far past
+    count_audit's; each value from a fresh instance and again from one that
+    has scored the others."""
+    values = []
+    for rate in (0.01, 20.0, 3000.0, 1e5):
+        ys = [-2.0, 0.5, *(math.floor(rate + (y - 20.0) * rate**0.5 / 4.5) for y in counts), 1e9]
+        ps = (1e-13, 0.3, 0.5, 1.0 - 1e-13)
+        dist = pkg.Poisson(rate)
+        values += [pkg.crps(pkg.Poisson(rate), float(y)) for y in ys] + [pkg.crps(dist, float(y)) for y in ys]
+        values += [pkg.Poisson(rate).quantile(p) for p in ps] + [dist.quantile(p) for p in ps]
+        values += [pkg.leakage(dist, pkg.Evidence.lattice_support(*lattice)).leakage
+                   for lattice in ((0.0, math.inf, 1.0), (0.3, math.inf, 0.1), (5.0, 3.0 * rate + 10.0, 1.0))]
+    return struct.pack(f"{len(values)}d", *values)
+
+
 def scoring_and_fit(base, head) -> None:
-    # the scalar paths count_audit runs per op; fit at three design shapes
-    # (the call-center table's, an experiment arm's, leak_scan's) and one
-    # truncated experiment arm at the impossibility benchmark's holdout; then
-    # whether both sides give the same bits
+    # the scalar paths count_audit runs per op, each on a fresh Poisson as
+    # its op builds one, so that a memo on the instance is timed filling up;
+    # one fresh Poisson at rate 3000, where work set up per instance rather
+    # than per count would show; fit at three design shapes (the call-center
+    # table's, an experiment arm's, leak_scan's) and one truncated
+    # experiment arm at the impossibility benchmark's holdout; then whether
+    # both sides give the same bits
     import numpy as np
 
     counts = np.random.default_rng(1).poisson(20.0, size=200).astype(float).tolist()
@@ -196,8 +222,18 @@ def scoring_and_fit(base, head) -> None:
     def calls(pkg):
         dist, normal = pkg.Poisson(20.0), pkg.Normal(0.3, 1.2)
         lattice = pkg.Evidence.lattice_support(0.0, 1e5, 1.0)
+        decimal = pkg.Evidence.lattice_support(0.3, math.inf, 0.1)
+
+        def scores():
+            fresh = pkg.Poisson(20.0)
+            return [pkg.crps(fresh, y) for y in counts]
+
         return {
-            "200 `crps(Poisson, float)`": lambda: [pkg.crps(dist, y) for y in counts],
+            "200 `crps(Poisson, float)`, one fresh `Poisson(20.0)`": scores,
+            "`Poisson(20.0).quantile(1 - 1e-13)`, fresh": lambda: pkg.Poisson(20.0).quantile(1.0 - 1e-13),
+            "`leakage(Poisson(20.0), lattice(0.3, inf, 0.1))`, fresh":
+                lambda: pkg.leakage(pkg.Poisson(20.0), decimal),
+            "`crps(Poisson(3000.0), 3000.0)`, fresh": lambda: pkg.crps(pkg.Poisson(3000.0), 3000.0),
             "`ForecastCase(Normal, float)`": lambda: pkg.ForecastCase(normal, 0.7),
             "`never_falsifiable(Poisson, lattice(0, 1e5, 1))`":
                 lambda: pkg.never_falsifiable(dist, lattice),
@@ -216,7 +252,9 @@ def scoring_and_fit(base, head) -> None:
     for config in ("DEFAULT_TRUNCATED_CONFIG", "DEFAULT_CONTROL_CONFIG"):
         b, h = (pkg.impossibility_experiment(getattr(pkg, config), holdout_n=40) for pkg in (base, head))
         identical &= json.dumps(b.to_json()) == json.dumps(h.to_json()) and b.pits == h.pits
-    print("Identical β, s², `xtx_inverse` and report JSON on both sides:", "yes" if identical else "**no**")
+    identical &= poisson_values(base, counts) == poisson_values(head, counts)
+    print("Identical β, s², `xtx_inverse`, report JSON and Poisson scores, quantiles and leakages on both sides:",
+          "yes" if identical else "**no**")
 
 
 def main(base_tree: Path) -> None:

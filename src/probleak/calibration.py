@@ -86,15 +86,12 @@ class ForecastCase:
     observed: float | np.ndarray
 
     def __post_init__(self):
-        observed = self.observed
-        # one finite float against one predictive, the case a per-row loop
-        # builds, needs neither the conversion nor the shape check
-        if type(observed) is float and math.isfinite(observed) and _batch_shape(self.predictive) == ():
-            return
-        observed = _finite_outcome(observed, "observed value")
-        object.__setattr__(self, "observed", observed)
+        observed = _finite_outcome(self.observed, "observed value")
+        if observed is not self.observed:
+            object.__setattr__(self, "observed", observed)
         shape = _batch_shape(self.predictive)
-        if getattr(observed, "shape", ()) != shape:
+        # a float fits one predictive: the case a per-row loop builds needs no shape check
+        if (shape or type(observed) is not float) and getattr(observed, "shape", ()) != shape:
             raise ValueError(
                 f"observed has shape {np.shape(observed)}, "
                 f"the predictive's batch has shape {shape}"
@@ -148,9 +145,6 @@ def _pit_and_mean_crps(cases: Sequence[ForecastCase], seed, mean_crps: bool = Tr
     or mixes in, a Student t with df <= 1, which has no finite mean. A
     Student t's CRPS takes the F(y) its PIT evaluated, so each batch's t
     CDF is evaluated once; the scores have the bits ``crps`` gives them.
-    A run of cases that share one predictive with a closed-form CRPS is
-    scored in one call over the run's outcomes, which gives each outcome
-    the bits of its own call.
     """
     if not cases:
         raise ValueError("need at least one forecast case")
@@ -165,10 +159,7 @@ def _pit_and_mean_crps(cases: Sequence[ForecastCase], seed, mean_crps: bool = Tr
             scores.append(np.ravel(dist._crps_given_cdf(y, u)))
         elif scores is not None:
             try:
-                if hasattr(dist, "_crps"):
-                    scores.append(np.ravel(crps(dist, y)))
-                else:  # the step sum and quadrature score one outcome per call
-                    scores += [np.ravel(crps(dist, case.observed)) for case in run]
+                scores += [np.ravel(crps(case.predictive, case.observed)) for case in run]
             except ModelError:  # raised only by _require_finite_mean
                 scores = None
         if dist.kind == "discrete":

@@ -42,13 +42,14 @@ since one draw count cannot serve every row.
 
 All objects are immutable after construction and safe to share across
 threads. The memos, the CRPS terms that depend on Poisson's rate or Student
-t's df alone and the Poisson CDF F(k) at each count its scalar paths read,
-are computed on first use from those immutable fields and stored on that
-instance only; two threads that race to fill one store equal values. The
-F(k) memo keeps the first ``_POISSON_CDF_MEMO`` counts (threads that race
-at the cap can add one each past it) and computes any later count without
-keeping it. Sampling takes its generator (or an integer seed) explicitly;
-there is no global random state anywhere in the package.
+t's df alone and the Poisson CDF pair F(k - 1), F(k) at each count the
+scalar CRPS reads, are computed on first use from those immutable fields
+and stored on that instance only; two threads that race to fill one store
+equal values. The pair memo holds at most ``_POISSON_CDF_MEMO`` counts
+(threads that race at the cap can add one each past it) and computes any
+count that finds it full without keeping it. Sampling takes its generator
+(or an integer seed) explicitly; there is no global random state anywhere
+in the package.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ __all__ = [
 
 _QUANTILE_PROB_TOL = 1e-12  # stop Newton polish below this CDF error
 _MIN_FEASIBLE_MASS = 1e-12  # least kept mass of a truncated normal
-_POISSON_CDF_MEMO = 4096  # most F(k) values one Poisson keeps
+_POISSON_CDF_MEMO = 4096  # most counts whose CDF pair one Poisson keeps
 
 
 def _scalar_or_array(values):
@@ -487,8 +488,8 @@ class Poisson(PredictiveDistribution):
     def __post_init__(self):
         if not (self.rate > 0.0 and np.isfinite(self.rate)):
             raise ValueError(f"rate must be positive, got {self.rate}")
-        # {count: F(count)} for _cdf_at; made here, where a cached_property's
-        # first read would cost about a microsecond more
+        # {count: (F(count - 1), F(count))} for _crps; made here, where a
+        # cached_property's first read would cost about a microsecond more
         object.__setattr__(self, "_cdf_memo", {})
 
     def _cdf(self, y):
@@ -520,16 +521,25 @@ class Poisson(PredictiveDistribution):
         ``_crps_rate_terms``, which this instance computes once.
 
         One outcome as a Python float takes a float branch with the same
-        bits: F(k - 1) and F(k) come from ``_cdf_at``, which keeps each F(k)
-        this instance has computed, so a count that outcomes repeat costs a
-        dict lookup; F below count 0 is 0.0 with no call, and the rest is
-        the same arithmetic in the same order on floats.
+        bits: F(k - 1) and F(k) come from one pdtr call on two points when
+        k >= 1, F(0) alone when k = 0 and no call below. The pair is kept
+        per count on this instance, up to ``_POISSON_CDF_MEMO`` counts, so a
+        count that outcomes repeat costs one dict lookup; the rest is the
+        same arithmetic in the same order on floats.
         """
         rate = self.rate
         if type(y) is float:
             k = float(math.floor(y))
-            at = self._cdf_at(k) if k >= 0.0 else 0.0
-            below = self._cdf_at(k - 1.0) if k >= 1.0 else 0.0
+            memo = self._cdf_memo
+            pair = memo.get(k)
+            if pair is None:
+                if k >= 1.0:
+                    pair = special.pdtr([k - 1.0, k], rate).tolist()
+                else:
+                    pair = 0.0, (float(special.pdtr(0.0, rate)) if k == 0.0 else 0.0)
+                if len(memo) < _POISSON_CDF_MEMO:
+                    memo[k] = pair
+            below, at = pair
         else:
             k = np.floor(y)
             at = special.pdtr(np.maximum(k, 0.0), rate) * (k >= 0.0)
@@ -553,21 +563,6 @@ class Poisson(PredictiveDistribution):
         if rate < 0.05:
             return float(rate * rate * np.polyval(_POISSON_EXCESS_SERIES, rate)), 0.0
         return rate, float(rate * (special.i0e(2.0 * rate) + special.i1e(2.0 * rate)))
-
-    def _cdf_at(self, k) -> float:
-        """F(k) at one count k >= 0 as a Python float: the bits of ``cdf(k)``.
-
-        The first ``_POISSON_CDF_MEMO`` counts asked for are kept on this
-        instance; a count past that is computed on every call, so no input
-        grows the memo without bound.
-        """
-        memo = self._cdf_memo
-        value = memo.get(k)
-        if value is None:
-            value = float(special.pdtr(float(k), self.rate))
-            if len(memo) < _POISSON_CDF_MEMO:
-                memo[k] = value
-        return value
 
     def _sample(self, n, rng):
         return rng.poisson(self.rate, size=n).astype(float)
@@ -604,22 +599,27 @@ class Poisson(PredictiveDistribution):
         # 1e11, and the CDF gets coarse there), a galloping search brackets
         # cdf(lo) < p <= cdf(hi) and bisection finishes, so the result is
         # always the smallest k with cdf(k) >= p. Every probe is a count
-        # k >= 0, read through _cdf_at.
-        seed = special.pdtrik(p, self.rate)
+        # k >= 0, so it calls pdtr on one float, not the array surface.
+        rate = self.rate
+
+        def cdf(k):
+            return special.pdtr(float(k), rate)
+
+        seed = special.pdtrik(p, rate)
         if not math.isfinite(seed):
-            seed = self.rate + math.sqrt(self.rate) * special.ndtri(p)
+            seed = rate + math.sqrt(rate) * special.ndtri(p)
         hi = max(math.ceil(seed), 0)
         lo, step = hi - 1, 1
-        while lo >= 0 and self._cdf_at(lo) >= p:
+        while lo >= 0 and cdf(lo) >= p:
             hi, lo = lo, lo - step
             step *= 2
         lo = max(lo, -1)  # cdf(-1) = 0 < p
-        while self._cdf_at(hi) < p:
+        while cdf(hi) < p:
             lo, hi = hi, hi + step
             step *= 2
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if self._cdf_at(mid) >= p:
+            if cdf(mid) >= p:
                 hi = mid
             else:
                 lo = mid

@@ -37,12 +37,6 @@ class Observation:
         if self.resolution is not None and not self.resolution > 0.0:
             raise ValueError(f"resolution must be positive, got {self.resolution}")
 
-    def window(self) -> tuple[float, float]:
-        if self.resolution is None:
-            raise ValueError("interval_event mode requires observations with a resolution")
-        half = 0.5 * self.resolution
-        return self.value - half, self.value + half
-
 
 @dataclass(frozen=True)
 class FalsificationVerdict:

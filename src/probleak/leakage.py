@@ -41,7 +41,6 @@ __all__ = [
     "parse_support",
 ]
 
-_INF = float("inf")
 _LATTICE_RTOL = 1e-9  # membership slack for float lattice arithmetic
 _ENUMERATE_LIMIT = 10_000_000  # most lattice points possible_values will list
 
@@ -180,30 +179,6 @@ class Evidence:
         if self.description:
             doc["description"] = self.description
         return doc
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "Evidence":
-        def bound(v, sign):
-            if v is None:
-                return sign * _INF
-            return float(v)
-
-        kind = doc.get("kind")
-        description = doc.get("description", "")
-        if kind == "continuous_support":
-            ivals = tuple((bound(a, -1), bound(b, +1)) for a, b in doc["intervals"])
-            return cls(kind, intervals=ivals, description=description)
-        if kind == "discrete_support":
-            if "values" in doc:
-                return cls(kind, values=tuple(doc["values"]), description=description)
-            lat = doc["lattice"]
-            upper = lat.get("upper")
-            return cls(
-                kind,
-                lattice=(lat["lower"], _INF if upper is None else upper, lat["step"]),
-                description=description,
-            )
-        raise ValueError(f"unknown evidence kind {kind!r}")
 
 
 _SUPPORT_RE = re.compile(

@@ -31,8 +31,10 @@ a value either way.
 
 Student-t CDFs go through the regularized incomplete beta function so tail
 probabilities keep relative accuracy. Normal and Student-t quantiles are
-closed forms (``ndtri``, ``stdtrit``); quantiles of a continuous mixture are
-found by bracketed bisection on the CDF refined with Newton steps.
+closed forms (``ndtri``, ``stdtrit``). A continuous mixture's quantile is
+found by bisection between its components' quantiles on the order of the
+doubles, not on their values, so it ends at adjacent floats: the smallest
+double whose CDF reaches p.
 
 Normal, Student t and the truncated normal also take array ``loc`` (and the
 first two array ``scale``): such an object is a batch with one predictive per
@@ -55,6 +57,7 @@ in the package.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -74,7 +77,6 @@ __all__ = [
     "Empirical",
 ]
 
-_QUANTILE_PROB_TOL = 1e-12  # stop Newton polish below this CDF error
 _MIN_FEASIBLE_MASS = 1e-12  # least kept mass of a truncated normal
 _POISSON_CDF_MEMO = 4096  # most counts whose CDF pair one Poisson keeps
 
@@ -171,55 +173,33 @@ class PredictiveDistribution:
         return None
 
 
-def _expand_bracket(cdf, p, lo, hi):
-    """Grow [lo, hi] geometrically until cdf(lo) < p <= cdf(hi)."""
-    width = max(hi - lo, 1e-8)
-    for _ in range(200):
-        if cdf(hi) >= p:
-            break
-        hi += width
-        width *= 2.0
-    else:
-        raise RuntimeError("failed to bracket quantile from above")
-    width = max(hi - lo, 1e-8)
-    for _ in range(200):
-        if cdf(lo) < p:
-            break
-        lo -= width
-        width *= 2.0
-    else:
-        raise RuntimeError("failed to bracket quantile from below")
-    return lo, hi
-
-
-def _invert_cdf(cdf, pdf, p, lo, hi):
-    """Bisection on a monotone CDF refined by Newton steps.
-
-    Maintains cdf(lo) < p <= cdf(hi); the returned point satisfies
-    |cdf(y) - p| <= 1e-12 whenever the density is not vanishingly small.
+def _order_key(bits: int) -> int:
+    """Map a double's bits, read as an int64, to a key that sorts as the
+    doubles compare, with adjacent doubles on adjacent keys (-0.0 and 0.0
+    share key 0). The map is its own inverse: it takes a key back to bits.
     """
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # interval collapsed to adjacent floats
-            break
-        if cdf(mid) >= p:
-            hi = mid
+    return bits if bits >= 0 else -(2**63) - bits
+
+
+def _invert_cdf(cdf, p, lo, hi):
+    """The smallest double y <= hi with cdf(y) >= p, given cdf(lo) < p (lo
+    may be -inf), or hi itself where cdf stays below p up to hi.
+
+    The bisection halves the interval of order keys, not of values, so at
+    most 64 halvings reach adjacent floats from any bracket, however wide.
+    """
+
+    def double(key):
+        return struct.unpack("<d", struct.pack("<q", _order_key(key)))[0]
+
+    a, b = (_order_key(struct.unpack("<q", struct.pack("<d", x))[0]) for x in (lo, hi))
+    while b - a > 1:
+        mid = (a + b) // 2
+        if cdf(double(mid)) >= p:
+            b = mid
         else:
-            lo = mid
-    y = hi
-    for _ in range(4):
-        err = cdf(y) - p
-        if abs(err) <= _QUANTILE_PROB_TOL:
-            break
-        slope = pdf(y)
-        if not np.isfinite(slope) or slope <= 0.0:
-            break
-        step = err / slope
-        y_new = y - step
-        if not (lo <= y_new <= hi):
-            break
-        y = y_new
-    return float(y)
+            a = mid
+    return double(b)
 
 
 # ---------------------------------------------------------------------------
@@ -764,19 +744,20 @@ class Mixture(PredictiveDistribution):
         return False if verdicts == {False} else None
 
     def atoms_between(self, lo, hi):
-        return np.unique(np.concatenate([c.atoms_between(lo, hi) for c in self.components]))
+        return np.unique(np.concatenate([c.atoms_between(lo, hi) for c in self._weighted_parts()]))
 
     def _quantile(self, p):
         # The mixture p-quantile lies between the smallest and largest
         # component p-quantiles: a bracket for bisection, a window of
-        # candidate atoms for a discrete mixture.
+        # candidate atoms for a discrete mixture. Rounding in the weighted
+        # CDF can put it below the smallest (the bracket then opens to -inf)
+        # or keep the CDF below p at the largest, which is then the answer.
         qs = [c.quantile(p) for c in self.components]
+        lo, hi = min(qs), max(qs)
+        if self.cdf_left(lo) >= p:
+            return _invert_cdf(self.cdf, p, -math.inf, hi)
         if self.kind == "continuous":
-            lo, hi = _expand_bracket(self.cdf, p, min(qs), max(qs))
-            return _invert_cdf(self.cdf, self.density, p, lo, hi)
-        atoms = self.atoms_between(min(qs), max(qs))
-        cdf_vals = np.asarray(self.cdf(atoms))
-        hit = np.nonzero(cdf_vals >= p)[0]
-        if hit.size == 0:  # the weighted CDF can round to just below p at the quantile
-            return float(max(qs))
-        return float(atoms[hit[0]])
+            return _invert_cdf(self.cdf, p, lo, hi)
+        atoms = self.atoms_between(lo, hi)
+        hit = np.nonzero(np.asarray(self.cdf(atoms)) >= p)[0]
+        return float(atoms[hit[0]] if hit.size else hi)

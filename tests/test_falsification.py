@@ -24,11 +24,7 @@ from probleak import (
 from probleak import falsification
 
 
-def test_observation_window():
-    obs = Observation(2.0, resolution=0.5)
-    assert obs.window() == (1.75, 2.25)
-    with pytest.raises(ValueError, match="resolution"):
-        Observation(2.0).window()
+def test_observation_resolution_must_be_positive():
     with pytest.raises(ValueError):
         Observation(2.0, resolution=0.0)
     with pytest.raises(ValueError):
@@ -323,8 +319,9 @@ def _loop_verdict(dist, obs, mode, resolution=None):
                 return FalsificationVerdict(falsified=True, mode=mode, witness=o)
         return FalsificationVerdict(falsified=False, mode=mode)
     for o in observations:
-        lo, hi = o.window()
-        if not dist.has_mass(lo, hi):
+        if o.resolution is None:
+            raise ValueError("interval_event mode requires observations with a resolution")
+        if not dist.has_mass(o.value - o.resolution / 2, o.value + o.resolution / 2):
             return FalsificationVerdict(falsified=True, mode=mode, witness=o)
     return FalsificationVerdict(falsified=False, mode=mode)
 

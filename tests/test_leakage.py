@@ -115,18 +115,31 @@ def test_unbounded_lattice_cannot_be_enumerated():
         e.possible_values()
 
 
-def test_evidence_json_round_trip():
+def test_evidence_json_documents():
+    # an infinite end is null, a lattice is an object, and a description
+    # appears only when it is set
     cases = [
-        Evidence.interval(0.0, math.inf),
-        Evidence.interval(-math.inf, 2.0, description="upper bounded"),
-        Evidence.interval_union([(0.0, 1.0), (5.0, math.inf)]),
-        Evidence.finite_set([1.0, 4.0]),
-        Evidence.lattice_support(0.0, math.inf, 1.0),
-        Evidence.lattice_support(0.0, 12.0, 0.5),
+        (Evidence.interval(0.0, math.inf), {"kind": "continuous_support", "intervals": [[0.0, None]]}),
+        (
+            Evidence.interval(-math.inf, 2.0, description="upper bounded"),
+            {"kind": "continuous_support", "intervals": [[None, 2.0]], "description": "upper bounded"},
+        ),
+        (
+            Evidence.interval_union([(0.0, 1.0), (5.0, math.inf)]),
+            {"kind": "continuous_support", "intervals": [[0.0, 1.0], [5.0, None]]},
+        ),
+        (Evidence.finite_set([4.0, 1.0]), {"kind": "discrete_support", "values": [1.0, 4.0]}),
+        (
+            Evidence.lattice_support(0.0, math.inf, 1.0),
+            {"kind": "discrete_support", "lattice": {"lower": 0.0, "upper": None, "step": 1.0}},
+        ),
+        (
+            Evidence.lattice_support(0.0, 12.0, 0.5),
+            {"kind": "discrete_support", "lattice": {"lower": 0.0, "upper": 12.0, "step": 0.5}},
+        ),
     ]
-    for e in cases:
-        back = Evidence.from_json(e.to_json())
-        assert back == e
+    for e, doc in cases:
+        assert e.to_json() == doc
 
 
 def test_parse_support_forms():

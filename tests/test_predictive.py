@@ -5,9 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from probleak import Empirical, Evidence, Mixture, Normal, Poisson, StudentT, TruncatedNormal, leakage
+from probleak.predictive import _invert_cdf
 
 
 def test_normal_cdf_matches_error_function():
@@ -414,6 +417,9 @@ def test_discrete_mixture_atoms():
     assert not mix.has_atom(0.7)
     np.testing.assert_array_equal(mix.atoms_between(0.0, 2.0), [0.0, 0.5, 1.0, 2.0])
     assert mix.density(0.5) == pytest.approx(0.5, abs=1e-12)
+    # a component of weight zero has no atoms in the mixture, as has_atom says
+    unweighted = Mixture([Poisson(rate=1.0), Empirical([0.5])], [1.0, 0.0])
+    np.testing.assert_array_equal(unweighted.atoms_between(0.0, 2.0), [0.0, 1.0, 2.0])
 
 
 def test_discrete_mixture_quantile_survives_a_weighted_cdf_that_rounds_below_p():
@@ -431,3 +437,62 @@ def test_mixture_sampling_and_quantile():
     assert abs(np.mean(draws < 0) - 0.5) < 0.05
     q = mix.quantile(0.5)
     assert abs(mix.cdf(q) - 0.5) < 1e-10
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(allow_nan=False).filter(lambda x: x > -math.inf))
+@example(-0.0)
+@example(5e-324)
+def test_cdf_inversion_reaches_any_double_from_the_widest_bracket(x):
+    # a step CDF at x: the smallest double where it reaches p is x itself
+    # (0.0 for -0.0), found from (-inf, inf] in at most 64 CDF calls
+    calls = []
+
+    def cdf(y):
+        calls.append(y)
+        return float(y >= x)
+
+    assert _invert_cdf(cdf, 0.5, -math.inf, math.inf) == x
+    assert len(calls) <= 64
+
+
+_CONTINUOUS_PARTS = st.one_of(
+    st.builds(Normal, st.floats(-50.0, 50.0), st.floats(0.01, 50.0)),
+    st.builds(StudentT, st.floats(0.5, 1e6), st.floats(-50.0, 50.0), st.floats(0.01, 50.0)),
+    st.builds(
+        lambda loc, scale, a: TruncatedNormal(loc, scale, lower=loc + a * scale),
+        st.floats(-50.0, 50.0), st.floats(0.01, 50.0), st.floats(-5.0, 5.0),
+    ),
+)
+_DISCRETE_PARTS = st.one_of(
+    st.builds(Poisson, st.floats(0.01, 1e3)),
+    st.builds(Empirical, st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=6)),
+)
+
+
+@st.composite
+def _mixtures(draw):
+    """Mixtures of one to three parts of one kind, some weights zero."""
+    parts = draw(st.sampled_from([_CONTINUOUS_PARTS, _DISCRETE_PARTS]).flatmap(
+        lambda kind: st.lists(kind, min_size=1, max_size=3)))
+    raw = draw(st.lists(st.floats(0.0, 1.0), min_size=len(parts), max_size=len(parts)).filter(any))
+    return Mixture(parts, [w / sum(raw) for w in raw])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mixtures(), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+# the float below the value 64 halvings of the bracket [-2.63, 2.63] reached
+# (-1.03e-16) also has cdf >= 0.5
+@example(Mixture([StudentT(0.5), Normal(0.0, 1.0)], [0.5, 0.5]), 0.5)
+# the weights sum to 1 - 1e-13 < p: no y has cdf(y) >= p, and the largest
+# component quantile is the answer for either kind
+@example(Mixture([StudentT(0.5), Normal(0.0, 1.0)], [0.5, 0.5 - 1e-13]), 1.0 - 1e-14)
+@example(Mixture([Poisson(1.0), Empirical([0.5])], [0.5, 0.5 - 1e-13]), 1.0 - 1e-14)
+# each component's CDF at 51 is below p, but their weighted sum rounds up to p
+@example(Mixture([Poisson(13.0), Poisson(13.0)], [0.8, 0.2]), 0.9999999999999998)
+def test_mixture_quantile_is_the_smallest_double_whose_cdf_reaches_p(mix, p):
+    q = mix.quantile(p)
+    if mix.cdf(q) >= p:
+        assert mix.cdf(math.nextafter(q, -math.inf)) < p
+    else:  # rounding keeps the weighted CDF below p
+        assert q == max(c.quantile(p) for c in mix.components)

@@ -205,13 +205,15 @@ def scoring_and_fit(base, head) -> None:
     # the scalar paths count_audit runs per op, each on a fresh Poisson as
     # its op builds one, so that a memo on the instance is timed filling up;
     # one fresh Poisson at rate 3000, where work set up per instance rather
-    # than per count would show; fit at three design shapes (the call-center
-    # table's, an experiment arm's, leak_scan's) and one truncated
-    # experiment arm at the impossibility benchmark's holdout; then whether
-    # both sides give the same bits
+    # than per count would show; a two-component continuous mixture's
+    # quantile at four levels, each a search over the mixture's CDF; fit at
+    # three design shapes (the call-center table's, an experiment arm's,
+    # leak_scan's) and one truncated experiment arm at the impossibility
+    # benchmark's holdout; then whether both sides give the same bits
     import numpy as np
 
     counts = np.random.default_rng(1).poisson(20.0, size=200).astype(float).tolist()
+    mixture_row = "`Mixture([Normal, StudentT]).quantile(p)`, p in {0.001, 0.3, 0.5, 0.999}"
     rng = np.random.default_rng(1)
     designs, fit_reps = {}, {}
     for n, p, count in ((104, 4, 200), (2000, 2, 200), (20000, 3, 20)):
@@ -221,6 +223,7 @@ def scoring_and_fit(base, head) -> None:
 
     def calls(pkg):
         dist, normal = pkg.Poisson(20.0), pkg.Normal(0.3, 1.2)
+        mixture = pkg.Mixture([pkg.Normal(0.0, 1.0), pkg.StudentT(3.0, 2.0, 0.5)], [0.3, 0.7])
         lattice = pkg.Evidence.lattice_support(0.0, 1e5, 1.0)
         decimal = pkg.Evidence.lattice_support(0.3, math.inf, 0.1)
 
@@ -235,6 +238,7 @@ def scoring_and_fit(base, head) -> None:
                 lambda: pkg.leakage(pkg.Poisson(20.0), decimal),
             "`crps(Poisson(3000.0), 3000.0)`, fresh": lambda: pkg.crps(pkg.Poisson(3000.0), 3000.0),
             "`ForecastCase(Normal, float)`": lambda: pkg.ForecastCase(normal, 0.7),
+            mixture_row: lambda: [mixture.quantile(p) for p in (0.001, 0.3, 0.5, 0.999)],
             "`never_falsifiable(Poisson, lattice(0, 1e5, 1))`":
                 lambda: pkg.never_falsifiable(dist, lattice),
             **{what: (lambda X=X, y=y: pkg.fit(X, y)) for what, (X, y) in designs.items()},
@@ -242,7 +246,7 @@ def scoring_and_fit(base, head) -> None:
                 lambda: pkg.impossibility_experiment(pkg.DEFAULT_TRUNCATED_CONFIG, holdout_n=40),
         }
 
-    reps = {**dict.fromkeys(calls(head), 20), "`ForecastCase(Normal, float)`": 2000, **fit_reps}
+    reps = {**dict.fromkeys(calls(head), 20), "`ForecastCase(Normal, float)`": 2000, mixture_row: 5, **fit_reps}
     timing_table("Scalar scoring, `fit` and one impossibility arm", "µs", 21, calls, base, head, reps)
     identical = True
     for X, y in designs.values():

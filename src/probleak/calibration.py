@@ -48,7 +48,6 @@ from scipy import special
 from ._text import _csv_text
 from .exceptions import ModelError
 from .predictive import Mixture, PredictiveDistribution, StudentT, _batch_shape, _scalar_or_array
-from .predictive import _empirical_quantile  # one order-statistic rule, shared with Empirical
 
 __all__ = [
     "CalibrationReport",
@@ -119,6 +118,19 @@ def _finite_outcome(y, what: str):
     return y
 
 
+def _empirical_quantile(pool: np.ndarray, p) -> np.ndarray:
+    """Order-statistic quantiles of a sorted pool, elementwise and total on
+    p in [0, 1]: the ceil(p n)-th smallest value, with 1e-9 of slack so that
+    a p n that rounds just above an integer stays on it.
+
+    This is the calibration curves' rule, not ``Empirical.quantile``'s: at
+    a p just above i / n it can give the i-th value, whose empirical CDF
+    is below p.
+    """
+    idx = np.ceil(np.asarray(p) * pool.size - 1e-9).astype(np.int64) - 1
+    return pool[np.clip(idx, 0, pool.size - 1)]
+
+
 def _pooled(cases: Sequence[ForecastCase]) -> np.ndarray:
     if not cases:
         raise ValueError("need at least one forecast case")
@@ -148,7 +160,9 @@ def _pit_and_mean_crps(cases: Sequence[ForecastCase], seed, mean_crps: bool = Tr
     """
     if not cases:
         raise ValueError("need at least one forecast case")
-    rng = np.random.default_rng(seed)
+    if not isinstance(seed, (np.random.Generator, np.random.BitGenerator, np.random.SeedSequence)):
+        seed = np.random.SeedSequence(seed)  # a bad seed raises here, whatever the cases
+    rng = None  # built at the first discrete run, from the same seed sequence
     out, scores = [], [] if mean_crps else None
     for _, run in itertools.groupby(cases, key=lambda case: id(case.predictive)):
         run = list(run)
@@ -163,6 +177,8 @@ def _pit_and_mean_crps(cases: Sequence[ForecastCase], seed, mean_crps: bool = Tr
             except ModelError:  # raised only by _require_finite_mean
                 scores = None
         if dist.kind == "discrete":
+            if rng is None:
+                rng = np.random.default_rng(seed)
             u = u + rng.uniform(size=y.size) * np.asarray(dist.density(y), dtype=float)
         out.append(np.ravel(u))
     mean = float(np.mean(np.concatenate(scores))) if scores is not None else None

@@ -130,12 +130,27 @@ class Evidence:
         else:
             lo, hi, step = self.lattice
             k = np.round((y - lo) / step)
-            atol = _LATTICE_RTOL * max(1.0, abs(lo), step)
+            atol = self._lattice_atol()
             on_grid = np.abs(y - (lo + k * step)) <= atol + _LATTICE_RTOL * np.abs(y)
             mask = on_grid & (k >= 0) & (y <= hi + atol)
         if y.ndim == 0:
             return bool(mask)
         return mask
+
+    def _lattice_atol(self) -> float:
+        """The absolute part of a lattice's membership slack."""
+        lo, _, step = self.lattice
+        return _LATTICE_RTOL * max(1.0, abs(lo), step)
+
+    def _lattice_window(self) -> tuple[float, float]:
+        """A closed range holding every value ``contains`` accepts on a
+        lattice. A point sits within atol + 1e-9 |y| of some lo + k step,
+        k >= 0, which is lo or above; below lo, |y| is at most about
+        |lo| + atol, and 1e-9 |lo| is at most atol. So lo - 3 atol bounds it
+        from below, and the upper bound is the one ``contains`` tests.
+        """
+        atol = self._lattice_atol()
+        return self.lattice[0] - 3.0 * atol, self.lattice[1] + atol
 
     def possible_values(self) -> np.ndarray:
         """Enumerate a finite discrete support; raises for continuous evidence,
@@ -259,8 +274,12 @@ def leakage(dist: PredictiveDistribution, e: Evidence, x_star=None) -> LeakageRe
     intervals, plus the mass above the last, all from CDF values (an atom on
     an interval end counts as inside). One interval is the case with no
     gaps. Continuous predictive vs discrete evidence: exactly 1 with the
-    complete flag set. Discrete vs discrete: one minus the pmf sum over the
-    possible values.
+    complete flag set. Discrete vs a finite set: one minus the pmf sum over
+    the set's values. Discrete vs a lattice: the mass of the atoms that
+    ``Evidence.contains`` rejects, summed directly by the family (for a
+    Poisson, from pdtr and pdtrc over the runs of consecutive counts off the
+    lattice), so nothing cancels against 1: every count on the lattice gives
+    exactly 0.
     """
     if dist.kind == "continuous" and e.kind == "discrete_support":
         return LeakageReport(
@@ -287,13 +306,7 @@ def leakage(dist: PredictiveDistribution, e: Evidence, x_star=None) -> LeakageRe
     elif e.values is not None:
         total = _clip_unit(1.0 - float(np.sum(dist.density(np.asarray(e.values)))))
     else:
-        # Float lattice points lo + k*step can miss atoms by an ulp, and a fine
-        # lattice has far more points than the predictive has atoms. So take
-        # the atoms up to the predictive's far tail (mass beyond counts as
-        # leakage, < 1e-12) and test them as mc_leakage does, with contains.
-        lo, hi, _ = e.lattice
-        atoms = dist.atoms_between(lo, min(hi, dist.quantile(1.0 - 1e-13)))
-        total = _clip_unit(1.0 - float(np.sum(dist.density(atoms[e.contains(atoms)]))))
+        total = min(max(dist._mass_off_lattice(e), 0.0), 1.0)  # a float: np.clip costs more than the mass
     return LeakageReport(total, 0.0, 0.0, total, e, x_star)
 
 

@@ -19,12 +19,18 @@ that works on arrays, and gives a 0-d answer back as a float or a bool. A
 family supplies ``_cdf``, ``_logdensity`` (``density`` is its exp, unless
 the family overrides ``_density``, as the mixture's weighted sum and the
 empirical counts do), ``_quantile`` and ``_sample``; a discrete family also
-``_cdf_left``, ``_has_atom`` and ``_has_mass``, and may decide
-``_atoms_on_lattice`` (is every point of a lattice an atom?) without listing
-the points, as Poisson does, and a mixture from its weighted components. A
-continuous family has no atoms, and has mass exactly where a window meets
-``support()`` with positive length, so it overrides ``support()`` only where
-that is narrower than the whole line. Families with a closed-form CRPS
+``_cdf_left``, ``_has_atom``, ``_has_mass`` and ``_mass_off_lattice`` (the
+mass of the atoms that lattice evidence rules out, summed directly, never as
+one minus the mass on it), and may decide ``_atoms_on_lattice`` (is every
+point of a lattice an atom?) without listing the points, as Poisson does,
+and a mixture from its weighted components. Poisson answers both lattice
+questions from one helper, ``_count_stride``: the exact integer arithmetic
+that says how far apart the lattice's counts lie, so that a lattice of
+integer points, or one holding every count from its lower end up, is
+decided without listing a point. A continuous family has no atoms, and has
+mass exactly where a window meets ``support()`` with positive length, so it
+overrides ``support()`` only where that is narrower than the whole line.
+Families with a closed-form CRPS
 define ``_crps``, which ``calibration.crps`` calls with a float array or, for
 one outcome, a Python float: one body serves both and gives the same bits for
 a value either way.
@@ -452,6 +458,27 @@ def _truncnorm_inverse(u, loc, scale, lower, fa=None):
 # ---------------------------------------------------------------------------
 
 
+def _count_stride(lo: float, step: float) -> int | None:
+    """The distance between consecutive counts on the lattice lo + step * k,
+    k >= 0, where exact integer arithmetic decides it: ``step`` for an
+    integer lo and an integer step, and 1 for step the double nearest 1/m
+    and lo the double nearest j/m (integers m >= 1 and j, |j| <= 2**52), so
+    that every count from lo up is a lattice point. None otherwise.
+
+    ``Evidence.contains`` agrees with the stride 1 at every count: a count
+    is at most a few ulps from its lattice point, far inside the membership
+    slack, and a count below lo lies a whole step or more below it.
+    """
+    if not abs(lo) <= 2.0**53:
+        return None
+    if lo == math.floor(lo) and step == math.floor(step):
+        return int(step)
+    m = round(1.0 / step) if step >= 2.0**-52 else 0
+    if m >= 1 and step == 1.0 / m and abs(lo * m) <= 2.0**52 and round(lo * m) / m == lo:
+        return 1
+    return None
+
+
 # coefficients of rate^(m+1), m = 10 down to 1, in Poisson._crps's small-rate series
 _POISSON_EXCESS_SERIES = [
     (-1) ** (m + 1) * math.comb(2 * m, m) / math.factorial(m + 1) for m in range(10, 0, -1)
@@ -556,13 +583,57 @@ class Poisson(PredictiveDistribution):
 
     def _atoms_on_lattice(self, lo, step, count):
         # The first point is lo itself. With an integer lo >= 0, an integer
-        # step and the last point at most 2**53, every product and sum is an
+        # step (the stride between the lattice's counts is then the step)
+        # and the last point at most 2**53, every product and sum is an
         # exact integer, so every point is a count.
         if not (lo >= 0.0 and lo == math.floor(lo)):
             return False
-        if count == 1 or (step == math.floor(step) and lo + step * (count - 1) <= 2.0**53):
+        if count == 1 or (_count_stride(lo, step) == step and lo + step * (count - 1) <= 2.0**53):
             return True
         return None
+
+    def _mass_off_lattice(self, e):
+        """P(Y is no point of the lattice evidence ``e``): the mass of the
+        runs of consecutive counts that ``e.contains`` rejects, each run's
+        from pdtr or pdtrc, whichever side of it holds less, so no term
+        cancels against 1.
+
+        Where every count from lo up to the upper end is a lattice point
+        (``_count_stride`` 1), the runs are the counts below and above those
+        and no count is listed. Otherwise the counts in
+        ``e._lattice_window()`` between the 2**-53 and the 1 - 2**-53
+        quantiles are tested one by one; those below the window are off, and
+        the mass outside the quantiles, at most 2**-52, counts as off.
+        """
+        rate = self.rate
+        lo, _, step = e.lattice
+        least, greatest = e._lattice_window()
+        last = math.floor(greatest) if math.isfinite(greatest) else math.inf
+        stride = _count_stride(lo, step)
+        # the first count on the lattice, or else the first that contains can accept
+        first = max(math.ceil(lo if stride == 1 else least), 0)
+        if last < first:
+            return 1.0
+        if stride == 1:
+            below = float(special.pdtr(first - 1, rate)) if first >= 1 else 0.0
+            return below + (float(special.pdtrc(last, rate)) if last < math.inf else 0.0)
+        start = min(last, max(first, self._quantile(2.0**-53)))
+        top = min(last, max(start, self._quantile(1.0 - 2.0**-53)))
+        # off[i] is whether count start - 1 + i is off the lattice; the ends
+        # stand for the counts below start (if any) and above top
+        off = np.concatenate(([start > 0], ~e.contains(np.arange(start, top + 1.0)), [True]))
+        runs = np.flatnonzero(off & ~np.concatenate(([False], off[:-1])))
+        ends = np.flatnonzero(off & ~np.concatenate((off[1:], [False])))
+        below = np.where(runs > 0, start - 2.0 + runs, -1.0)  # the count under each run
+        at_below = np.maximum(below, 0.0)
+        cdf_below = np.where(below >= 0.0, special.pdtr(at_below, rate), 0.0)
+        sf_below = np.where(below >= 0.0, special.pdtrc(at_below, rate), 1.0)
+        tail = ends == off.size - 1
+        at_end = np.where(tail, 0.0, start - 1.0 + ends)  # each run's last count
+        cdf_end = np.where(tail, 1.0, special.pdtr(at_end, rate))
+        sf_end = np.where(tail, 0.0, special.pdtrc(at_end, rate))
+        mass = np.where(cdf_end <= sf_below, cdf_end - cdf_below, sf_below - sf_end)
+        return float(np.sum(mass))
 
     def atoms_between(self, lo: float, hi: float) -> np.ndarray:
         """Integer support points in [lo, hi]; both bounds must be finite."""
@@ -606,14 +677,6 @@ class Poisson(PredictiveDistribution):
         return float(hi)
 
 
-def _empirical_quantile(pool: np.ndarray, p) -> np.ndarray:
-    """Order-statistic quantiles of a sorted pool, elementwise and total on
-    p in [0, 1]: the ceil(p n)-th smallest value, with 1e-9 of slack so that
-    a p n that rounds just above an integer stays on it."""
-    idx = np.ceil(np.asarray(p) * pool.size - 1e-9).astype(np.int64) - 1
-    return pool[np.clip(idx, 0, pool.size - 1)]
-
-
 @dataclass(frozen=True)
 class Empirical(PredictiveDistribution):
     """Step-function distribution of observed values (each atom gets mass 1/n)."""
@@ -655,8 +718,19 @@ class Empirical(PredictiveDistribution):
         uniq = np.unique(self._obs)
         return uniq[(uniq >= lo) & (uniq <= hi)]
 
+    def _mass_off_lattice(self, e):
+        return np.count_nonzero(~e.contains(self._obs)) / self._obs.size
+
     def _quantile(self, p):
-        return float(_empirical_quantile(self._obs, p))
+        # the atom at the least i with i / n >= p, in floats as _cdf divides:
+        # its CDF reaches p, and no smaller atom's does
+        n = self._obs.size
+        i = math.ceil(p * n)  # that i, or next to it where p * n rounds across an integer
+        if i / n < p:
+            i += 1
+        elif (i - 1) / n >= p:
+            i -= 1
+        return float(self._obs[i - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -745,6 +819,9 @@ class Mixture(PredictiveDistribution):
 
     def atoms_between(self, lo, hi):
         return np.unique(np.concatenate([c.atoms_between(lo, hi) for c in self._weighted_parts()]))
+
+    def _mass_off_lattice(self, e):
+        return math.fsum(w * c._mass_off_lattice(e) for w, c in zip(self.weights, self.components) if w > 0.0)
 
     def _quantile(self, p):
         # The mixture p-quantile lies between the smallest and largest

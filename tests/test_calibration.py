@@ -69,6 +69,28 @@ def test_pit_is_seed_deterministic():
     assert not np.array_equal(pit(cases, seed=8), pit(cases, seed=9))
 
 
+@pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.5, TypeError), ("x", TypeError)])
+def test_a_bad_seed_raises_though_no_case_draws(seed, error):
+    # the generator is built at the first discrete case only; the seed is
+    # checked where it enters, as default_rng checks it
+    continuous = [ForecastCase(Normal(0.0, 1.0), 0.3)] * 3
+    with pytest.raises(error):
+        pit(continuous, seed)
+    with pytest.raises(error):
+        calibration_report(continuous, seed)
+
+
+def test_a_generator_bit_generator_or_seed_sequence_seeds_the_same_stream():
+    d = Poisson(rate=3.0)
+    cases = [ForecastCase(Normal(0.0, 1.0), 0.3), *(ForecastCase(d, float(k)) for k in (0, 1, 2))]
+    want = pit(cases, seed=8)
+    for seed in (np.random.default_rng(8), np.random.PCG64(8), np.random.SeedSequence(8)):
+        np.testing.assert_array_equal(pit(cases, seed), want)
+    rng = np.random.default_rng(8)
+    pit(cases, rng)  # a Generator is drawn from as given: the next call continues its stream
+    assert rng.uniform() == np.random.default_rng(8).uniform(size=4)[3]
+
+
 def _pit_case_by_case(cases, seed):
     """The per-case loop that the grouped ``pit`` replaced, kept as its oracle."""
     rng = np.random.default_rng(seed)

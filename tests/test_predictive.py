@@ -373,6 +373,22 @@ def test_empirical_quantile_and_samples():
     assert set(np.unique(draws)) <= {10.0, 20.0, 30.0}
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(-5, 5).map(float), min_size=1, max_size=40),
+    st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+              st.tuples(st.integers(1, 39), st.integers(1, 40), st.sampled_from([-1e-10, 1e-10, 1e-16]))
+              .map(lambda t: t[0] / t[1] + t[2]).filter(lambda p: 0.0 < p < 1.0)),
+)
+@example([0.0, 1.0, 2.0], 1.0 / 3.0 + 1e-10)
+def test_empirical_quantile_is_the_smallest_atom_whose_cdf_reaches_p(obs, p):
+    d = Empirical(obs)
+    q = d.quantile(p)
+    below = [y for y in d.observations if y < q]
+    assert d.cdf(q) >= p
+    assert not below or d.cdf(max(below)) < p
+
+
 def test_empirical_rejects_empty_and_nonfinite():
     with pytest.raises(ValueError):
         Empirical([])

@@ -184,32 +184,75 @@ def input_and_output(base, head, work: Path) -> None:
     ])
 
 
+POISSON_RATES = (0.01, 20.0, 3000.0, 1e5)  # both sides of the CRPS's small-rate series, and far past count_audit's
+
+
 def poisson_values(pkg, counts) -> bytes:
-    """The bits of Poisson scores, quantiles and lattice leakages, over
-    rates on both sides of the CRPS's small-rate series and far past
-    count_audit's; each value from a fresh instance and again from one that
-    has scored the others."""
+    """The bits of Poisson scores and quantiles over ``POISSON_RATES``;
+    each value from a fresh instance and again from one that has scored
+    the others."""
     values = []
-    for rate in (0.01, 20.0, 3000.0, 1e5):
+    for rate in POISSON_RATES:
         ys = [-2.0, 0.5, *(math.floor(rate + (y - 20.0) * rate**0.5 / 4.5) for y in counts), 1e9]
         ps = (1e-13, 0.3, 0.5, 1.0 - 1e-13)
         dist = pkg.Poisson(rate)
         values += [pkg.crps(pkg.Poisson(rate), float(y)) for y in ys] + [pkg.crps(dist, float(y)) for y in ys]
         values += [pkg.Poisson(rate).quantile(p) for p in ps] + [dist.quantile(p) for p in ps]
-        values += [pkg.leakage(dist, pkg.Evidence.lattice_support(*lattice)).leakage
-                   for lattice in ((0.0, math.inf, 1.0), (0.3, math.inf, 0.1), (5.0, 3.0 * rate + 10.0, 1.0))]
     return struct.pack(f"{len(values)}d", *values)
+
+
+def mp_mass_off(rate: float, contains):
+    """The Poisson(rate) mass of the counts that ``contains`` rejects, as a
+    40-digit mpmath sum over every count whose pmf can reach 1e-330, each
+    pmf carried from the first by a recurrence."""
+    import mpmath as mp
+    import numpy as np
+
+    with mp.workdps(40):
+        r = mp.mpf(rate)
+        first = max(0, math.floor(rate - 40.0 * math.sqrt(rate) - 40.0))
+        last = math.ceil(rate + 45.0 * math.sqrt(rate) + 200.0)
+        off = ~contains(np.arange(first, last + 1, dtype=float))
+        pmf, total = mp.exp(first * mp.log(r) - r - mp.loggamma(first + 1)), mp.mpf(0)
+        for count, is_off in zip(range(first, last + 1), off):
+            if is_off:
+                total += pmf
+            pmf = pmf * r / (count + 1)
+        return total
+
+
+def lattice_leakages(base, head) -> None:
+    """Each side's Poisson leakage at ``POISSON_RATES`` on four lattices:
+    every count, the counts from 1 (as lattice(0.3, inf, 0.1)), the counts
+    within a few standard deviations of the rate, and the even counts. Each
+    is shown as its error from a 40-digit mpmath sum: relative, or absolute
+    where the exact value is 0."""
+    rows = []
+    for rate in POISSON_RATES:
+        near = (float(max(math.floor(rate - 2.0 * rate**0.5), 0)), math.floor(rate + 3.0 * rate**0.5) + 1.0, 1.0)
+        for lattice in ((0.0, math.inf, 1.0), (0.3, math.inf, 0.1), near, (0.0, math.inf, 2.0)):
+            exact = mp_mass_off(rate, head.Evidence.lattice_support(*lattice).contains)
+            errors = []
+            for pkg in (base, head):
+                got = pkg.leakage(pkg.Poisson(rate), pkg.Evidence.lattice_support(*lattice)).leakage
+                errors.append(f"{float(abs(got - exact) / exact if exact else abs(got)):.1e}")
+            rows.append([f"{rate:g}", f"lattice{lattice}", f"{float(exact):.6e}", *errors])
+    table("Poisson lattice leakage against 40-digit mpmath (error: relative, or absolute where 0)",
+          ["rate", "evidence", "exact", "base error", "head error"], rows)
 
 
 def scoring_and_fit(base, head) -> None:
     # the scalar paths count_audit runs per op, each on a fresh Poisson as
     # its op builds one, so that a memo on the instance is timed filling up;
     # one fresh Poisson at rate 3000, where work set up per instance rather
-    # than per count would show; a two-component continuous mixture's
-    # quantile at four levels, each a search over the mixture's CDF; fit at
-    # three design shapes (the call-center table's, an experiment arm's,
-    # leak_scan's) and one truncated experiment arm at the impossibility
-    # benchmark's holdout; then whether both sides give the same bits
+    # than per count would show; lattice leakage at rate 20,000, where a
+    # cost that grows with the counts a lattice holds would show; a
+    # two-component continuous mixture's quantile at four levels, each a
+    # search over the mixture's CDF; fit at three design shapes (the
+    # call-center table's, an experiment arm's, leak_scan's) and one
+    # truncated experiment arm at the impossibility benchmark's holdout;
+    # then whether both sides give the same bits, and each side's lattice
+    # leakages against mpmath
     import numpy as np
 
     counts = np.random.default_rng(1).poisson(20.0, size=200).astype(float).tolist()
@@ -226,6 +269,7 @@ def scoring_and_fit(base, head) -> None:
         mixture = pkg.Mixture([pkg.Normal(0.0, 1.0), pkg.StudentT(3.0, 2.0, 0.5)], [0.3, 0.7])
         lattice = pkg.Evidence.lattice_support(0.0, 1e5, 1.0)
         decimal = pkg.Evidence.lattice_support(0.3, math.inf, 0.1)
+        integers = pkg.Evidence.lattice_support(0.0, math.inf, 1.0)
 
         def scores():
             fresh = pkg.Poisson(20.0)
@@ -236,6 +280,8 @@ def scoring_and_fit(base, head) -> None:
             "`Poisson(20.0).quantile(1 - 1e-13)`, fresh": lambda: pkg.Poisson(20.0).quantile(1.0 - 1e-13),
             "`leakage(Poisson(20.0), lattice(0.3, inf, 0.1))`, fresh":
                 lambda: pkg.leakage(pkg.Poisson(20.0), decimal),
+            "`leakage(Poisson(20000.0), lattice(0, inf, 1))`, fresh":
+                lambda: pkg.leakage(pkg.Poisson(20000.0), integers),
             "`crps(Poisson(3000.0), 3000.0)`, fresh": lambda: pkg.crps(pkg.Poisson(3000.0), 3000.0),
             "`ForecastCase(Normal, float)`": lambda: pkg.ForecastCase(normal, 0.7),
             mixture_row: lambda: [mixture.quantile(p) for p in (0.001, 0.3, 0.5, 0.999)],
@@ -257,8 +303,10 @@ def scoring_and_fit(base, head) -> None:
         b, h = (pkg.impossibility_experiment(getattr(pkg, config), holdout_n=40) for pkg in (base, head))
         identical &= json.dumps(b.to_json()) == json.dumps(h.to_json()) and b.pits == h.pits
     identical &= poisson_values(base, counts) == poisson_values(head, counts)
-    print("Identical β, s², `xtx_inverse`, report JSON and Poisson scores, quantiles and leakages on both sides:",
+    print("Identical β, s², `xtx_inverse`, report JSON and Poisson scores and quantiles on both sides:",
           "yes" if identical else "**no**")
+    print()
+    lattice_leakages(base, head)
 
 
 def main(base_tree: Path) -> None:

@@ -125,8 +125,8 @@ def never_falsifiable(dist: PredictiveDistribution, e: Evidence) -> bool:
     Requires a discrete model and finitely enumerable discrete evidence: the
     model must put an atom on every value ``e.possible_values()`` lists. A
     Poisson against a lattice is decided without listing them, from the
-    lattice's lower end, step and point count, wherever every listed point
-    is sure to be a nonnegative integer or the first one is not, and so is
+    lattice's lower end and step, wherever every listed point is sure to
+    be a nonnegative integer or the first one is not, and so is
     a mixture that one weighted component decides True, or all decide
     False; other families, finite sets and the remaining lattices are
     checked point by point, a lattice a block of points at a time, so the
@@ -140,11 +140,11 @@ def never_falsifiable(dist: PredictiveDistribution, e: Evidence) -> bool:
         return False
     if e.lattice is None:
         return bool(np.all(dist.has_atom(e.possible_values())))
-    lo, _, step = e.lattice
     count = e._lattice_count()
-    verdict = dist._atoms_on_lattice(lo, step, count)
+    verdict = dist._atoms_on_lattice(e)
     if verdict is not None:
         return verdict
+    lo, _, step = e.lattice
     # the points of possible_values, lo + step * k, bit for bit
     return all(
         np.all(dist.has_atom(lo + step * np.arange(k, min(k + _LATTICE_BLOCK, count))))

@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 _LATTICE_RTOL = 1e-9  # membership slack for float lattice arithmetic
-_ENUMERATE_LIMIT = 10_000_000  # most lattice points possible_values will list
+_ENUMERATE_LIMIT = 10_000_000  # most lattice points or counts listed at once
 
 
 @dataclass(frozen=True)
@@ -142,15 +142,50 @@ class Evidence:
         lo, _, step = self.lattice
         return _LATTICE_RTOL * max(1.0, abs(lo), step)
 
-    def _lattice_window(self) -> tuple[float, float]:
-        """A closed range holding every value ``contains`` accepts on a
-        lattice. A point sits within atol + 1e-9 |y| of some lo + k step,
-        k >= 0, which is lo or above; below lo, |y| is at most about
-        |lo| + atol, and 1e-9 |lo| is at most atol. So lo - 3 atol bounds it
-        from below, and the upper bound is the one ``contains`` tests.
+    def _held_counts(self, bulk):
+        """The counts, integers >= 0, that ``contains`` accepts: a pair
+        ``(first, last)`` where they are every count from first to last
+        (last may be inf), else a sorted float array.
+
+        A finite set gives its members that are counts. A lattice holds
+        every count from lo up where exact integer arithmetic says so: an
+        integer lo, |lo| <= 2**53, with step 1, or step the double nearest
+        1/m and lo the double nearest j/m (integers m >= 1 and j,
+        |j| <= 2**52). A count is then a few ulps from its lattice point,
+        far inside the membership slack, and a count below lo lies a whole
+        step below it. Any other lattice lists the counts ``contains``
+        accepts between the ends of ``bulk()``, outside which the caller
+        takes every count as rejected, and raises for more than 1e7 counts
+        to test. ``contains`` accepts no count below lo - 3 atol, since a
+        point sits within atol + 1e-9 |y| of some lo + k step, k >= 0, and
+        1e-9 |y| is at most atol there, and none above hi + atol, the bound
+        it tests.
         """
+        if self.values is not None:
+            members = np.asarray(self.values)
+            return members[(members >= 0.0) & (members == np.floor(members))]
+        lo, hi, step = self.lattice
         atol = self._lattice_atol()
-        return self.lattice[0] - 3.0 * atol, self.lattice[1] + atol
+        last = math.floor(hi + atol) if math.isfinite(hi) else math.inf
+        m = round(1.0 / step) if step >= 2.0**-52 else 0
+        every = abs(lo) <= 2.0**53 and (
+            (lo == math.floor(lo) and step == 1.0)
+            or (m >= 1 and step == 1.0 / m and abs(lo * m) <= 2.0**52 and round(lo * m) / m == lo)
+        )
+        first = max(math.ceil(lo if every else lo - 3.0 * atol), 0)
+        if last < first:
+            return np.empty(0)
+        if every:
+            return first, last
+        q_lo, q_hi = bulk()
+        start = min(last, max(first, q_lo))
+        top = min(last, max(start, q_hi))
+        if top - start >= _ENUMERATE_LIMIT:
+            raise ValueError(
+                f"lattice has {int(top - start) + 1} counts to test, above the {_ENUMERATE_LIMIT} limit"
+            )
+        counts = np.arange(float(start), top + 1.0)  # float: start may be an int past int64
+        return counts[self.contains(counts)]
 
     def possible_values(self) -> np.ndarray:
         """Enumerate a finite discrete support; raises for continuous evidence,
@@ -274,12 +309,13 @@ def leakage(dist: PredictiveDistribution, e: Evidence, x_star=None) -> LeakageRe
     intervals, plus the mass above the last, all from CDF values (an atom on
     an interval end counts as inside). One interval is the case with no
     gaps. Continuous predictive vs discrete evidence: exactly 1 with the
-    complete flag set. Discrete vs a finite set: one minus the pmf sum over
-    the set's values. Discrete vs a lattice: the mass of the atoms that
-    ``Evidence.contains`` rejects, summed directly by the family (for a
-    Poisson, from pdtr and pdtrc over the runs of consecutive counts off the
-    lattice), so nothing cancels against 1: every count on the lattice gives
-    exactly 0.
+    complete flag set. Discrete vs a finite set or a lattice: the mass of
+    the atoms that ``Evidence.contains`` rejects, summed directly by the
+    family (for a Poisson, from pdtr and pdtrc over the gaps between the
+    counts the evidence holds), so nothing cancels against 1: evidence that
+    holds every count gives exactly 0. A Poisson against a lattice whose
+    counts are listed (any lattice that does not hold every count from its
+    lower end up) raises where more than 1e7 counts lie in its bulk.
     """
     if dist.kind == "continuous" and e.kind == "discrete_support":
         return LeakageReport(
@@ -302,11 +338,8 @@ def leakage(dist: PredictiveDistribution, e: Evidence, x_star=None) -> LeakageRe
         total = _clip_unit(outside)
         if e.is_single_interval:
             return LeakageReport(total, below, above, 0.0, e, x_star)
-    # discrete predictive vs discrete evidence
-    elif e.values is not None:
-        total = _clip_unit(1.0 - float(np.sum(dist.density(np.asarray(e.values)))))
-    else:
-        total = min(max(dist._mass_off_lattice(e), 0.0), 1.0)  # a float: np.clip costs more than the mass
+    else:  # discrete predictive vs discrete evidence
+        total = min(max(dist._mass_off(e), 0.0), 1.0)  # a float: np.clip costs more than the mass
     return LeakageReport(total, 0.0, 0.0, total, e, x_star)
 
 

@@ -11,25 +11,25 @@ public surface, so downstream code never branches on family:
     density(y)    pdf for continuous families, pmf for discrete
     quantile(p)   smallest y with cdf(y) >= p, for p in (0, 1)
     support()     smallest closed interval holding all the mass
-    has_atom(y)   P(Y = y) > 0, decided from the support, never by underflow
-    has_mass(lo, hi)  P(lo <= Y <= hi) > 0, decided the same way
+    has_mass(lo, hi)  P(lo <= Y <= hi) > 0, decided from the support, never by underflow
+    has_atom(y)   P(Y = y) > 0: has_mass(y, y), a window of zero width
 
 The base class converts the points once to a float array, calls a hook
 that works on arrays, and gives a 0-d answer back as a float or a bool. A
 family supplies ``_cdf``, ``_logdensity`` (``density`` is its exp, unless
 the family overrides ``_density``, as the mixture's weighted sum and the
 empirical counts do), ``_quantile`` and ``_sample``; a discrete family also
-``_cdf_left``, ``_has_atom``, ``_has_mass`` and ``_mass_off_lattice`` (the
-mass of the atoms that lattice evidence rules out, summed directly, never as
-one minus the mass on it), and may decide ``_atoms_on_lattice`` (is every
-point of a lattice an atom?) without listing the points, as Poisson does,
-and a mixture from its weighted components. Poisson answers both lattice
-questions from one helper, ``_count_stride``: the exact integer arithmetic
-that says how far apart the lattice's counts lie, so that a lattice of
-integer points, or one holding every count from its lower end up, is
-decided without listing a point. A continuous family has no atoms, and has
-mass exactly where a window meets ``support()`` with positive length, so it
-overrides ``support()`` only where that is narrower than the whole line.
+``_cdf_left``, ``_has_mass`` and ``_mass_off`` (the mass of the atoms that
+discrete evidence rules out, summed directly, never as one minus the mass
+on it), and may decide ``_atoms_on_lattice`` (is every point of lattice
+evidence an atom?) without listing the points, as Poisson does, and a
+mixture from its weighted components. Poisson sums its mass off the
+evidence over the gaps between the counts that ``Evidence._held_counts``
+says the evidence holds, so neither a finite set nor a lattice of every
+count from its lower end up lists a count. A continuous family has no
+atoms, and has mass exactly where a window meets ``support()`` with
+positive length, so it overrides ``support()`` only where that is narrower
+than the whole line.
 Families with a closed-form CRPS
 define ``_crps``, which ``calibration.crps`` calls with a float array or, for
 one outcome, a Python float: one body serves both and gives the same bits for
@@ -151,11 +151,8 @@ class PredictiveDistribution:
         return -math.inf, math.inf
 
     def has_atom(self, y):
-        """True iff P(Y = y) > 0, elementwise, from the family's exact support."""
-        y = np.asarray(y, dtype=float)
-        if self.kind == "continuous":
-            return _bool_or_array(np.zeros(y.shape, dtype=bool))
-        return _bool_or_array(self._has_atom(y))
+        """True iff P(Y = y) > 0, elementwise: ``has_mass(y, y)``."""
+        return self.has_mass(y, y)
 
     def has_mass(self, lo, hi):
         """True iff P(lo <= Y <= hi) > 0, elementwise, decided structurally.
@@ -169,9 +166,10 @@ class PredictiveDistribution:
             return _bool_or_array(np.maximum(lo, s_lo) < np.minimum(hi, s_hi))
         return _bool_or_array(self._has_mass(lo, hi))
 
-    def _atoms_on_lattice(self, lo: float, step: float, count: int) -> bool | None:
-        """Whether the float points lo + step * k, k < count, are all atoms,
-        decided without listing them; None leaves it to the enumeration.
+    def _atoms_on_lattice(self, e) -> bool | None:
+        """Whether the float points lo + step * k that bounded lattice
+        evidence ``e`` lists are all atoms, decided without listing them;
+        None leaves it to the enumeration.
 
         A family says False only where the first point, lo, is no atom, so
         a mixture whose components all say False has no atom there either.
@@ -458,27 +456,6 @@ def _truncnorm_inverse(u, loc, scale, lower, fa=None):
 # ---------------------------------------------------------------------------
 
 
-def _count_stride(lo: float, step: float) -> int | None:
-    """The distance between consecutive counts on the lattice lo + step * k,
-    k >= 0, where exact integer arithmetic decides it: ``step`` for an
-    integer lo and an integer step, and 1 for step the double nearest 1/m
-    and lo the double nearest j/m (integers m >= 1 and j, |j| <= 2**52), so
-    that every count from lo up is a lattice point. None otherwise.
-
-    ``Evidence.contains`` agrees with the stride 1 at every count: a count
-    is at most a few ulps from its lattice point, far inside the membership
-    slack, and a count below lo lies a whole step or more below it.
-    """
-    if not abs(lo) <= 2.0**53:
-        return None
-    if lo == math.floor(lo) and step == math.floor(step):
-        return int(step)
-    m = round(1.0 / step) if step >= 2.0**-52 else 0
-    if m >= 1 and step == 1.0 / m and abs(lo * m) <= 2.0**52 and round(lo * m) / m == lo:
-        return 1
-    return None
-
-
 # coefficients of rate^(m+1), m = 10 down to 1, in Poisson._crps's small-rate series
 _POISSON_EXCESS_SERIES = [
     (-1) ** (m + 1) * math.comb(2 * m, m) / math.factorial(m + 1) for m in range(10, 0, -1)
@@ -506,10 +483,10 @@ class Poisson(PredictiveDistribution):
         return np.where(np.isposinf(y), 1.0, out)
 
     def _cdf_left(self, y):
-        return self._cdf(np.where(self._has_atom(y), y - 1.0, y))
+        return self._cdf(np.where(self._has_mass(y, y), y - 1.0, y))
 
     def _logdensity(self, y):
-        atom = self._has_atom(y)
+        atom = self._has_mass(y, y)
         k = np.where(atom, y, 0.0)
         return np.where(atom, k * math.log(self.rate) - self.rate - special.gammaln(k + 1.0), -np.inf)
 
@@ -574,64 +551,46 @@ class Poisson(PredictiveDistribution):
     def _sample(self, n, rng):
         return rng.poisson(self.rate, size=n).astype(float)
 
-    def _has_atom(self, y):
-        return np.isfinite(y) & (np.floor(y) == y) & (y >= 0.0)
-
     def _has_mass(self, lo, hi):
         first = np.ceil(np.maximum(lo, 0.0))  # the first count in the window, if finite
         return np.isfinite(first) & (first <= np.floor(hi))
 
-    def _atoms_on_lattice(self, lo, step, count):
-        # The first point is lo itself. With an integer lo >= 0, an integer
-        # step (the stride between the lattice's counts is then the step)
-        # and the last point at most 2**53, every product and sum is an
-        # exact integer, so every point is a count.
+    def _atoms_on_lattice(self, e):
+        # The first point is lo itself. With an integer lo >= 0 and an
+        # integer step every point is a count: exact integer arithmetic up
+        # to 2**53, and every double above 2**53 is an integer.
+        lo, _, step = e.lattice
         if not (lo >= 0.0 and lo == math.floor(lo)):
             return False
-        if count == 1 or (_count_stride(lo, step) == step and lo + step * (count - 1) <= 2.0**53):
-            return True
-        return None
+        return True if step == math.floor(step) else None
 
-    def _mass_off_lattice(self, e):
-        """P(Y is no point of the lattice evidence ``e``): the mass of the
-        runs of consecutive counts that ``e.contains`` rejects, each run's
-        from pdtr or pdtrc, whichever side of it holds less, so no term
-        cancels against 1.
+    def _mass_off(self, e):
+        """P(Y is a count that the discrete evidence ``e`` rejects): the
+        mass of the gaps between the counts ``e._held_counts`` gives, each
+        gap's from pdtr or pdtrc, whichever side of it holds less, so no
+        term cancels against 1.
 
-        Where every count from lo up to the upper end is a lattice point
-        (``_count_stride`` 1), the runs are the counts below and above those
-        and no count is listed. Otherwise the counts in
-        ``e._lattice_window()`` between the 2**-53 and the 1 - 2**-53
-        quantiles are tested one by one; those below the window are off, and
-        the mass outside the quantiles, at most 2**-52, counts as off.
+        Where the held counts are every count from first to last, the gaps
+        are the counts below and above them: two scalar calls, and no count
+        listed. A lattice that lists its counts lists those between the
+        2**-53 and the 1 - 2**-53 quantiles; the mass outside, at most
+        2**-52, counts as off.
         """
         rate = self.rate
-        lo, _, step = e.lattice
-        least, greatest = e._lattice_window()
-        last = math.floor(greatest) if math.isfinite(greatest) else math.inf
-        stride = _count_stride(lo, step)
-        # the first count on the lattice, or else the first that contains can accept
-        first = max(math.ceil(lo if stride == 1 else least), 0)
-        if last < first:
-            return 1.0
-        if stride == 1:
+        held = e._held_counts(lambda: (self._quantile(2.0**-53), self._quantile(1.0 - 2.0**-53)))
+        if type(held) is tuple:
+            first, last = held
             below = float(special.pdtr(first - 1, rate)) if first >= 1 else 0.0
             return below + (float(special.pdtrc(last, rate)) if last < math.inf else 0.0)
-        start = min(last, max(first, self._quantile(2.0**-53)))
-        top = min(last, max(start, self._quantile(1.0 - 2.0**-53)))
-        # off[i] is whether count start - 1 + i is off the lattice; the ends
-        # stand for the counts below start (if any) and above top
-        off = np.concatenate(([start > 0], ~e.contains(np.arange(start, top + 1.0)), [True]))
-        runs = np.flatnonzero(off & ~np.concatenate(([False], off[:-1])))
-        ends = np.flatnonzero(off & ~np.concatenate((off[1:], [False])))
-        below = np.where(runs > 0, start - 2.0 + runs, -1.0)  # the count under each run
+        # gap i holds the counts strictly between under[i] and over[i], which
+        # stand for -1 below the first held count and +inf above the last
+        under, over = np.concatenate(([-1.0], held)), np.concatenate((held, [math.inf]))
+        gap = over - under > 1.0
+        below, end = under[gap], over[gap] - 1.0  # the count under each gap, and its last
         at_below = np.maximum(below, 0.0)
         cdf_below = np.where(below >= 0.0, special.pdtr(at_below, rate), 0.0)
         sf_below = np.where(below >= 0.0, special.pdtrc(at_below, rate), 1.0)
-        tail = ends == off.size - 1
-        at_end = np.where(tail, 0.0, start - 1.0 + ends)  # each run's last count
-        cdf_end = np.where(tail, 1.0, special.pdtr(at_end, rate))
-        sf_end = np.where(tail, 0.0, special.pdtrc(at_end, rate))
+        cdf_end, sf_end = special.pdtr(end, rate), special.pdtrc(end, rate)  # 1 and 0 at inf
         mass = np.where(cdf_end <= sf_below, cdf_end - cdf_below, sf_below - sf_end)
         return float(np.sum(mass))
 
@@ -708,9 +667,6 @@ class Empirical(PredictiveDistribution):
     def _sample(self, n, rng):
         return self._obs[rng.integers(0, self._obs.size, size=n)]
 
-    def _has_atom(self, y):
-        return self._has_mass(y, y)
-
     def _has_mass(self, lo, hi):
         return np.searchsorted(self._obs, hi, side="right") > np.searchsorted(self._obs, lo, side="left")
 
@@ -718,7 +674,7 @@ class Empirical(PredictiveDistribution):
         uniq = np.unique(self._obs)
         return uniq[(uniq >= lo) & (uniq <= hi)]
 
-    def _mass_off_lattice(self, e):
+    def _mass_off(self, e):
         return np.count_nonzero(~e.contains(self._obs)) / self._obs.size
 
     def _quantile(self, p):
@@ -803,16 +759,13 @@ class Mixture(PredictiveDistribution):
         los, his = zip(*(c.support() for c in self._weighted_parts()))
         return min(los), max(his)
 
-    def _has_atom(self, y):
-        return np.any([c.has_atom(y) for c in self._weighted_parts()], axis=0)
-
     def _has_mass(self, lo, hi):
         return np.any([c.has_mass(lo, hi) for c in self._weighted_parts()], axis=0)
 
-    def _atoms_on_lattice(self, lo, step, count):
+    def _atoms_on_lattice(self, e):
         # A point is an atom of the mixture when it is an atom of any
         # weighted component, and a component's False means lo is none.
-        verdicts = {c._atoms_on_lattice(lo, step, count) for c in self._weighted_parts()}
+        verdicts = {c._atoms_on_lattice(e) for c in self._weighted_parts()}
         if True in verdicts:
             return True
         return False if verdicts == {False} else None
@@ -820,8 +773,8 @@ class Mixture(PredictiveDistribution):
     def atoms_between(self, lo, hi):
         return np.unique(np.concatenate([c.atoms_between(lo, hi) for c in self._weighted_parts()]))
 
-    def _mass_off_lattice(self, e):
-        return math.fsum(w * c._mass_off_lattice(e) for w, c in zip(self.weights, self.components) if w > 0.0)
+    def _mass_off(self, e):
+        return math.fsum(w * c._mass_off(e) for w, c in zip(self.weights, self.components) if w > 0.0)
 
     def _quantile(self, p):
         # The mixture p-quantile lies between the smallest and largest

@@ -231,6 +231,55 @@ def test_poisson_atoms():
     assert not d.has_mass(1.2, 1.9)
 
 
+_ODD_POINTS = [-0.0, math.nan, math.inf, -math.inf, 2.0**53, 1e300]
+_points = st.one_of(st.sampled_from(_ODD_POINTS), st.integers(-3, 12).map(float), st.floats())
+_EVERY_FAMILY = [
+    Normal(0.3, 2.0),
+    Normal(np.array([0.0, 1.0, 2.0]), 1.0),
+    StudentT(3.0, 1.0, 2.0),
+    StudentT(4.0, np.array([0.0, 5.0, 9.0]), np.array([1.0, 2.0, 3.0])),
+    TruncatedNormal(0.0, 1.0, 0.5),
+    TruncatedNormal(np.array([0.0, 1.0, 3.0]), 1.0, 0.0),
+    Mixture([Normal(0.0, 1.0), StudentT(3.0)], [0.3, 0.7]),
+    Poisson(3.0),
+    Poisson(1e-3),
+    Empirical([0.0, 0.3, 1.0, 7.0, 2.0**53]),
+    Mixture([Poisson(3.0), Empirical([0.3, 7.0])], [0.4, 0.6]),
+    Mixture([Poisson(1.0), Empirical([0.5])], [1.0, 0.0]),
+]
+
+
+def _is_atom(dist, y: float) -> bool:
+    """Whether P(Y = y) > 0, from each family's definition, one point at a time."""
+    if dist.kind == "continuous":
+        return False
+    if isinstance(dist, Poisson):
+        return math.isfinite(y) and y >= 0.0 and y == math.floor(y)
+    if isinstance(dist, Empirical):
+        return y in dist.observations
+    return any(_is_atom(c, y) for w, c in zip(dist.weights, dist.components) if w > 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(range(len(_EVERY_FAMILY))),
+    st.one_of(_points, st.lists(_points, min_size=3, max_size=3).map(np.array)),
+)
+@example(0, -0.0)
+@example(7, 2.0**53)
+@example(7, np.array([-0.0, math.nan, 1e300]))
+@example(9, np.array([2.0**53, math.inf, 0.3]))
+@example(11, 0.5)
+def test_has_atom_is_has_mass_on_a_zero_width_window(i, y):
+    dist = _EVERY_FAMILY[i]
+    got = dist.has_atom(y)
+    want = dist.has_mass(y, y)
+    assert type(got) is type(want)
+    np.testing.assert_array_equal(got, want)
+    assert np.shape(got) == np.shape(y)
+    np.testing.assert_array_equal(got, [_is_atom(dist, float(v)) for v in np.ravel(y)] if np.ndim(y) else _is_atom(dist, y))
+
+
 def test_has_atom_is_elementwise_on_arrays():
     d = Poisson(rate=2.0)
     got = d.has_atom(np.array([0.0, 2.0, 2.0000000001, -1.0, 1.5, 7.0]))

@@ -221,23 +221,31 @@ def mp_mass_off(rate: float, contains):
         return total
 
 
-def lattice_leakages(base, head) -> None:
+def count_leakages(base, head) -> None:
     """Each side's Poisson leakage at ``POISSON_RATES`` on four lattices:
     every count, the counts from 1 (as lattice(0.3, inf, 0.1)), the counts
-    within a few standard deviations of the rate, and the even counts. Each
-    is shown as its error from a 40-digit mpmath sum: relative, or absolute
-    where the exact value is 0."""
-    rows = []
+    within a few standard deviations of the rate, and the even counts; then
+    on two finite sets that hold the whole bulk, range(400) at rate 20 and
+    range(2000) at rate 700. Each is shown as its error from a 40-digit
+    mpmath sum: relative, or absolute where the exact value rounds to 0.0
+    as a double."""
+    cases = []
     for rate in POISSON_RATES:
         near = (float(max(math.floor(rate - 2.0 * rate**0.5), 0)), math.floor(rate + 3.0 * rate**0.5) + 1.0, 1.0)
         for lattice in ((0.0, math.inf, 1.0), (0.3, math.inf, 0.1), near, (0.0, math.inf, 2.0)):
-            exact = mp_mass_off(rate, head.Evidence.lattice_support(*lattice).contains)
-            errors = []
-            for pkg in (base, head):
-                got = pkg.leakage(pkg.Poisson(rate), pkg.Evidence.lattice_support(*lattice)).leakage
-                errors.append(f"{float(abs(got - exact) / exact if exact else abs(got)):.1e}")
-            rows.append([f"{rate:g}", f"lattice{lattice}", f"{float(exact):.6e}", *errors])
-    table("Poisson lattice leakage against 40-digit mpmath (error: relative, or absolute where 0)",
+            cases.append((rate, f"lattice{lattice}", lambda pkg, lattice=lattice: pkg.Evidence.lattice_support(*lattice)))
+    for rate, n in ((20.0, 400), (700.0, 2000)):
+        cases.append((rate, f"finite_set(range({n}))", lambda pkg, n=n: pkg.Evidence.finite_set(range(n))))
+    rows = []
+    for rate, name, evidence in cases:
+        exact = mp_mass_off(rate, evidence(head).contains)
+        errors = []
+        for pkg in (base, head):
+            got = pkg.leakage(pkg.Poisson(rate), evidence(pkg)).leakage
+            errors.append(f"{float(abs(got - exact) / exact if float(exact) else abs(got - exact)):.1e}")
+        rows.append([f"{rate:g}", name, f"{float(exact):.6e}", *errors])
+    table("Poisson leakage on lattices and finite sets against 40-digit mpmath "
+          "(error: relative, or absolute where the exact value rounds to 0)",
           ["rate", "evidence", "exact", "base error", "head error"], rows)
 
 
@@ -251,8 +259,8 @@ def scoring_and_fit(base, head) -> None:
     # search over the mixture's CDF; fit at three design shapes (the
     # call-center table's, an experiment arm's, leak_scan's) and one
     # truncated experiment arm at the impossibility benchmark's holdout;
-    # then whether both sides give the same bits, and each side's lattice
-    # leakages against mpmath
+    # then whether both sides give the same bits, and each side's count
+    # leakages on lattices and finite sets against mpmath
     import numpy as np
 
     counts = np.random.default_rng(1).poisson(20.0, size=200).astype(float).tolist()
@@ -306,7 +314,7 @@ def scoring_and_fit(base, head) -> None:
     print("Identical β, s², `xtx_inverse`, report JSON and Poisson scores and quantiles on both sides:",
           "yes" if identical else "**no**")
     print()
-    lattice_leakages(base, head)
+    count_leakages(base, head)
 
 
 def main(base_tree: Path) -> None:

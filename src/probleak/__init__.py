@@ -7,141 +7,31 @@ flat-prior normal linear regressions (whose predictive is Student t), scores
 their leakage against evidence declarations, applies strict falsification
 semantics, and shows what leakage does to forecast calibration and scoring.
 
+Each module's ``__all__`` is the one list of its public names; this package
+re-exports them all. ``probleak.leakage`` is therefore the ``leakage``
+function, not the submodule of that name, which stays in ``sys.modules``.
+
 The package logs under the ``probleak`` logger, which carries a
 ``NullHandler``: nothing is printed unless the application configures
 logging.
 """
 
 import logging
+import sys
 
-from .calibration import (
-    CalibrationReport,
-    ForecastCase,
-    GridDensity,
-    ProbabilityCalibration,
-    calibration_report,
-    crps,
-    exceedance_calibration,
-    kl_distance,
-    ks_uniform,
-    marginal_calibration,
-    pit,
-    probability_calibration,
-)
-from .exceptions import DataError, ModelError, ProbleakError
-from .falsification import (
-    FalsificationVerdict,
-    Observation,
-    is_falsified,
-    never_falsifiable,
-)
-from .leakage import (
-    Evidence,
-    LeakageProfile,
-    LeakageReport,
-    MCLeakage,
-    leakage,
-    leakage_profile,
-    mc_leakage,
-    parse_support,
-)
-from .predictive import (
-    Empirical,
-    Mixture,
-    Normal,
-    Poisson,
-    PredictiveDistribution,
-    StudentT,
-    TruncatedNormal,
-)
-from .regression import (
-    ColumnCoding,
-    Dataset,
-    FitResult,
-    ModelSpec,
-    build_design,
-    fit,
-    fit_model,
-    load_dataset,
-    load_dataset_text,
-    predictive_at,
-    predictive_rows,
-)
-from .simulation import (
-    DEFAULT_CONTROL_CONFIG,
-    DEFAULT_TRUNCATED_CONFIG,
-    CallCenterConfig,
-    ImpossibilityReport,
-    SimConfig,
-    gen_callcenter_like,
-    gen_truncated_regression,
-    impossibility_experiment,
-)
+from .exceptions import *
+from .predictive import *
+from .regression import *
+from .leakage import *  # after the submodule loads: rebinds the package's `leakage` to the function
+from .falsification import *
+from .calibration import *
+from .simulation import *
 
 __version__ = "0.1.0"
 
 logging.getLogger(__name__).addHandler(logging.NullHandler())
 
-__all__ = [
-    "__version__",
-    # exceptions
-    "ProbleakError",
-    "DataError",
-    "ModelError",
-    # predictive distributions
-    "PredictiveDistribution",
-    "Normal",
-    "StudentT",
-    "TruncatedNormal",
-    "Poisson",
-    "Mixture",
-    "Empirical",
-    # regression
-    "Dataset",
-    "ModelSpec",
-    "ColumnCoding",
-    "FitResult",
-    "load_dataset",
-    "load_dataset_text",
-    "build_design",
-    "fit",
-    "fit_model",
-    "predictive_at",
-    "predictive_rows",
-    # evidence and leakage
-    "Evidence",
-    "LeakageProfile",
-    "LeakageReport",
-    "MCLeakage",
-    "leakage",
-    "leakage_profile",
-    "mc_leakage",
-    "parse_support",
-    # falsification
-    "Observation",
-    "FalsificationVerdict",
-    "is_falsified",
-    "never_falsifiable",
-    # calibration and scoring
-    "ForecastCase",
-    "CalibrationReport",
-    "ProbabilityCalibration",
-    "GridDensity",
-    "pit",
-    "probability_calibration",
-    "exceedance_calibration",
-    "marginal_calibration",
-    "calibration_report",
-    "crps",
-    "kl_distance",
-    "ks_uniform",
-    # simulation
-    "SimConfig",
-    "CallCenterConfig",
-    "ImpossibilityReport",
-    "gen_truncated_regression",
-    "gen_callcenter_like",
-    "impossibility_experiment",
-    "DEFAULT_TRUNCATED_CONFIG",
-    "DEFAULT_CONTROL_CONFIG",
-]
+__all__ = ["__version__"]
+for _module in ("exceptions", "predictive", "regression", "leakage", "falsification", "calibration", "simulation"):
+    __all__ += sys.modules[f"{__name__}.{_module}"].__all__
+del _module

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["ProbleakError", "DataError", "ModelError"]
+
 
 class ProbleakError(Exception):
     """Base class for data and model errors raised by this package."""

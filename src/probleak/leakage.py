@@ -113,10 +113,6 @@ class Evidence:
 
     # -- queries ----------------------------------------------------------
 
-    @property
-    def is_single_interval(self) -> bool:
-        return self.kind == "continuous_support" and len(self.intervals) == 1
-
     def contains(self, y):
         """Vectorized membership test; lattice membership uses a small
         relative tolerance to survive float step arithmetic."""
@@ -129,9 +125,13 @@ class Evidence:
             mask = np.isin(y, self.values)
         else:
             lo, hi, step = self.lattice
-            k = np.round((y - lo) / step)
             atol = self._lattice_atol()
-            on_grid = np.abs(y - (lo + k * step)) <= atol + _LATTICE_RTOL * np.abs(y)
+            slack = atol + _LATTICE_RTOL * np.abs(y)
+            with np.errstate(over="ignore", invalid="ignore"):  # an infinite y or k fails this test
+                k = np.round((y - lo) / step)
+                on_grid = np.abs(y - (lo + k * step)) <= slack
+            # a step within twice the slack puts every finite y >= lo within slack of a point
+            on_grid |= (step <= 2.0 * slack) & np.isfinite(y)
             mask = on_grid & (k >= 0) & (y <= hi + atol)
         if y.ndim == 0:
             return bool(mask)
@@ -336,7 +336,7 @@ def leakage(dist: PredictiveDistribution, e: Evidence, x_star=None) -> LeakageRe
         for (_, gap_lo), (gap_hi, _) in zip(e.intervals, e.intervals[1:]):
             outside = outside + np.maximum(dist.cdf_left(gap_hi) - dist.cdf(gap_lo), 0.0)
         total = _clip_unit(outside)
-        if e.is_single_interval:
+        if len(e.intervals) == 1:
             return LeakageReport(total, below, above, 0.0, e, x_star)
     else:  # discrete predictive vs discrete evidence
         total = min(max(dist._mass_off(e), 0.0), 1.0)  # a float: np.clip costs more than the mass

@@ -248,6 +248,24 @@ def test_an_odd_count_is_no_point_of_the_even_lattice():
     assert Evidence.lattice_support(0.0, math.inf, 2.0).contains(1e9 + 1.0) is False
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_step_below_the_slack_holds_every_point_even_where_the_offset_overflows():
+    # (2e300 - 1e300) / 2**-60 overflows; the slack there, 1e-9 |y| ~ 1e291,
+    # is far wider than the step, so every y >= lo lies on the lattice
+    e = Evidence.lattice_support(1e300, math.inf, 2.0**-60)
+    assert e.contains(2e300) is True
+    assert e.contains(1e300 + 1e285) is True
+    assert e.contains(5e299) is False
+    assert e.contains(math.inf) is False
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_step_below_the_slack_holds_every_point_of_an_array():
+    e = Evidence.lattice_support(1e300, math.inf, 2.0**-60)
+    y = np.array([2e300, 1.7e308, 1e300, 5e299, 0.0, -1e300, math.inf, -math.inf, math.nan])
+    np.testing.assert_array_equal(e.contains(y), [True, True, True, False, False, False, False, False, False])
+
+
 def _mp_off_the_offset_lattice(rate: float):
     """Poisson(rate) mass off lattice(0.3, inf, 0.7), at 40 digits, from
     integer arithmetic alone: 0.3 + 0.7 k = n for some k >= 0 iff

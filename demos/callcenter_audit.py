@@ -28,7 +28,9 @@ from probleak import (
     is_falsified,
     ks_uniform,
     leakage,
+    leakage_profile,
     predictive_at,
+    predictive_rows,
 )
 from probleak.falsification import Observation
 
@@ -52,11 +54,12 @@ def main():
     lo = {"calls": float(calls.min()), "absentees": float(absentees.min())}
 
     print("\nleakage: predictive mass on impossible (negative) abandonment")
-    for label, point in (("typical week", med), ("best week", lo)):
-        for loc in ("A", "B"):
-            dist = predictive_at(result, {**point, "location": loc})
-            rep = leakage(dist, support)
-            print(f"  location {loc}, {label:12s} leakage = {rep.leakage:.3f}")
+    # each week at both locations: four points, scored in one batch
+    points = [(label, {**week, "location": loc})
+              for label, week in (("typical week", med), ("best week", lo)) for loc in ("A", "B")]
+    columns = {name: [point[name] for _, point in points] for name in ("calls", "absentees", "location")}
+    for (label, point), rep in zip(points, leakage_profile(result, support, columns)):
+        print(f"  location {point['location']}, {label:12s} leakage = {rep.leakage:.3f}")
 
     null_fit = fit_model(data, ModelSpec(response="abandonment", covariates=()))
     null_rep = leakage(predictive_at(null_fit, {}), support)
@@ -83,19 +86,12 @@ def main():
     print("A continuous model is falsified by any exact value (every point")
     print("has probability zero) but never by an interval it overlaps.")
 
-    # in-sample calibration: the textbook diagnostics
-    cases = []
-    for i in range(data.n):
-        point = {
-            "calls": float(calls[i]),
-            "absentees": float(absentees[i]),
-            "location": str(data.column("location")[i]),
-        }
-        cases.append(ForecastCase(predictive_at(result, point),
-                                  float(data.column("abandonment")[i])))
-    report = calibration_report(cases, seed=0)
+    # in-sample calibration: the textbook diagnostics, every training row
+    # one case of a single batch
+    rows = predictive_rows(result, result.column_coding.encode_rows(data.columns))
+    report = calibration_report([ForecastCase(rows, data.column("abandonment"))], seed=0)
     ks = ks_uniform(report.pit_values)
-    critical = 1.36 / np.sqrt(len(cases))
+    critical = 1.36 / np.sqrt(data.n)
     print(f"\nin-sample calibration: KS = {ks:.4f} (5% critical {critical:.4f})")
     print(f"mean CRPS = {report.mean_crps:.4f}")
     verdict = "looks fine" if ks < critical else "rejects"

@@ -8,14 +8,16 @@ spells an exponent ``1e-7`` or ``1e16`` where repr spells ``1e-07`` and
 ``1e+16``, and writes 1e-5 <= |x| < 1e-4 out in full (``0.0000123``) where
 repr writes ``1.23e-05``. ``_repr_exponents`` is the one rule for the
 exponents, given where a number ends: at a line end, bar a comma, in
-orjson's indented text, and at a comma or the closing bracket in its flat
-dump of a float array. The band, and NaN and inf, which orjson writes as
-``null``, are found and given to ``repr``.
+orjson's indented text of a JSON document, and at a comma or the closing
+bracket in its flat dump of a float array, the one layout of every CSV
+float cell. The band, and NaN and inf, which orjson writes as ``null``, are
+found and given to ``repr``.
 
 A CSV table of 1-d float64 columns none of whose cells lies in the band or
 is not finite is one flat dump of its rows, one after another, whose every
-``width``-th comma becomes a line end; every other table is dumped a column
-at a time and joined row by row.
+``width``-th comma becomes a line end; in every other table each float
+column is a flat dump of its own, split at its commas, and the columns are
+joined row by row.
 
 orjson is imported where it is used, so that importing the package, or
 loading a categorical table, does not load it.
@@ -62,30 +64,20 @@ def _odd_cells(values: np.ndarray) -> np.ndarray:
     return ((mag >= 1e-5) & (mag < 1e-4)) | ~np.isfinite(mag)
 
 
-def _odd_masks(columns) -> list:
-    """``_odd_cells`` of each column that is a 1-d float64 array, and None
-    for any other column."""
-    return [
-        _odd_cells(col) if isinstance(col, np.ndarray) and col.ndim == 1 and col.dtype == np.float64 else None
-        for col in columns
-    ]
-
-
-def _repr_cells(values: np.ndarray, odd: np.ndarray | None = None) -> list[str]:
-    """``repr(float(v))`` for every cell of a 1-d float64 array, from one
-    indented ``orjson.dumps`` call.
-
-    The ``_odd_cells``, ``odd`` when the caller has them, are dumped as 0.0
-    and then replaced by their ``repr``.
-    """
+def _flat_dump(values: np.ndarray) -> bytes:
+    """One flat ``orjson.dumps`` of a float64 array, ``[1.0,2.5,...]``, with
+    its exponents spelled as ``repr`` spells them."""
     import orjson
 
-    if odd is None:
-        odd = _odd_cells(values)
-    option = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_INDENT_2
-    text = _repr_exponents(orjson.dumps(np.where(odd, 0.0, values), option=option), _INDENTED_END)
-    # "[\n  1.0,\n  2.5\n]": the cells lie between "[\n  " and "\n]"
-    cells = text[4:-2].decode("ascii").split(",\n  ") if values.size else []
+    return _repr_exponents(orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY), _FLAT_END)
+
+
+def _repr_cells(values: np.ndarray) -> list[str]:
+    """``repr(float(v))`` for every cell of a 1-d float64 array, from one
+    ``_flat_dump``, in which the ``_odd_cells`` are 0.0 until they are
+    replaced by their ``repr``."""
+    odd = _odd_cells(values)
+    cells = _flat_dump(np.where(odd, 0.0, values))[1:-1].decode("ascii").split(",") if values.size else []
     where = np.flatnonzero(odd)
     for i, cell in zip(where.tolist(), map(repr, values[where].tolist())):
         cells[i] = cell
@@ -108,43 +100,35 @@ def _csv_text(names, columns, end: str = "\n") -> str:
     float64 columns with no ``_odd_cells`` is written by ``_float_lines``
     from one flat dump. Any other table becomes text a column at a time, in
     one ``_csv_cells`` call each, and the rows are joined in C. Either way
-    no Python code runs per row, and each float column's ``_odd_cells`` are
-    found once.
+    no Python code runs per row.
     """
     alone = (len(names) or len(columns)) == 1
     header = [",".join(_csv_cells(names, alone))] if len(names) else []
-    odd = _odd_masks(columns)
-    body = _float_lines(columns, end, odd)
+    body = _float_lines(columns, end)
     if body is not None:
         return "".join(line + end for line in header) + body
-    cells = [_csv_cells(col, alone, mask) for col, mask in zip(columns, odd)]
+    cells = [_csv_cells(col, alone) for col in columns]
     text = end.join([*header, *map(",".join, zip(*cells))])
     return text + end if text else ""  # no line is empty: a lone empty cell is quoted
 
 
-def _float_lines(columns, end: str, odd: list | None = None) -> str | None:
+def _float_lines(columns, end: str) -> str | None:
     """The rows of ``columns`` as CSV lines, each ended by ``end``, or None
     unless every column is a 1-d float64 array and no cell is one of the
-    ``_odd_cells``; ``odd`` is the columns' ``_odd_masks`` when the caller
-    has them.
+    ``_odd_cells``.
 
-    The rows, one after another, are one flat ``orjson.dumps``
-    (``[1.0,2.5,...]``) whose exponents are spelled as ``repr`` spells them;
-    then every ``width``-th comma, and the closing bracket, becomes the line
-    end, in one numpy step over the text's bytes.
+    The rows, one after another, are one ``_flat_dump``; then every
+    ``width``-th comma, and the closing bracket, becomes the line end, in
+    one numpy step over the text's bytes.
     """
     columns = list(columns)
-    if odd is None:
-        odd = _odd_masks(columns)
-    if not columns or any(mask is None or mask.any() for mask in odd):
+    floats = all(isinstance(col, np.ndarray) and col.ndim == 1 and col.dtype == np.float64 for col in columns)
+    if not (columns and floats) or any(_odd_cells(col).any() for col in columns):
         return None
     flat = np.column_stack(columns).ravel()
     if not flat.size:
         return ""
-    import orjson
-
-    text = _repr_exponents(orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY), _FLAT_END)
-    buf = np.frombuffer(text, dtype=np.uint8).copy()
+    buf = np.frombuffer(_flat_dump(flat), dtype=np.uint8).copy()
     commas = np.flatnonzero(buf == ord(","))
     buf[commas[len(columns) - 1 :: len(columns)]] = ord("\n")
     buf[-1] = ord("\n")  # the closing bracket
@@ -152,17 +136,16 @@ def _float_lines(columns, end: str, odd: list | None = None) -> str | None:
     return (lines if end == "\n" else lines.replace(b"\n", end.encode())).decode("ascii")
 
 
-def _csv_cells(values, alone: bool, odd: np.ndarray | None = None) -> list[str]:
+def _csv_cells(values, alone: bool) -> list[str]:
     """The cells of a column or a row as ``csv.writer`` writes them:
     ``repr(float(v))`` for a float, ``str(v)`` otherwise, quoted where it
     quotes, which is for a delimiter, a quote or a line-end character, and
     for an empty cell ``alone`` on its row. A 1-d float64 or str array is
     formatted without a Python step per cell, and repr's digits, which hold
-    none of those characters, are never scanned for them; ``odd`` is a float
-    column's ``_odd_cells`` when the caller has them."""
+    none of those characters, are never scanned for them."""
     flat = isinstance(values, np.ndarray) and values.ndim == 1
     if flat and values.dtype.type is np.float64:
-        return _repr_cells(values, odd)
+        return _repr_cells(values)
     if flat and values.dtype.kind == "U":
         cells = values.tolist()
     else:

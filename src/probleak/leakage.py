@@ -128,8 +128,11 @@ class Evidence:
             atol = self._lattice_atol()
             slack = atol + _LATTICE_RTOL * np.abs(y)
             with np.errstate(over="ignore", invalid="ignore"):  # an infinite y or k fails this test
-                k = np.round((y - lo) / step)
-                on_grid = np.abs(y - (lo + k * step)) <= slack
+                # where y - lo overflows, the test runs on quarters, which are
+                # exact there, so that neither it nor lo + k step overflows
+                h = np.where(np.isfinite(y - lo), 1.0, 0.25)
+                k = np.round((y * h - lo * h) / (step * h))
+                on_grid = np.abs(y * h - (lo * h + k * (step * h))) <= slack * h
             # a step within twice the slack puts every finite y >= lo within slack of a point
             on_grid |= (step <= 2.0 * slack) & np.isfinite(y)
             mask = on_grid & (k >= 0) & (y <= hi + atol)

@@ -85,6 +85,10 @@ __all__ = [
 
 _MIN_FEASIBLE_MASS = 1e-12  # least kept mass of a truncated normal
 _POISSON_CDF_MEMO = 4096  # most counts whose CDF pair one Poisson keeps
+# counts past this are huge: pdtr gives nan from about 2.5e305, and k log(rate)
+# and gammaln(k + 1) reach 1e307, so that they may overflow and their rounding
+# swamps a log pmf
+_HUGE_COUNT = 1e305
 
 
 def _scalar_or_array(values):
@@ -462,6 +466,21 @@ _POISSON_EXCESS_SERIES = [
 ]
 
 
+def _pdtr(k, rate, upper=False):
+    """P(Y <= k), or P(Y > k) with ``upper``, for Y ~ Poisson(rate) at
+    counts k, negative and infinite ones included: ``special.pdtr`` or
+    ``pdtrc`` wherever they give a number.
+
+    They give nan at a negative count and past about 2.5e305 counts (from
+    1.6e308 at rate 3). That far out the bulk, within 40 sqrt(rate) of the
+    rate, is narrower than one ulp, so P(Y <= k) is 0 below the rate, 1/2
+    at it and 1 above it.
+    """
+    p = (special.pdtrc if upper else special.pdtr)(k, rate)
+    above = np.maximum(k, -1.0) - rate  # k - rate, but finite at k near -DBL_MAX
+    return np.where(np.isnan(p), np.heaviside(-above if upper else above, 0.5), p)
+
+
 @dataclass(frozen=True)
 class Poisson(PredictiveDistribution):
     rate: float
@@ -477,16 +496,15 @@ class Poisson(PredictiveDistribution):
         object.__setattr__(self, "_cdf_memo", {})
 
     def _cdf(self, y):
-        k = np.floor(y)
-        with np.errstate(invalid="ignore"):
-            out = np.where(k < 0.0, 0.0, special.pdtr(np.maximum(k, 0.0), self.rate))
-        return np.where(np.isposinf(y), 1.0, out)
+        return _pdtr(np.floor(y), self.rate)
 
     def _cdf_left(self, y):
-        return self._cdf(np.where(self._has_mass(y, y), y - 1.0, y))
+        return _pdtr(np.ceil(y) - 1.0, self.rate)  # F at the count below y
 
     def _logdensity(self, y):
-        atom = self._has_mass(y, y)
+        # the pmf at a huge count is 0 bar a count within a few sqrt(rate)
+        # of the rate, where it is below 1e-152 (see _pdtr); it is given as 0
+        atom = self._has_mass(y, y) & (y < _HUGE_COUNT)
         k = np.where(atom, y, 0.0)
         return np.where(atom, k * math.log(self.rate) - self.rate - special.gammaln(k + 1.0), -np.inf)
 
@@ -498,11 +516,10 @@ class Poisson(PredictiveDistribution):
             rate - y + 2 (y F(k) - rate F(k - 1)) - rate (i0e(2 rate) + i1e(2 rate)),
 
         where i0e, i1e are the exponentially scaled Bessel functions, so
-        nothing overflows at large rates. F(k) = 0 for k < 0 makes the form
-        exact for any real y: negative, between atoms or past the tail; the
-        factor (k >= 0) sets it, and pdtr sees no negative k, where it gives
-        nan. The terms that depend on the rate alone come from
-        ``_crps_rate_terms``, which this instance computes once.
+        nothing overflows at large rates. F(k) = 0 for k < 0, as ``_pdtr``
+        gives it, makes the form exact for any real y: negative, between
+        atoms or past the tail. The terms that depend on the rate alone come
+        from ``_crps_rate_terms``, which this instance computes once.
 
         One outcome as a Python float takes a float branch with the same
         bits: F(k - 1) and F(k) come from one pdtr call on two points when
@@ -517,8 +534,8 @@ class Poisson(PredictiveDistribution):
             memo = self._cdf_memo
             pair = memo.get(k)
             if pair is None:
-                if k >= 1.0:
-                    pair = special.pdtr([k - 1.0, k], rate).tolist()
+                if k >= 1.0:  # past _HUGE_COUNT, pdtr may give nan
+                    pair = (special.pdtr if k < _HUGE_COUNT else _pdtr)([k - 1.0, k], rate).tolist()
                 else:
                     pair = 0.0, (float(special.pdtr(0.0, rate)) if k == 0.0 else 0.0)
                 if len(memo) < _POISSON_CDF_MEMO:
@@ -526,8 +543,7 @@ class Poisson(PredictiveDistribution):
             below, at = pair
         else:
             k = np.floor(y)
-            at = special.pdtr(np.maximum(k, 0.0), rate) * (k >= 0.0)
-            below = special.pdtr(np.maximum(k - 1.0, 0.0), rate) * (k >= 1.0)
+            at, below = _pdtr(k, rate), _pdtr(k - 1.0, rate)
         steps = 2.0 * (y * at - rate * below)
         lead, spread = self._crps_rate_terms
         # lead - y first: with lead = rate it is exact for y near rate, where the score is small
@@ -580,17 +596,15 @@ class Poisson(PredictiveDistribution):
         held = e._held_counts(lambda: (self._quantile(2.0**-53), self._quantile(1.0 - 2.0**-53)))
         if type(held) is tuple:
             first, last = held
-            below = float(special.pdtr(first - 1, rate)) if first >= 1 else 0.0
-            return below + (float(special.pdtrc(last, rate)) if last < math.inf else 0.0)
+            below = float(special.pdtr(first - 1, rate)) if first >= 1 else 0.0  # first <= 2**53: a number
+            return below + (float(_pdtr(last, rate, upper=True)) if last < math.inf else 0.0)
         # gap i holds the counts strictly between under[i] and over[i], which
         # stand for -1 below the first held count and +inf above the last
         under, over = np.concatenate(([-1.0], held)), np.concatenate((held, [math.inf]))
         gap = over - under > 1.0
         below, end = under[gap], over[gap] - 1.0  # the count under each gap, and its last
-        at_below = np.maximum(below, 0.0)
-        cdf_below = np.where(below >= 0.0, special.pdtr(at_below, rate), 0.0)
-        sf_below = np.where(below >= 0.0, special.pdtrc(at_below, rate), 1.0)
-        cdf_end, sf_end = special.pdtr(end, rate), special.pdtrc(end, rate)  # 1 and 0 at inf
+        cdf_below, sf_below = _pdtr(below, rate), _pdtr(below, rate, upper=True)
+        cdf_end, sf_end = _pdtr(end, rate), _pdtr(end, rate, upper=True)
         mass = np.where(cdf_end <= sf_below, cdf_end - cdf_below, sf_below - sf_end)
         return float(np.sum(mass))
 

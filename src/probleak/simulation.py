@@ -15,7 +15,7 @@ predicts that it will.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -286,21 +286,10 @@ class ImpossibilityReport:
     fit: FitResult
 
     def to_json(self) -> dict:
-        return {
-            "truncated": self.truncated,
-            "ell_min": self.ell_min,
-            "mean_leakage": self.mean_leakage,
-            "ks_stat": self.ks_stat,
-            "ks_critical": self.ks_critical,
-            "probability_curve": [[p, f] for p, f in self.probability_curve],
-            "max_probability_deviation": self.max_probability_deviation,
-            "p_star": self.p_star,
-            "frequency_at_p_star": self.frequency_at_p_star,
-            "deviation_at_p_star": self.deviation_at_p_star,
-            "marginal_gap_at_bound": self.marginal_gap_at_bound,
-            "mean_crps_model": self.mean_crps_model,
-            "mean_crps_oracle": self.mean_crps_oracle,
-        }
+        """Every field but ``pits`` and ``fit``, in field order; the curve's
+        (p, frequency) pairs become lists."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in ("pits", "fit")}
+        return {**doc, "probability_curve": [[p, f] for p, f in self.probability_curve]}
 
 
 def impossibility_experiment(

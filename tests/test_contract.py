@@ -15,6 +15,7 @@ from probleak import Empirical, GridDensity, Mixture, Normal, Poisson, StudentT,
 from probleak import Evidence, mc_leakage
 
 INF = math.inf
+DBL_MAX = float(np.finfo(float).max)
 
 CASES = {
     "normal": (Normal(1.0, 2.0), (-INF, INF)),
@@ -83,7 +84,7 @@ def test_zero_d_input_gives_a_float_or_bool_and_arrays_broadcast(name):
 @pytest.mark.parametrize("name", CASES)
 def test_cdf_left_never_exceeds_cdf_and_both_are_monotone(name):
     dist, _ = CASES[name]
-    y = _column(np.concatenate([[-INF], np.linspace(-6.0, 10.0, 2001), GRID, [1e6, INF]]), dist)
+    y = _column(np.concatenate([[-INF, -DBL_MAX], np.linspace(-6.0, 10.0, 2001), GRID, [1e6, DBL_MAX, INF]]), dist)
     y = np.sort(y, axis=0)
     right, left = dist.cdf(y), dist.cdf_left(y)
     assert np.all(left <= right)
@@ -128,7 +129,7 @@ def test_continuous_families_have_no_atoms(name):
 # the atoms of each discrete case at or below the finite edges: the counts
 # run to past 1e6 and, as every float above 2**53 is an integer, take in the
 # largest float too
-COUNTS = np.append(np.arange(0.0, 1e6 + 2.0), np.finfo(float).max)
+COUNTS = np.append(np.arange(0.0, 1e6 + 2.0), DBL_MAX)
 ATOMS = {
     "poisson": COUNTS,
     "empirical": np.array([0.5, 1.0, 2.5]),
@@ -152,7 +153,7 @@ def test_discrete_has_mass_is_an_atom_in_the_window(name):
 @pytest.mark.parametrize("name", DISCRETE)
 def test_discrete_atoms_and_pmf_agree(name):
     dist, _ = CASES[name]
-    y = np.concatenate([GRID, [-0.0, 1e6, 1e300, INF, -INF, math.nan]])
+    y = np.concatenate([GRID, [-0.0, 1e6, 1e300, INF, -INF, math.nan, DBL_MAX, -DBL_MAX]])
     atom, pmf = dist.has_atom(y), dist.density(y)
     assert np.all((pmf >= 0.0) & (pmf <= 1.0))
     assert np.all(pmf[~atom] == 0.0)

@@ -5,8 +5,9 @@ renderer: ``",".join(repr(float(v)) for v in row)`` per line, and for the
 density curves the whole per-row algorithm of ``cli._density_curves``,
 copied here. A table of float64 columns with no nan, inf or cell in
 1e-5 <= |v| < 1e-4 is written from one flat dump, and any other table a
-column at a time; the oracle tests feed both. Every float cell is written by ``_repr_cells`` from orjson's
-digits, so it is also checked against ``repr`` cell by cell, over arbitrary
+column at a time; the oracle tests feed both. Every float cell comes from a
+flat orjson dump, one of the table's rows or, in ``_repr_cells``, one of a
+column, so both are also checked against ``repr`` cell by cell, over arbitrary
 64-bit patterns (nan payloads, infinities, signed zeros and subnormals among
 them): a version of orjson that lays out a float otherwise fails here. The
 CLI's JSON numbers share the cells' exponent rule, so the same patterns are

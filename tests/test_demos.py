@@ -1,4 +1,6 @@
-"""Every demo script runs to completion."""
+"""Every demo script runs to completion with RuntimeWarning, numpy's
+overflow and invalid-value warnings among them, as an error: pytest's
+``-W`` does not reach the subprocess."""
 
 import os
 import subprocess
@@ -20,6 +22,6 @@ def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True
+        [sys.executable, "-W", "error::RuntimeWarning", str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr

@@ -4,11 +4,12 @@ that ``Evidence.contains`` rejects, summed with nothing cancelling against
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
@@ -264,6 +265,56 @@ def test_a_step_below_the_slack_holds_every_point_of_an_array():
     e = Evidence.lattice_support(1e300, math.inf, 2.0**-60)
     y = np.array([2e300, 1.7e308, 1e300, 5e299, 0.0, -1e300, math.inf, -math.inf, math.nan])
     np.testing.assert_array_equal(e.contains(y), [True, True, True, False, False, False, False, False, False])
+
+
+_DBL_MAX = float(np.finfo(float).max)
+
+
+def _exactly_within_slack(lattice, y: float) -> bool | None:
+    """Whether y lies within the documented slack, atol + 1e-9 |y|, of the
+    lattice point lo + k step nearest it, with k >= 0, in exact rational
+    arithmetic on the doubles; None where the distance is within 1e-4 of
+    the slack, where rounding may decide."""
+    lo, _, step = lattice
+    offset = Fraction(y) - Fraction(lo)
+    k = round(offset / Fraction(step))
+    slack = Fraction(1e-9) * (Fraction(max(1.0, abs(lo), step)) + Fraction(abs(y)))
+    distance = abs(offset - k * Fraction(step))
+    if abs(distance - slack) <= slack / 10_000:
+        return None
+    return k >= 0 and distance <= slack
+
+
+@st.composite
+def _overflowing_offsets(draw):
+    # lo and y far apart on either side of 0, so that y - lo overflows; y
+    # at k + f steps from lo, for f = 0 on a point, or drawn
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    lo = -sign * draw(st.floats(_DBL_MAX / 4, _DBL_MAX))
+    far = sign * draw(st.floats(_DBL_MAX / 4, _DBL_MAX))
+    step = float(abs(Fraction(far) - Fraction(lo)) / draw(st.integers(2, 10**12)))
+    step = draw(st.sampled_from([step, 1e300, 2.0**-60])) if draw(st.booleans()) else step
+    f = draw(st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1, 3)]) | st.fractions(-1, 1))
+    y = Fraction(lo) + (round((Fraction(far) - Fraction(lo)) / Fraction(step)) + f) * Fraction(step)
+    assume(abs(y) <= _DBL_MAX)
+    y = float(y)
+    assume(math.isinf(y - lo) and _exactly_within_slack((lo, math.inf, step), y) is not None)
+    return (lo, math.inf, step), y
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300, deadline=None)
+@given(_overflowing_offsets())
+@example(((-1e308, math.inf, 1e300), 1e308))
+@example(((-1e308, math.inf, 1e300), 1e308 + 5e299))
+@example(((1e308, math.inf, 1e300), -1e308))
+@example(((-_DBL_MAX, math.inf, 1e300), _DBL_MAX))
+def test_contains_where_the_offset_from_lo_overflows(case):
+    lattice, y = case
+    e = Evidence.lattice_support(*lattice)
+    want = _exactly_within_slack(lattice, y)
+    assert e.contains(y) is want
+    np.testing.assert_array_equal(e.contains(np.array([y, y])), [want, want])
 
 
 def _mp_off_the_offset_lattice(rate: float):

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
@@ -25,7 +25,7 @@ def _rate_and_outcomes(draw):
         st.floats(-1e6, -1e-300),  # negative
         st.floats(0.0, rate + reach),  # between atoms
         st.floats(0.0, rate + reach).map(math.floor).map(float),  # on atoms
-        st.floats(1e9, 1e300),  # past 1e9
+        st.floats(1e9, 1e307),  # past 1e9, and past the 1e305 where pdtr's nan begins
         st.sampled_from([-2.0, -1.0, 0.0, 1.0]),
     ), min_size=1, max_size=12))
     return rate, ys
@@ -37,6 +37,7 @@ def _bits(values):
 
 @settings(max_examples=300, deadline=None)
 @given(_rate_and_outcomes())
+@example((1e300, [4e305, 2.6e305, 9e304, 1e300, 3.0]))  # pdtr gives nan at 2.6e305 and 4e305
 def test_scalar_crps_has_the_array_bits_on_a_memo_miss_and_on_the_hit(case):
     rate, ys = case
     dist = Poisson(rate)

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from probleak import Empirical, Evidence, Mixture, Normal, Poisson, StudentT, TruncatedNormal, leakage
+from probleak import Empirical, Evidence, ForecastCase, Mixture, Normal, Poisson, StudentT, TruncatedNormal, leakage, pit
 from probleak.predictive import _invert_cdf
 
 
@@ -231,6 +231,26 @@ def test_poisson_atoms():
     assert not d.has_mass(1.2, 1.9)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rate", [3.0, 20.0, 1e5, 1e300])
+def test_poisson_at_the_largest_counts(rate):
+    # scipy's pdtr and pdtrc give nan past about 3e305 counts (from 1.6e308
+    # at rate 3), and k log(rate) - gammaln(k + 1) is inf - inf there: the
+    # CDF is 1 that far above the rate, and the pmf 0
+    top = float(np.finfo(float).max)
+    d = Poisson(rate)
+    assert d.density(1e308) == 0.0 and d.density(top) == 0.0
+    np.testing.assert_array_equal(d.density(np.array([1e308, top, 4.0])), [0.0, 0.0, d.density(4.0)])
+    assert d.cdf(top) == 1.0 and d.cdf_left(top) == 1.0 and d.cdf_left(math.inf) == 1.0
+    np.testing.assert_array_equal(pit([ForecastCase(d, 1e308)], 0), [1.0])
+    # each mass is the one with the largest double replaced by the double below it
+    below = float(np.nextafter(top, 0.0))
+    for make in (lambda hi: Evidence.lattice_support(0.0, hi, 1.0), lambda hi: Evidence.interval(0.0, hi)):
+        assert leakage(d, make(top)).leakage == leakage(d, make(below)).leakage == 0.0
+    sets = [Evidence.finite_set([0.0, 1.0, 2.0, hi]) for hi in (top, below)]
+    assert leakage(d, sets[0]).leakage == leakage(d, sets[1]).leakage == pytest.approx(stats.poisson.sf(2, rate), rel=1e-14)
+
+
 _ODD_POINTS = [-0.0, math.nan, math.inf, -math.inf, 2.0**53, 1e300]
 _points = st.one_of(st.sampled_from(_ODD_POINTS), st.integers(-3, 12).map(float), st.floats())
 _EVERY_FAMILY = [
@@ -278,6 +298,88 @@ def test_has_atom_is_has_mass_on_a_zero_width_window(i, y):
     np.testing.assert_array_equal(got, want)
     assert np.shape(got) == np.shape(y)
     np.testing.assert_array_equal(got, [_is_atom(dist, float(v)) for v in np.ravel(y)] if np.ndim(y) else _is_atom(dist, y))
+
+
+_DBL_MAX = float(np.finfo(float).max)
+_LEFT_POINTS = [0.0, -0.0, 5e-324, 2.0**53 + 2.0, 1e300, _DBL_MAX, -_DBL_MAX, math.inf, -math.inf, math.nan]
+_left_points = st.one_of(st.sampled_from(_LEFT_POINTS), st.integers(-3, 40).map(float), st.floats())
+_observations = st.lists(
+    st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 0.5, 2.0**53, 1e300, _DBL_MAX, -_DBL_MAX]),
+              st.floats(allow_nan=False, allow_infinity=False)),
+    min_size=1, max_size=6,
+)
+_count_models = st.one_of(
+    st.one_of(st.sampled_from([1e-3, 1.0, 3.0, 3.5, 20.0, 1e5, 3e16, 2.0**60, 1e300, _DBL_MAX]),
+              st.floats(1e-300, 1e300)).map(Poisson),
+    _observations.map(Empirical),
+)
+
+
+def _mixture(parts, raw_weights):
+    weights = np.array(raw_weights[: len(parts)])  # the first is positive, some others zero
+    return Mixture(parts, weights / weights.sum())
+
+
+_discrete_models = st.recursive(
+    _count_models,
+    lambda inner: st.builds(
+        _mixture,
+        st.lists(inner, min_size=1, max_size=3),
+        st.tuples(st.sampled_from([0.2, 1.0, 3.0]), *[st.sampled_from([0.0, 0.2, 1.0, 3.0])] * 2).map(list),
+    ),
+    max_leaves=4,
+)
+
+
+def _left_limit(dist, y: float) -> float:
+    """P(Y < y) by each family's rule, one point at a time: F(y - 1) at a
+    Poisson count and F(y) elsewhere, the share of observations below y for
+    an empirical law, and a mixture's weighted sum of its components' left
+    limits."""
+    if isinstance(dist, Poisson):
+        return dist.cdf(y - 1.0 if _is_atom(dist, y) else y)
+    if isinstance(dist, Empirical):
+        return np.searchsorted(np.array(dist.observations), y, side="left") / len(dist.observations)
+    return sum(w * _left_limit(c, y) for w, c in zip(np.array(dist.weights), dist.components))
+
+
+def _bits(values) -> np.ndarray:
+    """The int64 bits of each value, with every nan made one quiet nan."""
+    values = np.array(values, dtype=float, ndmin=1)
+    return np.where(np.isnan(values), math.nan, values).view(np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_discrete_models, st.lists(_left_points, min_size=1, max_size=4), st.data())
+@example(Poisson(3.0), _LEFT_POINTS, None)
+@example(Empirical([0.5, 0.5, _DBL_MAX, -_DBL_MAX, 5e-324]), [0.5, _DBL_MAX, -_DBL_MAX, 5e-324, 0.0], None)
+@example(Mixture([Poisson(2.0), Empirical([0.5, 7.0])], [0.6, 0.4]), [*_LEFT_POINTS, 0.5, 7.0, 3.0], None)
+@example(Mixture([Poisson(1e300), Poisson(1.0)], [0.5, 0.5]), [1e300, 2.0**60, 3e16 + 4.0], None)
+@example(Poisson(_DBL_MAX), [_DBL_MAX, math.inf], None)
+def test_cdf_left_has_each_family_s_left_limit_bits(dist, ys, data):
+    # a point at an empirical atom, where the left limit and the CDF differ
+    observations = [v for part in getattr(dist, "components", [dist]) for v in getattr(part, "observations", ())]
+    if data is not None and observations:
+        ys = [*ys, data.draw(st.sampled_from(observations), label="an atom")]
+    want = [_left_limit(dist, y) for y in ys]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        one_by_one = [dist.cdf_left(y) for y in ys]
+        batch = dist.cdf_left(np.array(ys))
+    assert all(type(v) is float for v in one_by_one)
+    np.testing.assert_array_equal(_bits(one_by_one), _bits(want))
+    np.testing.assert_array_equal(_bits(batch), _bits(want))
+
+
+def test_a_poisson_left_limit_keeps_the_counts_that_no_double_holds():
+    # past 2**53 the double below a count y lies further below it than
+    # y - 1, so F there would leave out the counts in between: at rate 1e300
+    # they hold about half the mass
+    d = Poisson(1e300)
+    assert d.cdf_left(1e300) == pytest.approx(0.5, abs=1e-9)
+    assert leakage(d, Evidence.interval(1e300, math.inf)).leakage == pytest.approx(0.5, abs=1e-9)
+    assert Mixture([d, Poisson(1.0)], [0.5, 0.5]).cdf_left(1e300) == pytest.approx(0.75, abs=1e-9)
+    assert Poisson(_DBL_MAX).cdf_left(math.inf) == 1.0
 
 
 def test_has_atom_is_elementwise_on_arrays():
